@@ -4,6 +4,13 @@
 // plus the send/receive matching work). The verifier runs once per
 // processor, so stmts/sec is the end-to-end figure a compile would see.
 //
+// The remaining rows cover the shapes that dominate the end-to-end
+// `compile` and `exchange` benchmark workloads: a rank-1 update through
+// the standard pipeline with one array on CYCLIC(k) (k = 2 has 96 blocks
+// per processor, so every ownership query meets a fragmented local part),
+// the cost analyzer's placement-oblivious run (every guard undecidable),
+// and a rendezvous task farm whose matching is one large group.
+//
 // Reported counters (per run):
 //   stmts       abstract statements interpreted across all processors
 //   stmts/s     verification throughput
@@ -12,17 +19,21 @@
 
 #include "xdp/analysis/verifier.hpp"
 #include "xdp/apps/programs.hpp"
+#include "xdp/il/parser.hpp"
 #include "xdp/opt/passes.hpp"
+
+#include "analysis_programs.hpp"
 
 using namespace xdp;
 
 namespace {
 
-void runVerify(benchmark::State& state, const il::Program& prog) {
+void runVerify(benchmark::State& state, const il::Program& prog,
+               const analysis::VerifyOptions& opts = {}) {
   std::uint64_t stmts = 0;
   std::size_t diags = 0;
   for (auto _ : state) {
-    analysis::VerifyResult r = analysis::verifyProgram(prog);
+    analysis::VerifyResult r = analysis::verifyProgram(prog, opts);
     benchmark::DoNotOptimize(r);
     stmts += r.stmtsAnalyzed;
     diags += r.diagnostics.size();
@@ -59,5 +70,39 @@ void BM_VerifyFft3dStage1(benchmark::State& state) {
   runVerify(state, prog);
 }
 BENCHMARK(BM_VerifyFft3dStage1)->Arg(8)->Arg(16);
+
+il::Program pipelined(const std::string& text) {
+  il::Program prog = il::parseProgram(text);
+  for (const opt::Pass& p : opt::standardPipeline()) prog = p.fn(prog);
+  return prog;
+}
+
+void BM_VerifyUpdate(benchmark::State& state) {
+  const std::string k = std::to_string(state.range(0));
+  runVerify(state, pipelined(testprog::rank1UpdateText(
+                       384, 4, {"CYCLIC(" + k + ")", "BLOCK", "CYCLIC"})));
+}
+BENCHMARK(BM_VerifyUpdate)->Arg(2)->Arg(16);
+
+void BM_VerifyOblivious(benchmark::State& state) {
+  // analyzeCost's second run over the compile workload's largest shape.
+  analysis::VerifyOptions opts;
+  opts.collectCost = true;
+  opts.matchComm = false;
+  opts.obliviousPlacement = true;
+  runVerify(state,
+            pipelined(testprog::rank1UpdateText(
+                384, 4,
+                {"BLOCK", "CYCLIC", "CYCLIC(4)", "CYCLIC(2)", "CYCLIC(8)",
+                 "CYCLIC(16)"})),
+            opts);
+}
+BENCHMARK(BM_VerifyOblivious);
+
+void BM_VerifyFarm(benchmark::State& state) {
+  const sec::Index jobs = state.range(0);
+  runVerify(state, il::parseProgram(testprog::farmText(2, jobs, jobs)));
+}
+BENCHMARK(BM_VerifyFarm)->Arg(2000);
 
 }  // namespace

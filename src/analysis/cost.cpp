@@ -203,8 +203,14 @@ class SweepScanner {
             s->step ? constIntOf(s->step, prog_.nprocs)
                     : std::optional<Index>(1);
         if (!lb || !ub || !step || *step <= 0) return;  // not analyzable
-        const Index trips = *ub < *lb ? 0 : (*ub - *lb) / *step + 1;
-        if (trips <= 0) return;
+        if (*ub < *lb) return;  // zero trips
+        // ub - lb can exceed Index, but never its unsigned range; a trip
+        // count beyond Index is not analyzable.
+        const std::uint64_t span =
+            static_cast<std::uint64_t>(arith::wrapSub(*ub, *lb)) /
+            static_cast<std::uint64_t>(*step);
+        if (span >= static_cast<std::uint64_t>(INT64_MAX)) return;
+        const Index trips = static_cast<Index>(span) + 1;
         if (*step == 1) scanSweep(s, *lb, *ub, trips, reps);
         walk(s->body, arith::checkedMulNonNeg(reps, trips,
                                               "loop repetition count"));
@@ -260,16 +266,20 @@ class SweepScanner {
     const Index n = decl.global.dim(0).count();
     const int procs = decl.dist.specs()[0].procs;
     // V as a section, clamped to the array (out-of-bounds reads are a
-    // program error the verifier reports elsewhere).
+    // program error the verifier reports elsewhere). The widened ends
+    // W ± δ may leave Index, so the clamp works in __int128.
     const Index glo = decl.global.dim(0).lb(), ghi = decl.global.dim(0).ub();
-    const Index vlo = std::max(glo, wlo - delta);
-    const Index vhi = std::min(ghi, whi + delta);
+    const Index vlo = static_cast<Index>(
+        std::max<__int128>(glo, static_cast<__int128>(wlo) - delta));
+    const Index vhi = static_cast<Index>(
+        std::min<__int128>(ghi, static_cast<__int128>(whi) + delta));
     if (vlo > vhi) return 0;
-    const Index len = vhi - vlo + 1;
+    const Index len = vhi - vlo + 1;  // at most n
     // q over the search family (block sizes ≤ ceil(N/P)): a contiguous
     // range of length L meets ≥ ceil(L / ceil(N/P)) owner classes...
-    const Index blk = (n + procs - 1) / procs;
-    Index q = (len + blk - 1) / blk;
+    const auto ceilDiv = [](Index a, Index b) { return a / b + (a % b != 0); };
+    const Index blk = ceilDiv(n, procs);
+    Index q = ceilDiv(len, blk);
     // ... and never more classes than the *declared* placement actually
     // populates over V (a declared block size beyond the family cap can
     // leave processors empty).
@@ -288,7 +298,7 @@ class SweepScanner {
     const std::int64_t esz =
         static_cast<std::int64_t>(rt::elemSize(decl.type));
     const std::int64_t firstSweep = std::max<Index>(0, q - delta);
-    const std::int64_t interior = std::max<Index>(0, q - 2 * delta);
+    const std::int64_t interior = std::max<Index>(0, firstSweep - delta);
     std::int64_t cuts = arith::checkedAddNonNeg(
         firstSweep,
         arith::checkedMulNonNeg(reps - 1, interior, "sweep repetitions"),

@@ -6,6 +6,12 @@
 // here maps to a concrete failure the runtime's --debug-checks (or the
 // fabric's undelivered-message accounting) would report, which is what the
 // differential oracle in test_pipeline_fuzz exercises.
+//
+// One abstract step is kept cheap (DESIGN.md §7): scalars live in dense
+// slots interned once per call, one-point section queries are contains()
+// tests, a conditional region saves only what it writes on an undo trail
+// and joins just that, and communication events are recorded only when
+// matching runs.
 #include "xdp/analysis/verifier.hpp"
 
 #include <algorithm>
@@ -14,6 +20,8 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 #include <variant>
 
 #include "xdp/il/printer.hpp"
@@ -87,8 +95,6 @@ std::optional<bool> knownBool(const AbsVal& v) {
   return asBoolV(*v);
 }
 
-bool sameValue(const Value& a, const Value& b) { return a == b; }
-
 // --- abstract section state -------------------------------------------------
 
 /// Figure-1 state of one symbol on one processor. `owned` includes
@@ -110,97 +116,126 @@ struct SymState {
   }
 };
 
+/// True iff `p` and `s` share an element (never across ranks).
+bool meets(const Section& p, const Section& s) {
+  return p.rank() == s.rank() && !Section::intersect(p, s).empty();
+}
+
 bool pendingOverlaps(const std::vector<Section>& pending, const Section& s) {
-  for (const Section& p : pending) {
-    if (p.rank() != s.rank()) continue;
-    if (!Section::intersect(p, s).empty()) return true;
+  if (pending.empty()) return false;
+  if (s.count() == 1) {
+    const Point pt = s.origin();
+    return std::any_of(pending.begin(), pending.end(),
+                       [&](const Section& p) { return p.contains(pt); });
+  }
+  return std::any_of(pending.begin(), pending.end(),
+                     [&](const Section& p) { return meets(p, s); });
+}
+
+void completePendingOver(std::vector<Section>& pending, const Section& s) {
+  if (s.count() == 1) {
+    const Point pt = s.origin();
+    std::erase_if(pending, [&](const Section& p) { return p.contains(pt); });
+  } else {
+    std::erase_if(pending, [&](const Section& p) { return meets(p, s); });
+  }
+}
+
+/// Memberwise (rank, then lb:ub:stride per dimension) equality and order.
+/// Canonical triplets make this set equality for non-empty sections,
+/// which are the only ones pending lists and events hold.
+bool sameShape(const Section& a, const Section& b) {
+  if (a.rank() != b.rank()) return false;
+  for (int d = 0; d < a.rank(); ++d) {
+    const Triplet &x = a.dim(d), &y = b.dim(d);
+    if (x.lb() != y.lb() || x.ub() != y.ub() || x.stride() != y.stride())
+      return false;
+  }
+  return true;
+}
+
+bool shapeLess(const Section& a, const Section& b) {
+  if (a.rank() != b.rank()) return a.rank() < b.rank();
+  for (int d = 0; d < a.rank(); ++d) {
+    const Triplet &x = a.dim(d), &y = b.dim(d);
+    if (x.lb() != y.lb()) return x.lb() < y.lb();
+    if (x.ub() != y.ub()) return x.ub() < y.ub();
+    if (x.stride() != y.stride()) return x.stride() < y.stride();
   }
   return false;
 }
 
-void completePendingOver(std::vector<Section>& pending, const Section& s) {
-  pending.erase(std::remove_if(pending.begin(), pending.end(),
-                               [&](const Section& p) {
-                                 return p.rank() == s.rank() &&
-                                        !Section::intersect(p, s).empty();
-                               }),
-                pending.end());
-}
-
-std::vector<std::string> pendingKeys(const std::vector<Section>& pending) {
-  std::vector<std::string> keys;
-  keys.reserve(pending.size());
-  for (const Section& p : pending) keys.push_back(p.str());
-  std::sort(keys.begin(), keys.end());
-  return keys;
+/// Same multiset of pending initiations, in any order.
+bool samePending(const std::vector<Section>& a,
+                 const std::vector<Section>& b) {
+  if (a.size() != b.size()) return false;
+  if (std::equal(a.begin(), a.end(), b.begin(), sameShape)) return true;
+  std::vector<const Section*> x, y;
+  for (const Section& s : a) x.push_back(&s);
+  for (const Section& s : b) y.push_back(&s);
+  auto less = [](const Section* l, const Section* r) {
+    return shapeLess(*l, *r);
+  };
+  std::sort(x.begin(), x.end(), less);
+  std::sort(y.begin(), y.end(), less);
+  return std::equal(x.begin(), x.end(), y.begin(),
+                    [](const Section* l, const Section* r) {
+                      return sameShape(*l, *r);
+                    });
 }
 
 bool sameSymState(const SymState& a, const SymState& b) {
   if (a.top != b.top) return false;
   if (a.top) return true;
   return a.owned.sameSet(b.owned) && a.gone.sameSet(b.gone) &&
-         pendingKeys(a.pending) == pendingKeys(b.pending);
+         samePending(a.pending, b.pending);
+}
+
+/// One universal scalar. `present` tells a scalar never bound on this path
+/// from one bound to an unknown value: evaluation reads both as unknown,
+/// but the frame comparisons of loop widening and the joins keep them
+/// apart.
+struct Slot {
+  bool present = false;
+  AbsVal val;
+};
+
+bool sameSlot(const Slot& a, const Slot& b) {
+  if (a.present != b.present) return false;
+  if (a.val.has_value() != b.val.has_value()) return false;
+  return !a.val || *a.val == *b.val;
 }
 
 /// Per-processor machine state: symbol states + universal scalars.
 struct Frame {
   std::vector<SymState> syms;
-  std::map<std::string, AbsVal> env;
+  std::vector<Slot> slots;
 };
-
-bool sameFrame(const Frame& a, const Frame& b) {
-  for (std::size_t i = 0; i < a.syms.size(); ++i)
-    if (!sameSymState(a.syms[i], b.syms[i])) return false;
-  if (a.env.size() != b.env.size()) return false;
-  for (const auto& [k, v] : a.env) {
-    auto it = b.env.find(k);
-    if (it == b.env.end()) return false;
-    if (v.has_value() != it->second.has_value()) return false;
-    if (v && !sameValue(*v, *it->second)) return false;
-  }
-  return true;
-}
-
-/// Join `b` into `a`. The domain is deliberately shallow: any disagreement
-/// tops the symbol (or forgets the scalar). Precision after a join only
-/// matters for programs with data-dependent rules, which are outside the
-/// exact fragment anyway — soundness (no false positives) is what counts.
-void joinFrame(Frame& a, const Frame& b) {
-  for (std::size_t i = 0; i < a.syms.size(); ++i)
-    if (!sameSymState(a.syms[i], b.syms[i])) a.syms[i].makeTop();
-  for (auto& [k, v] : a.env) {
-    auto it = b.env.find(k);
-    if (it == b.env.end() || v.has_value() != it->second.has_value() ||
-        (v && !sameValue(*v, *it->second)))
-      v = std::nullopt;
-  }
-  for (const auto& [k, v] : b.env)
-    if (!a.env.count(k)) a.env[k] = std::nullopt;
-}
 
 // --- communication events ---------------------------------------------------
 
 enum class EvClass { Data, Own, OwnVal };
 
+constexpr int kAnyDest = -1;  ///< unbound send: the matcher routes it
+constexpr int kNoDest = -2;   ///< bound to an empty set: serves no receive
+
 struct Event {
-  bool isSend = false;
-  EvClass cls = EvClass::Data;
+  const StmtPtr* stmt = nullptr;  ///< into the program, which outlives us
+  Section name;  ///< name section (messages match on (sym, name) exactly)
   int pid = -1;
-  int sym = -1;    ///< name symbol (the *source* symbol for data receives)
-  Section name;    ///< name section (messages match on (sym, name) exactly)
-  std::optional<std::vector<int>> dests;  ///< sends: bound destinations
+  int sym = -1;  ///< name symbol (the *source* symbol for data receives)
+  int dest = kAnyDest;  ///< sends: bound destination processor
+  EvClass cls = EvClass::Data;
+  bool isSend = false;
   bool conditional = false;  ///< recorded under an unknown guard / widening
-  int seq = 0;               ///< per-pid program order
-  StmtPtr stmt;
 };
 
-/// Receive initiation viewed from the destination side, for the
-/// await-before-initiate ordering check.
+/// Unconditional receive initiation viewed from the destination side, for
+/// the await-before-initiate ordering check.
 struct RecvInit {
   int sym = -1;
   Section sec;
   int seq = 0;
-  bool conditional = false;
   SrcLoc loc;
 };
 
@@ -216,11 +251,23 @@ struct AwaitRec {
 };
 
 struct Shared {
+  explicit Shared(const Program& prog) : scalars(prog) {}
+
+  il::ScalarIds scalars;
   std::uint64_t steps = 0;
-  std::vector<Event> events;
+  std::vector<Event> events;   ///< recorded only when matchComm is set
   std::set<int> poisonedSyms;  ///< name symbol had an unevaluable section
   std::set<std::pair<int, const Stmt*>> seenDiags;
   bool incomplete = false;  ///< some pid's abstract run aborted
+  /// Local parts per (distribution, pid), computed on first use.
+  std::map<std::pair<const dist::Distribution*, int>, RegionList> parts;
+
+  const RegionList& localPart(const dist::Distribution& d, int pid) {
+    const auto key = std::make_pair(&d, pid);
+    auto it = parts.find(key);
+    if (it == parts.end()) it = parts.emplace(key, d.localPart(pid)).first;
+    return it->second;
+  }
 };
 
 // --- the per-processor abstract executor -------------------------------------
@@ -231,11 +278,14 @@ class PidExec {
           VerifyResult& res, int pid)
       : prog_(prog), opts_(opts), sh_(sh), res_(res), pid_(pid) {
     frame_.syms.resize(prog.arrays.size());
+    frame_.slots.resize(static_cast<std::size_t>(sh.scalars.count()));
+    symStamp_.assign(frame_.syms.size(), 0);
+    slotStamp_.assign(frame_.slots.size(), 0);
     for (std::size_t i = 0; i < prog.arrays.size(); ++i) {
       if (opts.obliviousPlacement)
         frame_.syms[i].makeTop();  // who owns what is placement-dependent
       else
-        frame_.syms[i].owned = prog.arrays[i].dist.localPart(pid);
+        frame_.syms[i].owned = sh.localPart(prog.arrays[i].dist, pid);
     }
   }
 
@@ -284,41 +334,158 @@ class PidExec {
     return s.str() + " of '" + symName(sym) + "'";
   }
 
-  // --- state queries ---------------------------------------------------
+  // --- state access ----------------------------------------------------
+  //
+  // Reads go through sym()/slot values directly; every write goes through
+  // symMut()/slotMut() so the undo trail sees it.
 
-  SymState& st(int sym) { return frame_.syms[static_cast<std::size_t>(sym)]; }
+  const SymState& sym(int s) const {
+    return frame_.syms[static_cast<std::size_t>(s)];
+  }
+
+  SymState& symMut(int s) {
+    save(symTrail_, symStamp_, frame_.syms, s);
+    return frame_.syms[static_cast<std::size_t>(s)];
+  }
+
+  Slot& slotMut(int i) {
+    save(slotTrail_, slotStamp_, frame_.slots, i);
+    return frame_.slots[static_cast<std::size_t>(i)];
+  }
+
+  int bindOf(const StmtPtr& s) const {
+    const int id = sh_.scalars.ofBind(s.get());
+    XDP_CHECK(id >= 0, "scalar binding outside the verified program");
+    return id;
+  }
+
+  // --- undo trail --------------------------------------------------------
+  //
+  // A conditional region (the body under an undecidable guard, one pass of
+  // a widened loop) ends in a join with the state it started from. The
+  // first write to a slot or symbol state inside a region saves the prior
+  // value, stamped with the region's id, so the join compares only what
+  // the region wrote. Closing a region hands its saves to the enclosing
+  // one, unless that region already holds an earlier save of the same
+  // entity.
+
+  template <class T>
+  struct Save {
+    int index;
+    int prevStamp;  ///< the entity's stamp before this save
+    T value;        ///< its value when the region first wrote it
+  };
+
+  struct Region {
+    int id;
+    std::size_t slotMark;
+    std::size_t symMark;
+  };
+
+  template <class T>
+  void save(std::vector<Save<T>>& trail, std::vector<int>& stamps,
+            const std::vector<T>& values, int i) {
+    if (regions_.empty()) return;
+    const int id = regions_.back().id;
+    int& stamp = stamps[static_cast<std::size_t>(i)];
+    if (stamp == id) return;
+    trail.push_back(Save<T>{i, stamp, values[static_cast<std::size_t>(i)]});
+    stamp = id;
+  }
+
+  void openRegion() {
+    regions_.push_back(
+        Region{++lastRegionId_, slotTrail_.size(), symTrail_.size()});
+  }
+
+  /// True iff the innermost region left some slot or symbol state
+  /// different from its value at region entry.
+  bool regionChanged() const {
+    const Region& r = regions_.back();
+    for (std::size_t k = r.slotMark; k < slotTrail_.size(); ++k) {
+      const Save<Slot>& e = slotTrail_[k];
+      if (!sameSlot(frame_.slots[static_cast<std::size_t>(e.index)], e.value))
+        return true;
+    }
+    for (std::size_t k = r.symMark; k < symTrail_.size(); ++k) {
+      const Save<SymState>& e = symTrail_[k];
+      if (!sameSymState(frame_.syms[static_cast<std::size_t>(e.index)],
+                        e.value))
+        return true;
+    }
+    return false;
+  }
+
+  /// Join the innermost region's entry state into the current one. The
+  /// domain is deliberately shallow: any disagreement tops the symbol (or
+  /// forgets the scalar). Precision after a join only matters for programs
+  /// with data-dependent rules, which are outside the exact fragment
+  /// anyway — soundness (no false positives) is what counts.
+  void joinRegion() {
+    const Region& r = regions_.back();
+    for (std::size_t k = r.slotMark; k < slotTrail_.size(); ++k) {
+      const Save<Slot>& e = slotTrail_[k];
+      Slot& cur = frame_.slots[static_cast<std::size_t>(e.index)];
+      if (!sameSlot(cur, e.value)) cur.val.reset();
+    }
+    for (std::size_t k = r.symMark; k < symTrail_.size(); ++k) {
+      const Save<SymState>& e = symTrail_[k];
+      SymState& cur = frame_.syms[static_cast<std::size_t>(e.index)];
+      if (!sameSymState(cur, e.value)) cur.makeTop();
+    }
+  }
+
+  void closeRegion() {
+    const Region r = regions_.back();
+    regions_.pop_back();
+    const int outer = regions_.empty() ? 0 : regions_.back().id;
+    handOver(slotTrail_, slotStamp_, r.slotMark, outer);
+    handOver(symTrail_, symStamp_, r.symMark, outer);
+  }
+
+  template <class T>
+  static void handOver(std::vector<Save<T>>& trail, std::vector<int>& stamps,
+                       std::size_t mark, int outer) {
+    std::size_t keep = mark;
+    for (std::size_t k = mark; k < trail.size(); ++k) {
+      Save<T>& e = trail[k];
+      int& stamp = stamps[static_cast<std::size_t>(e.index)];
+      if (outer == 0 || e.prevStamp == outer) {
+        stamp = e.prevStamp;  // no enclosing region, or it saved earlier
+        continue;
+      }
+      stamp = outer;
+      if (keep != k) trail[keep] = std::move(e);
+      ++keep;
+    }
+    trail.erase(trail.begin() + static_cast<std::ptrdiff_t>(keep),
+                trail.end());
+  }
+
+  // --- state queries ---------------------------------------------------
 
   /// Check that (sym, s) is provably Accessible; `what` names the
   /// operation ("read of", "data send of", ...). Returns false if a
   /// definite violation was diagnosed. Silent when the state is Top.
-  bool requireAccessible(DiagKind kind, const StmtPtr& stmt, int sym,
+  bool requireAccessible(DiagKind kind, const StmtPtr& stmt, int symbol,
                          const Section& s, const char* what) {
-    SymState& ss = st(sym);
+    const SymState& ss = sym(symbol);
     if (ss.top || s.empty()) return true;
     if (!ss.owned.covers(s)) {
-      const bool wasMine = !ss.gone.empty() &&
-                           overlapsRegion(ss.gone, s);
+      const bool wasMine = ss.gone.overlaps(s);
       diag(kind, Severity::Error, stmt,
-           std::string(what) + " section " + secOf(sym, s) +
+           std::string(what) + " section " + secOf(symbol, s) +
                (wasMine ? " after its ownership was transferred away"
                         : " that this processor does not own"));
       return false;
     }
     if (pendingOverlaps(ss.pending, s)) {
       diag(kind, Severity::Error, stmt,
-           std::string(what) + " transitional section " + secOf(sym, s) +
+           std::string(what) + " transitional section " + secOf(symbol, s) +
                " (overlaps an uncompleted receive; await it first)");
       return false;
     }
     return true;
-  }
-
-  static bool overlapsRegion(const RegionList& rl, const Section& s) {
-    for (const Section& piece : rl.sections()) {
-      if (piece.rank() != s.rank()) continue;
-      if (!Section::intersect(piece, s).empty()) return true;
-    }
-    return false;
   }
 
   // --- statement execution ---------------------------------------------
@@ -331,14 +498,16 @@ class PidExec {
   void exec(const StmtPtr& s) {
     if (!s) return;
     step();
-    curStmt_ = s;  // anchor for diagnostics raised during expression eval
+    curStmt_ = &s;  // anchor for diagnostics raised during expression eval
     switch (s->kind) {
       case StmtKind::Block:
         for (const auto& c : s->stmts) exec(c);
         return;
-      case StmtKind::ScalarAssign:
-        frame_.env[s->name] = evalValue(s->value);
+      case StmtKind::ScalarAssign: {
+        AbsVal v = evalValue(s->value);
+        slotMut(bindOf(s)) = Slot{true, std::move(v)};
         return;
+      }
       case StmtKind::ElemAssign:
         execElemAssign(s);
         return;
@@ -403,9 +572,17 @@ class PidExec {
     std::optional<Index> stp =
         s->step ? knownInt(evalValue(s->step)) : std::optional<Index>(1);
     if (lb && ub && stp && *stp > 0) {
-      for (Index i = *lb; i <= *ub; i += *stp) {
-        frame_.env[s->name] = Value(i);
+      const int var = bindOf(s);
+      for (Index i = *lb; i <= *ub;) {
+        slotMut(var) = Slot{true, Value(i)};
         exec(s->body);
+        // `i + step` can overflow past a ub near INT64_MAX; decide
+        // termination on the (always in-range) remaining distance, as the
+        // interpreter does.
+        if (static_cast<std::uint64_t>(*ub) - static_cast<std::uint64_t>(i) <
+            static_cast<std::uint64_t>(*stp))
+          break;
+        i += *stp;
       }
       return;
     }
@@ -419,30 +596,24 @@ class PidExec {
   /// are conditional (their matching groups go silent).
   void widenLoop(const StmtPtr& s) {
     res_.exhaustive = false;
-    Frame before = frame_;
+    const int var = bindOf(s);
+    openRegion();  // the zero-iteration state
     ++condDepth_;
-    frame_.env[s->name] = std::nullopt;
+    slotMut(var) = Slot{true, std::nullopt};
     const int kMaxIter = 3;
     for (int k = 0; k < kMaxIter; ++k) {
-      Frame entry = frame_;
+      openRegion();  // this pass's entry state
       exec(s->body);
-      frame_.env[s->name] = std::nullopt;
-      if (sameFrame(frame_, entry)) break;
-      if (k == kMaxIter - 1) {
-        // Not converged: drop everything that is still moving.
-        for (std::size_t i = 0; i < frame_.syms.size(); ++i)
-          if (!sameSymState(frame_.syms[i], entry.syms[i]))
-            frame_.syms[i].makeTop();
-        for (auto& [key, v] : frame_.env) {
-          auto it = entry.env.find(key);
-          if (it == entry.env.end() || v.has_value() != it->second.has_value() ||
-              (v && !sameValue(*v, *it->second)))
-            v = std::nullopt;
-        }
-      }
+      slotMut(var) = Slot{true, std::nullopt};
+      const bool moved = regionChanged();
+      // Not converged: drop everything that is still moving.
+      if (moved && k == kMaxIter - 1) joinRegion();
+      closeRegion();
+      if (!moved) break;
     }
     --condDepth_;
-    joinFrame(frame_, before);
+    joinRegion();
+    closeRegion();
   }
 
   void execGuarded(const StmtPtr& s) {
@@ -452,11 +623,12 @@ class PidExec {
       if (*r) exec(s->body);
     } else {
       res_.exhaustive = false;
-      Frame before = frame_;
+      openRegion();
       ++condDepth_;
       exec(s->body);
       --condDepth_;
-      joinFrame(frame_, before);
+      joinRegion();
+      closeRegion();
     }
     --guardDepth_;
   }
@@ -510,11 +682,10 @@ class PidExec {
     }
     if (!dst) {
       res_.exhaustive = false;
-      st(s->sym).makeTop();
+      symMut(s->sym).makeTop();
     } else if (!dst->empty()) {
-      SymState& ss = st(s->sym);
-      if (!ss.top) {
-        if (!ss.owned.covers(*dst)) {
+      if (!sym(s->sym).top) {
+        if (!sym(s->sym).owned.covers(*dst)) {
           diag(DiagKind::NotAccessible, Severity::Error, s,
                "receive into section " + secOf(s->sym, *dst) +
                    " that this processor does not own");
@@ -522,11 +693,11 @@ class PidExec {
         }
         // E <- X blocks until E is accessible (completing anything
         // pending over it), then initiates the receive.
+        SymState& ss = symMut(s->sym);
         completePendingOver(ss.pending, *dst);
         ss.pending.push_back(*dst);
       }
-      recvInits_.push_back(RecvInit{s->sym, *dst, seq_, condDepth_ > 0,
-                                    s->loc});
+      noteRecvInit(s->sym, *dst, s->loc);
     }
     if (name && !name->empty())
       recordRecv(s, EvClass::Data, s->sym2, *name);
@@ -537,22 +708,22 @@ class PidExec {
     if (!e) {
       res_.exhaustive = false;
       sh_.poisonedSyms.insert(s->sym);
-      st(s->sym).makeTop();
+      symMut(s->sym).makeTop();
       return;
     }
     if (e->empty()) return;
     Dest d = resolveDest(s, s->dest);
-    if (d.pids && d.pids->size() > 1) {
+    if (d.bound && d.pids.size() > 1) {
       diag(DiagKind::TransferMismatch, Severity::Error, s,
            "ownership can be sent to exactly one processor (got " +
-               std::to_string(d.pids->size()) + " destinations)");
+               std::to_string(d.pids.size()) + " destinations)");
       return;
     }
-    SymState& ss = st(s->sym);
-    const bool ownershipProven = !ss.top;
-    if (!ss.top) {
+    const bool ownershipProven = !sym(s->sym).top;
+    if (ownershipProven) {
+      const SymState& ss = sym(s->sym);
       if (!ss.owned.covers(*e)) {
-        if (overlapsRegion(ss.gone, *e)) {
+        if (ss.gone.overlaps(*e)) {
           diag(DiagKind::DoubleOwnership, Severity::Error, s,
                "ownership of section " + secOf(s->sym, *e) +
                    " transferred away twice (already sent)");
@@ -564,9 +735,10 @@ class PidExec {
         return;  // the runtime makes this a no-op: no message leaves
       }
       // "Owner send operations block until the section is accessible."
-      completePendingOver(ss.pending, *e);
-      ss.owned.subtract(*e);
-      ss.gone.add(*e);
+      SymState& m = symMut(s->sym);
+      completePendingOver(m.pending, *e);
+      m.owned.subtract(*e);
+      m.gone.add(*e);
     }
     recordSend(s, s->withValue ? EvClass::OwnVal : EvClass::Own, s->sym, *e,
                d, /*expandToSet=*/false);
@@ -583,23 +755,23 @@ class PidExec {
     if (!u) {
       res_.exhaustive = false;
       sh_.poisonedSyms.insert(s->sym);
-      st(s->sym).makeTop();
+      symMut(s->sym).makeTop();
       return;
     }
     if (u->empty()) return;
-    SymState& ss = st(s->sym);
-    if (!ss.top) {
-      if (overlapsRegion(ss.owned, *u)) {
+    if (!sym(s->sym).top) {
+      if (sym(s->sym).owned.overlaps(*u)) {
         diag(DiagKind::DoubleOwnership, Severity::Error, s,
              "ownership receive of section " + secOf(s->sym, *u) +
                  " this processor already owns");
         return;
       }
+      SymState& ss = symMut(s->sym);
       ss.owned.add(*u);
       ss.pending.push_back(*u);
       ss.gone.subtract(*u);
     }
-    recvInits_.push_back(RecvInit{s->sym, *u, seq_, condDepth_ > 0, s->loc});
+    noteRecvInit(s->sym, *u, s->loc);
     recordRecv(s, s->withValue ? EvClass::OwnVal : EvClass::Own, s->sym, *u);
   }
 
@@ -607,11 +779,11 @@ class PidExec {
     std::optional<Section> sec = evalSection(s->sym, s->lhs);
     if (!sec) {
       res_.exhaustive = false;
-      st(s->sym).makeTop();
+      symMut(s->sym).makeTop();
       return;
     }
     if (sec->empty()) return;
-    SymState& ss = st(s->sym);
+    const SymState& ss = sym(s->sym);
     if (ss.top) return;
     if (!ss.owned.covers(*sec)) {
       diag(DiagKind::AwaitMismatch, Severity::Warning, s,
@@ -621,9 +793,10 @@ class PidExec {
       return;
     }
     const bool trivial = !pendingOverlaps(ss.pending, *sec);
-    completePendingOver(ss.pending, *sec);
     if (trivial)
       awaits_.push_back(AwaitRec{s->sym, *sec, seq_, condDepth_ > 0, s});
+    else
+      completePendingOver(symMut(s->sym).pending, *sec);
     ++seq_;
   }
 
@@ -653,41 +826,51 @@ class PidExec {
 
   // --- events ----------------------------------------------------------
 
+  /// Resolved send destination: `known` is false when a pid expression or
+  /// owner query could not be decided; `bound` is false for the
+  /// unspecified (matcher-routed) destination.
   struct Dest {
     bool known = true;
-    std::optional<std::vector<int>> pids;  ///< nullopt = unspecified
+    bool bound = false;
+    std::vector<int> pids;
+
+    static Dest unknown() {
+      Dest d;
+      d.known = false;
+      return d;
+    }
   };
 
-  void recordSend(const StmtPtr& s, EvClass cls, int sym, const Section& e,
-                  const Dest& d, bool expandToSet) {
+  void recordSend(const StmtPtr& s, EvClass cls, int symbol,
+                  const Section& e, const Dest& d, bool expandToSet) {
+    ++seq_;
+    if (!opts_.matchComm) return;  // only matchEvents reads events
     Event ev;
-    ev.isSend = true;
-    ev.cls = cls;
-    ev.pid = pid_;
-    ev.sym = sym;
+    ev.stmt = &s;
     ev.name = e;
+    ev.pid = pid_;
+    ev.sym = symbol;
+    ev.cls = cls;
+    ev.isSend = true;
     ev.conditional = condDepth_ > 0 || !d.known;
-    ev.seq = seq_++;
-    ev.stmt = s;
-    if (d.known && d.pids && expandToSet && d.pids->size() > 1) {
+    if (d.known && d.bound && expandToSet && d.pids.size() > 1) {
       // sendToSet: one message per destination processor.
-      for (int pid : *d.pids) {
-        Event copy = ev;
-        copy.dests = std::vector<int>{pid};
-        sh_.events.push_back(std::move(copy));
+      for (int pid : d.pids) {
+        ev.dest = pid;
+        sh_.events.push_back(ev);
       }
       return;
     }
-    if (d.known) ev.dests = d.pids;
+    if (d.known && d.bound) ev.dest = d.pids.empty() ? kNoDest : d.pids[0];
     sh_.events.push_back(std::move(ev));
   }
 
-  void recordCost(const StmtPtr& s, CostClass cls, int sym, Index elems,
+  void recordCost(const StmtPtr& s, CostClass cls, int symbol, Index elems,
                   Index messages, bool definite) {
     if (!opts_.collectCost) return;
     CostEvent ce;
     ce.pid = pid_;
-    ce.sym = sym;
+    ce.sym = symbol;
     ce.stmt = s;
     ce.loc = s ? s->loc : SrcLoc{};
     ce.cls = cls;
@@ -699,75 +882,79 @@ class PidExec {
 
   void recordRecv(const StmtPtr& s, EvClass cls, int nameSym,
                   const Section& name) {
+    ++seq_;
+    if (!opts_.matchComm) return;
     Event ev;
-    ev.isSend = false;
-    ev.cls = cls;
+    ev.stmt = &s;
+    ev.name = name;
     ev.pid = pid_;
     ev.sym = nameSym;
-    ev.name = name;
+    ev.cls = cls;
     ev.conditional = condDepth_ > 0;
-    ev.seq = seq_++;
-    ev.stmt = s;
     sh_.events.push_back(std::move(ev));
   }
 
   Dest resolveDest(const StmtPtr& s, const DestSpec& d) {
     switch (d.kind) {
       case DestSpec::Kind::None:
-        return Dest{true, std::nullopt};
+        return Dest{};
       case DestSpec::Kind::Pids: {
-        std::vector<int> pids;
+        Dest out{true, true, {}};
         for (const auto& e : d.pids) {
           std::optional<Index> v = knownInt(evalValue(e));
           if (!v) {
             res_.exhaustive = false;
-            return Dest{false, std::nullopt};
+            return Dest::unknown();
           }
           if (*v < 0 || *v >= prog_.nprocs) {
             diag(DiagKind::TransferMismatch, Severity::Error, s,
                  "send destination processor " + std::to_string(*v) +
                      " is outside 0.." + std::to_string(prog_.nprocs - 1));
-            return Dest{false, std::nullopt};
+            return Dest::unknown();
           }
-          pids.push_back(static_cast<int>(*v));
+          out.pids.push_back(static_cast<int>(*v));
         }
-        return Dest{true, std::move(pids)};
+        return out;
       }
       case DestSpec::Kind::OwnerOf: {
         if (opts_.obliviousPlacement) {
           // Who owns the section is exactly what this mode abstracts away.
           res_.exhaustive = false;
-          return Dest{false, std::nullopt};
+          return Dest::unknown();
         }
         std::optional<Section> sec = evalSection(d.sym, d.section);
         if (!sec || sec->empty()) {
           res_.exhaustive = false;
-          return Dest{false, std::nullopt};
+          return Dest::unknown();
         }
         const dist::Distribution& dd =
             d.distOverride ? *d.distOverride : prog_.decl(d.sym).dist;
         int owner = -1;
         bool unique = true;
         try {
-          sec->forEach([&](const Point& p) {
-            int o = dd.ownerOf(p);
-            if (owner < 0) owner = o;
-            else if (o != owner) unique = false;
-          });
+          if (sec->count() == 1) {
+            owner = dd.ownerOf(sec->origin());
+          } else {
+            sec->forEach([&](const Point& p) {
+              int o = dd.ownerOf(p);
+              if (owner < 0) owner = o;
+              else if (o != owner) unique = false;
+            });
+          }
         } catch (const Error&) {
           res_.exhaustive = false;
-          return Dest{false, std::nullopt};
+          return Dest::unknown();
         }
         if (!unique) {
           diag(DiagKind::TransferMismatch, Severity::Error, s,
                "bound destination section " + secOf(d.sym, *sec) +
                    " spans more than one processor");
-          return Dest{false, std::nullopt};
+          return Dest::unknown();
         }
-        return Dest{true, std::vector<int>{owner}};
+        return Dest{true, true, {owner}};
       }
     }
-    return Dest{false, std::nullopt};
+    return Dest::unknown();
   }
 
   // --- expression evaluation -------------------------------------------
@@ -792,9 +979,9 @@ class PidExec {
       case ExprKind::RealConst:
         return Value(e->realVal);
       case ExprKind::ScalarRef: {
-        auto it = frame_.env.find(e->name);
-        if (it == frame_.env.end()) return std::nullopt;
-        return it->second;
+        const int id = sh_.scalars.ofRef(e.get());
+        if (id < 0) return std::nullopt;
+        return frame_.slots[static_cast<std::size_t>(id)].val;
       }
       case ExprKind::MyPid:
         return Value(static_cast<Index>(pid_));
@@ -818,13 +1005,13 @@ class PidExec {
         return evalElem(e);
       case ExprKind::Iown: {
         std::optional<Section> s = evalSection(e->sym, e->section);
-        SymState& ss = st(e->sym);
+        const SymState& ss = sym(e->sym);
         if (!s || ss.top) return std::nullopt;
         return Value(ss.owned.covers(*s));
       }
       case ExprKind::Accessible: {
         std::optional<Section> s = evalSection(e->sym, e->section);
-        SymState& ss = st(e->sym);
+        const SymState& ss = sym(e->sym);
         if (!s || ss.top) return std::nullopt;
         return Value(ss.owned.covers(*s) && !pendingOverlaps(ss.pending, *s));
       }
@@ -832,22 +1019,22 @@ class PidExec {
         // await(X) in rule position: false if unowned, else blocks until
         // accessible — which completes the overlapping pending receives.
         std::optional<Section> s = evalSection(e->sym, e->section);
-        SymState& ss = st(e->sym);
+        const SymState& ss = sym(e->sym);
         if (!s || ss.top) return std::nullopt;
         if (s->empty()) return Value(true);
         if (!ss.owned.covers(*s)) return Value(false);
         const bool trivial = !pendingOverlaps(ss.pending, *s);
-        completePendingOver(ss.pending, *s);
-        if (trivial && curStmt_)
+        if (!trivial) completePendingOver(symMut(e->sym).pending, *s);
+        if (trivial && curStmt_ && *curStmt_)
           awaits_.push_back(
-              AwaitRec{e->sym, *s, seq_, condDepth_ > 0, curStmt_});
+              AwaitRec{e->sym, *s, seq_, condDepth_ > 0, *curStmt_});
         ++seq_;
         return Value(true);
       }
       case ExprKind::MyLb:
       case ExprKind::MyUb: {
         std::optional<Section> s = evalSection(e->sym, e->section);
-        SymState& ss = st(e->sym);
+        const SymState& ss = sym(e->sym);
         if (!s || ss.top) return std::nullopt;
         if (e->dim < 0 || e->dim >= s->rank()) return std::nullopt;
         const bool lower = e->kind == ExprKind::MyLb;
@@ -874,25 +1061,25 @@ class PidExec {
     std::optional<Section> pt = evalSection(e->sym, e->section);
     if (!pt) return std::nullopt;
     if (pt->count() != 1) {
-      diag(DiagKind::TransferMismatch, Severity::Error, curStmt_,
+      diag(DiagKind::TransferMismatch, Severity::Error, *curStmt_,
            "element reference " + secOf(e->sym, *pt) +
                " is not a single point");
       return std::nullopt;
     }
-    SymState& ss = st(e->sym);
+    const SymState& ss = sym(e->sym);
     if (ss.top) return std::nullopt;
     if (ruleDepth_ > 0) {
       // Inside a compute rule an unowned value reference makes the whole
       // rule false (no diagnostic); a transitional read is still an error.
       if (!ss.owned.covers(*pt)) throw UnownedRef{};
       if (pendingOverlaps(ss.pending, *pt)) {
-        diag(DiagKind::NotAccessible, Severity::Error, curStmt_,
+        diag(DiagKind::NotAccessible, Severity::Error, *curStmt_,
              "compute rule reads transitional section " +
                  secOf(e->sym, *pt) + " (overlaps an uncompleted receive)");
       }
       return std::nullopt;  // element values are not tracked
     }
-    requireAccessible(DiagKind::NotAccessible, curStmt_, e->sym, *pt,
+    requireAccessible(DiagKind::NotAccessible, *curStmt_, e->sym, *pt,
                       "read of");
     return std::nullopt;
   }
@@ -997,37 +1184,45 @@ class PidExec {
     return rank == 0 ? Section{Triplet()} : Section(dims);
   }
 
-  std::optional<Section> evalSection(int sym, const SectionExprPtr& se) {
+  std::optional<Section> evalSection(int symbol, const SectionExprPtr& se) {
     if (!se) return std::nullopt;
     try {
       switch (se->kind) {
         case SecExprKind::Literal: {
-          std::vector<Triplet> dims;
+          std::array<Triplet, sec::kMaxRank> dims{};
+          int rank = 0;
           for (const auto& t : se->dims) {
             std::optional<Index> lb = knownInt(evalValue(t.lb));
             if (!lb) return std::nullopt;
-            std::optional<Index> ub =
-                t.ub ? knownInt(evalValue(t.ub)) : lb;
-            std::optional<Index> stride =
-                t.stride ? knownInt(evalValue(t.stride))
-                         : std::optional<Index>(1);
-            if (!ub || !stride) return std::nullopt;
-            dims.emplace_back(*lb, *ub, *stride);
+            Triplet tr(*lb);  // a point unless the bounds say otherwise
+            if (t.ub || t.stride) {
+              std::optional<Index> ub =
+                  t.ub ? knownInt(evalValue(t.ub)) : lb;
+              std::optional<Index> stride =
+                  t.stride ? knownInt(evalValue(t.stride))
+                           : std::optional<Index>(1);
+              if (!ub || !stride) return std::nullopt;
+              tr = Triplet(*lb, *ub, *stride);
+            }
+            if (rank < sec::kMaxRank) dims[static_cast<std::size_t>(rank)] = tr;
+            ++rank;
           }
-          return Section(dims);
+          // Beyond kMaxRank the Section constructor raises, as the
+          // runtime would.
+          return Section(rank, dims);
         }
         case SecExprKind::LocalPart:
-          return partOf(se->sym >= 0 ? se->sym : sym, pid_,
+          return partOf(se->sym >= 0 ? se->sym : symbol, pid_,
                         se->distOverride);
         case SecExprKind::OwnerPart: {
           std::optional<Index> pid = knownInt(evalValue(se->pid));
           if (!pid || *pid < 0) return std::nullopt;
-          return partOf(se->sym >= 0 ? se->sym : sym,
+          return partOf(se->sym >= 0 ? se->sym : symbol,
                         static_cast<int>(*pid), se->distOverride);
         }
         case SecExprKind::Intersect: {
-          std::optional<Section> a = evalSection(sym, se->a);
-          std::optional<Section> b = evalSection(sym, se->b);
+          std::optional<Section> a = evalSection(symbol, se->a);
+          std::optional<Section> b = evalSection(symbol, se->b);
           if (!a || !b) return std::nullopt;
           if (a->empty() || b->empty() || a->rank() != b->rank())
             return emptyOfRank(a->rank());
@@ -1040,18 +1235,18 @@ class PidExec {
     return std::nullopt;
   }
 
-  std::optional<Section> partOf(int sym, int pid,
+  std::optional<Section> partOf(int symbol, int pid,
                                 const std::optional<dist::Distribution>& over) {
     if (opts_.obliviousPlacement) {
       res_.exhaustive = false;  // partitions are placement-dependent
       return std::nullopt;
     }
-    const dist::Distribution& d = over ? *over : prog_.decl(sym).dist;
-    RegionList part = d.localPart(pid);
+    const dist::Distribution& d = over ? *over : prog_.decl(symbol).dist;
+    const RegionList& part = sh_.localPart(d, pid);
     if (part.empty()) return emptyOfRank(d.rank());
     if (part.sections().size() != 1) {
-      diag(DiagKind::TransferMismatch, Severity::Error, curStmt_,
-           "partition of '" + symName(sym) +
+      diag(DiagKind::TransferMismatch, Severity::Error, *curStmt_,
+           "partition of '" + symName(symbol) +
                "' is not a single section (CYCLIC(k) local parts cannot "
                "be named by one section expression)");
       return std::nullopt;
@@ -1061,13 +1256,19 @@ class PidExec {
 
   // --- await ordering --------------------------------------------------
 
+  /// Only an unconditional initiation that follows a trivial await can
+  /// trip checkAwaitOrdering, so the others are not kept.
+  void noteRecvInit(int symbol, const Section& sec, const SrcLoc& loc) {
+    if (awaits_.empty() || condDepth_ > 0) return;
+    recvInits_.push_back(RecvInit{symbol, sec, seq_, loc});
+  }
+
   void checkAwaitOrdering() {
     for (const AwaitRec& a : awaits_) {
       if (a.conditional) continue;
       for (const RecvInit& r : recvInits_) {
-        if (r.conditional || r.seq <= a.seq || r.sym != a.sym) continue;
-        if (r.sec.rank() != a.sec.rank()) continue;
-        if (Section::intersect(r.sec, a.sec).empty()) continue;
+        if (r.seq <= a.seq || r.sym != a.sym) continue;
+        if (!meets(r.sec, a.sec)) continue;
         std::string at = r.loc.valid()
                              ? " (initiated at line " +
                                    std::to_string(r.loc.line) + ")"
@@ -1091,102 +1292,208 @@ class PidExec {
   int ruleDepth_ = 0;
   int condDepth_ = 0;
   int seq_ = 0;
-  StmtPtr curStmt_;
+  const StmtPtr* curStmt_ = nullptr;
   std::vector<RecvInit> recvInits_;
   std::vector<AwaitRec> awaits_;
+  std::vector<Region> regions_;
+  std::vector<Save<Slot>> slotTrail_;
+  std::vector<Save<SymState>> symTrail_;
+  std::vector<int> slotStamp_;
+  std::vector<int> symStamp_;
+  int lastRegionId_ = 0;
 };
 
 // --- communication matching --------------------------------------------------
 
-/// Maximum bipartite matching (Kuhn's augmenting paths) between the sends
-/// and receives of one (class, symbol, name-section) group, honoring bound
-/// destinations. Group sizes are tiny (per-name message counts).
+/// Sends and receives of one (class, name symbol, name section) group.
 struct Group {
   std::vector<const Event*> sends;
   std::vector<const Event*> recvs;
+  bool conditional = false;  ///< some event was recorded conditionally
+};
+
+/// Hash of the group key (class, symbol, triplets).
+std::uint64_t groupHash(const Event& e) {
+  std::uint64_t h = static_cast<std::uint64_t>(e.cls);
+  auto mix = [&h](std::uint64_t v) {
+    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  };
+  mix(static_cast<std::uint64_t>(e.sym));
+  mix(static_cast<std::uint64_t>(e.name.rank()));
+  for (int d = 0; d < e.name.rank(); ++d) {
+    const Triplet& t = e.name.dim(d);
+    mix(static_cast<std::uint64_t>(t.lb()));
+    mix(static_cast<std::uint64_t>(t.ub()));
+    mix(static_cast<std::uint64_t>(t.stride()));
+  }
+  return h;
+}
+
+bool sameGroup(const Event& a, const Event& b) {
+  return a.cls == b.cls && a.sym == b.sym && sameShape(a.name, b.name);
+}
+
+/// Groups are keyed by their first event, hashed and compared on the
+/// group key only.
+struct GroupKeyHash {
+  std::size_t operator()(const Event* e) const {
+    return static_cast<std::size_t>(groupHash(*e));
+  }
+};
+struct GroupKeyEq {
+  bool operator()(const Event* a, const Event* b) const {
+    return sameGroup(*a, *b);
+  }
 };
 
 bool canServe(const Event& send, const Event& recv) {
-  if (!send.dests) return true;  // unspecified: rendezvous-routed
-  for (int p : *send.dests)
-    if (p == recv.pid) return true;
-  return false;
+  return send.dest == kAnyDest || send.dest == recv.pid;
 }
 
-bool augment(const Group& g, std::size_t si, std::vector<int>& recvOf,
-             std::vector<char>& visited) {
-  for (std::size_t ri = 0; ri < g.recvs.size(); ++ri) {
-    if (visited[ri] || !canServe(*g.sends[si], *g.recvs[ri])) continue;
-    visited[ri] = 1;
-    if (recvOf[ri] < 0 ||
-        augment(g, static_cast<std::size_t>(recvOf[ri]), recvOf, visited)) {
-      recvOf[ri] = static_cast<int>(si);
-      return true;
-    }
+/// Which sends and receives of `g` get paired. The diagnostics name the
+/// unpaired events, so the choice among maximum matchings is part of the
+/// output: it is the one Kuhn's augmenting-path algorithm finds when it
+/// takes the sends in index order and tries receives in index order.
+void matchGroup(const Group& g, std::vector<char>& sendMatched,
+                std::vector<char>& recvMatched) {
+  const std::size_t n = g.sends.size(), m = g.recvs.size();
+  sendMatched.assign(n, 0);
+  recvMatched.assign(m, 0);
+  const int recvPid = m ? g.recvs[0]->pid : kNoDest;
+  const bool onePid = std::all_of(
+      g.recvs.begin(), g.recvs.end(),
+      [&](const Event* r) { return r->pid == recvPid; });
+  const bool complete =
+      std::all_of(g.sends.begin(), g.sends.end(), [&](const Event* s) {
+        return s->dest == kAnyDest || (onePid && s->dest == recvPid);
+      });
+  if (complete) {
+    // Every send can serve every receive (a rendezvous group): each
+    // augmenting search ends at the first free receive, so Kuhn pairs
+    // the first min(n, m) of each side.
+    const std::size_t k = std::min(n, m);
+    std::fill(sendMatched.begin(), sendMatched.begin() + k, 1);
+    std::fill(recvMatched.begin(), recvMatched.begin() + k, 1);
+    return;
   }
-  return false;
+  // General case: Kuhn's algorithm with an explicit stack.
+  struct Step {
+    std::size_t send;
+    std::size_t next = 0;  ///< first receive not yet tried
+    std::size_t recv = 0;  ///< receive being tried
+  };
+  std::vector<int> recvOf(m, -1);
+  std::vector<std::size_t> visitedBy(m, n);  // root of the last visit
+  std::vector<Step> path;
+  for (std::size_t root = 0; root < n; ++root) {
+    path.assign(1, Step{root});
+    bool found = false;
+    while (!path.empty()) {
+      Step& f = path.back();
+      std::size_t ri = f.next;
+      while (ri < m && (visitedBy[ri] == root ||
+                        !canServe(*g.sends[f.send], *g.recvs[ri])))
+        ++ri;
+      if (ri == m) {
+        path.pop_back();  // dead end: the parent tries its next receive
+        continue;
+      }
+      visitedBy[ri] = root;
+      f.next = ri + 1;
+      f.recv = ri;
+      if (recvOf[ri] < 0) {
+        found = true;
+        break;
+      }
+      path.push_back(Step{static_cast<std::size_t>(recvOf[ri])});
+    }
+    if (found)
+      for (const Step& f : path) recvOf[f.recv] = static_cast<int>(f.send);
+  }
+  for (std::size_t ri = 0; ri < m; ++ri) {
+    if (recvOf[ri] < 0) continue;
+    recvMatched[ri] = 1;
+    sendMatched[static_cast<std::size_t>(recvOf[ri])] = 1;
+  }
 }
 
+/// Unmatched-send and orphan-receive diagnostics of one group, one per
+/// statement.
+void reportGroup(const Program& prog, const Group& g,
+                 const std::vector<char>& sendMatched,
+                 const std::vector<char>& recvMatched,
+                 std::vector<Diagnostic>& out) {
+  auto push = [&](const Event& ev, DiagKind kind, const std::string& msg) {
+    Diagnostic d;
+    d.severity = Severity::Error;
+    d.kind = kind;
+    d.pid = ev.pid;
+    d.stmt = *ev.stmt;
+    d.loc = d.stmt ? d.stmt->loc : SrcLoc{};
+    d.message = msg;
+    out.push_back(std::move(d));
+  };
+  std::unordered_map<const Stmt*, std::size_t> unmatchedOf;
+  for (std::size_t si = 0; si < g.sends.size(); ++si)
+    if (!sendMatched[si]) ++unmatchedOf[g.sends[si]->stmt->get()];
+  std::unordered_set<const Stmt*> reported;
+  for (std::size_t si = 0; si < g.sends.size(); ++si) {
+    const Event& ev = *g.sends[si];
+    if (sendMatched[si] || !reported.insert(ev.stmt->get()).second) continue;
+    const std::size_t extra = unmatchedOf[ev.stmt->get()];
+    std::string times =
+        extra > 1 ? " (" + std::to_string(extra) + " times)" : "";
+    push(ev, DiagKind::UnmatchedSend,
+         "send of " + ev.name.str() + " of '" + prog.decl(ev.sym).name +
+             "' has no matching receive" + times +
+             ": the message would go undelivered");
+  }
+  reported.clear();
+  for (std::size_t ri = 0; ri < g.recvs.size(); ++ri) {
+    const Event& ev = *g.recvs[ri];
+    if (recvMatched[ri] || !reported.insert(ev.stmt->get()).second) continue;
+    push(ev, DiagKind::OrphanRecv,
+         "receive of " + ev.name.str() + " of '" + prog.decl(ev.sym).name +
+             "' has no matching send: it never completes and awaiting "
+             "it deadlocks");
+  }
+}
+
+/// Maximum bipartite matching between the sends and receives of each
+/// (class, symbol, name-section) group, honoring bound destinations.
 void matchEvents(const Program& prog, const Shared& sh, VerifyResult& res) {
-  std::map<std::string, Group> groups;
-  std::map<std::string, bool> groupConditional;
+  // Groups in first-seen order, events in program order within each.
+  std::unordered_map<const Event*, std::size_t, GroupKeyHash, GroupKeyEq>
+      groupOf;
+  std::vector<Group> groups;
   for (const Event& ev : sh.events) {
     if (sh.poisonedSyms.count(ev.sym)) continue;
-    std::string key = std::to_string(static_cast<int>(ev.cls)) + "#" +
-                      std::to_string(ev.sym) + "#" + ev.name.str();
-    Group& g = groups[key];
+    auto [it, fresh] = groupOf.emplace(&ev, groups.size());
+    if (fresh) groups.emplace_back();
+    Group& g = groups[it->second];
     (ev.isSend ? g.sends : g.recvs).push_back(&ev);
-    if (ev.conditional) groupConditional[key] = true;
+    g.conditional = g.conditional || ev.conditional;
   }
-  for (auto& [key, g] : groups) {
-    if (groupConditional.count(key)) continue;  // cannot reason exactly
-    std::vector<int> recvOf(g.recvs.size(), -1);
-    std::vector<char> sendMatched(g.sends.size(), 0);
-    for (std::size_t si = 0; si < g.sends.size(); ++si) {
-      std::vector<char> visited(g.recvs.size(), 0);
-      if (augment(g, si, recvOf, visited)) sendMatched[si] = 1;
-    }
-    // Re-derive which sends ended up matched (augmenting may reassign).
-    std::fill(sendMatched.begin(), sendMatched.end(), 0);
-    for (std::size_t ri = 0; ri < g.recvs.size(); ++ri)
-      if (recvOf[ri] >= 0)
-        sendMatched[static_cast<std::size_t>(recvOf[ri])] = 1;
-    auto push = [&](const Event& ev, DiagKind kind, const std::string& msg) {
-      Diagnostic d;
-      d.severity = Severity::Error;
-      d.kind = kind;
-      d.pid = ev.pid;
-      d.stmt = ev.stmt;
-      d.loc = ev.stmt ? ev.stmt->loc : SrcLoc{};
-      d.message = msg;
-      res.diagnostics.push_back(std::move(d));
-    };
-    std::set<const Stmt*> reported;
-    for (std::size_t si = 0; si < g.sends.size(); ++si) {
-      const Event& ev = *g.sends[si];
-      if (sendMatched[si] || !reported.insert(ev.stmt.get()).second)
-        continue;
-      std::size_t extra = 0;
-      for (std::size_t sj = 0; sj < g.sends.size(); ++sj)
-        if (!sendMatched[sj] && g.sends[sj]->stmt == ev.stmt) ++extra;
-      std::string times =
-          extra > 1 ? " (" + std::to_string(extra) + " times)" : "";
-      push(ev, DiagKind::UnmatchedSend,
-           "send of " + ev.name.str() + " of '" + prog.decl(ev.sym).name +
-               "' has no matching receive" + times +
-               ": the message would go undelivered");
-    }
-    reported.clear();
-    for (std::size_t ri = 0; ri < g.recvs.size(); ++ri) {
-      const Event& ev = *g.recvs[ri];
-      if (recvOf[ri] >= 0 || !reported.insert(ev.stmt.get()).second)
-        continue;
-      push(ev, DiagKind::OrphanRecv,
-           "receive of " + ev.name.str() + " of '" + prog.decl(ev.sym).name +
-               "' has no matching send: it never completes and awaiting "
-               "it deadlocks");
-    }
+  // Reporting groups are emitted in the order of their
+  // "<class>#<symbol>#<section>" key, which fixes the order of equally
+  // placed diagnostics.
+  std::vector<std::pair<std::string, std::vector<Diagnostic>>> reports;
+  std::vector<char> sendMatched, recvMatched;
+  for (const Group& g : groups) {
+    if (g.conditional) continue;  // cannot reason exactly
+    matchGroup(g, sendMatched, recvMatched);
+    std::vector<Diagnostic> diags;
+    reportGroup(prog, g, sendMatched, recvMatched, diags);
+    if (diags.empty()) continue;
+    const Event& ev = g.sends.empty() ? *g.recvs.front() : *g.sends.front();
+    reports.emplace_back(std::to_string(static_cast<int>(ev.cls)) + "#" +
+                             std::to_string(ev.sym) + "#" + ev.name.str(),
+                         std::move(diags));
   }
+  std::sort(reports.begin(), reports.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (auto& [key, diags] : reports)
+    for (Diagnostic& d : diags) res.diagnostics.push_back(std::move(d));
 }
 
 }  // namespace
@@ -1227,7 +1534,7 @@ VerifyResult verifyProgram(const il::Program& prog,
   VerifyResult res;
   XDP_CHECK(prog.body != nullptr, "program has no body");
   XDP_CHECK(prog.nprocs > 0, "program needs at least one processor");
-  Shared sh;
+  Shared sh(prog);
   for (int pid = 0; pid < prog.nprocs; ++pid) {
     PidExec ex(prog, opts, sh, res, pid);
     ex.run();

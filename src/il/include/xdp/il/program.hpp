@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "xdp/il/stmt.hpp"
@@ -37,6 +38,37 @@ struct Program {
 
  private:
   int nextLink_ = 0;
+};
+
+/// Dense ids of a program's universal scalars. Every ScalarRef expression
+/// and every statement that binds a scalar (assignment, loop variable)
+/// reachable from `prog.body` maps to the id of its name; names get ids
+/// in the order of a fixed pre-order walk (shared subtrees once). The
+/// interpreter and the verifier keep their scalars in slots by these ids.
+class ScalarIds {
+ public:
+  explicit ScalarIds(const Program& prog);
+
+  int count() const { return count_; }
+
+  /// The id of a scalar reference, or -1 if `e` is not one of the
+  /// program's ScalarRef nodes.
+  int ofRef(const Expr* e) const {
+    auto it = refs_.find(e);
+    return it == refs_.end() ? -1 : it->second;
+  }
+
+  /// The id bound by an assignment or loop, or -1 if `s` is not one of
+  /// the program's binding statements.
+  int ofBind(const Stmt* s) const {
+    auto it = binds_.find(s);
+    return it == binds_.end() ? -1 : it->second;
+  }
+
+ private:
+  int count_ = 0;
+  std::unordered_map<const Expr*, int> refs_;
+  std::unordered_map<const Stmt*, int> binds_;
 };
 
 }  // namespace xdp::il

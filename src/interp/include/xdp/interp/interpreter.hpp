@@ -13,7 +13,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <variant>
 #include <vector>
@@ -121,11 +120,9 @@ class Interpreter {
   // tree is immutable, so every ScalarRef/ScalarAssign/For node can be
   // resolved once); the executor then runs on a vector-backed environment
   // instead of hashing names per access.
-  void internScalars();
-  int internName(const std::string& n);
   int scalarIdOfExpr(const il::Expr* e) const;
   int scalarIdOfStmt(const il::Stmt* s) const;
-  int numScalars() const { return static_cast<int>(scalarNames_.size()); }
+  int numScalars() const { return scalarIds_.count(); }
 
   // Checkpointing (DESIGN.md §11): the tree walker publishes a
   // continuation before every statement that can block, so the set of
@@ -144,10 +141,7 @@ class Interpreter {
   std::vector<InterpStats> stats_;
   std::unique_ptr<bc::Module> module_;  ///< lazily compiled (Bytecode)
 
-  std::vector<std::string> scalarNames_;
-  std::unordered_map<std::string, int> scalarIdByName_;
-  std::unordered_map<const il::Expr*, int> exprScalarIds_;
-  std::unordered_map<const il::Stmt*, int> stmtScalarIds_;
+  il::ScalarIds scalarIds_;
   std::unordered_set<const il::Stmt*> blockingStmts_;
   bool blockingComputed_ = false;
 };

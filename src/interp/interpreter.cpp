@@ -988,80 +988,20 @@ class Exec {
 
 // --- scalar interning ------------------------------------------------------
 
-int Interpreter::internName(const std::string& n) {
-  auto [it, fresh] =
-      scalarIdByName_.emplace(n, static_cast<int>(scalarNames_.size()));
-  if (fresh) scalarNames_.push_back(n);
-  return it->second;
-}
-
 int Interpreter::scalarIdOfExpr(const il::Expr* e) const {
-  auto it = exprScalarIds_.find(e);
-  XDP_CHECK(it != exprScalarIds_.end(),
+  const int id = scalarIds_.ofRef(e);
+  XDP_CHECK(id >= 0,
             "scalar reference not interned (expression is not part of the "
             "interpreted program)");
-  return it->second;
+  return id;
 }
 
 int Interpreter::scalarIdOfStmt(const il::Stmt* s) const {
-  auto it = stmtScalarIds_.find(s);
-  XDP_CHECK(it != stmtScalarIds_.end(),
+  const int id = scalarIds_.ofBind(s);
+  XDP_CHECK(id >= 0,
             "scalar binding not interned (statement is not part of the "
             "interpreted program)");
-  return it->second;
-}
-
-void Interpreter::internScalars() {
-  // Walk the (immutable, possibly DAG-shaped) program once; `seen` keeps
-  // shared subtrees from being walked repeatedly.
-  std::unordered_set<const void*> seen;
-
-  std::function<void(const ExprPtr&)> walkExpr;
-  std::function<void(const SectionExprPtr&)> walkSec;
-  std::function<void(const StmtPtr&)> walkStmt;
-
-  walkExpr = [&](const ExprPtr& e) {
-    if (e == nullptr || !seen.insert(e.get()).second) return;
-    if (e->kind == ExprKind::ScalarRef)
-      exprScalarIds_[e.get()] = internName(e->name);
-    walkExpr(e->lhs);
-    walkExpr(e->rhs);
-    walkSec(e->section);
-  };
-
-  walkSec = [&](const SectionExprPtr& se) {
-    if (se == nullptr || !seen.insert(se.get()).second) return;
-    for (const auto& t : se->dims) {
-      walkExpr(t.lb);
-      walkExpr(t.ub);
-      walkExpr(t.stride);
-    }
-    walkExpr(se->pid);
-    walkSec(se->a);
-    walkSec(se->b);
-  };
-
-  walkStmt = [&](const StmtPtr& s) {
-    if (s == nullptr || !seen.insert(s.get()).second) return;
-    if (s->kind == StmtKind::ScalarAssign || s->kind == StmtKind::For)
-      stmtScalarIds_[s.get()] = internName(s->name);
-    for (const auto& c : s->stmts) walkStmt(c);
-    walkExpr(s->value);
-    walkSec(s->lhs);
-    walkExpr(s->rhs);
-    walkExpr(s->lb);
-    walkExpr(s->ub);
-    walkExpr(s->step);
-    walkStmt(s->body);
-    walkExpr(s->rule);
-    walkSec(s->sec2);
-    for (const auto& e : s->dest.pids) walkExpr(e);
-    walkSec(s->dest.section);
-    walkExpr(s->bindHint);
-    for (const auto& [sym, se] : s->args) walkSec(se);
-  };
-
-  walkStmt(prog_.body);
+  return id;
 }
 
 Interpreter::Interpreter(il::Program prog, rt::RuntimeOptions opts,
@@ -1069,10 +1009,10 @@ Interpreter::Interpreter(il::Program prog, rt::RuntimeOptions opts,
     : prog_(std::move(prog)),
       rt_(prog_.nprocs, opts),
       iopts_(iopts),
-      stats_(static_cast<std::size_t>(prog_.nprocs)) {
+      stats_(static_cast<std::size_t>(prog_.nprocs)),
+      scalarIds_(prog_) {
   for (const auto& a : prog_.arrays)
     rt_.declareArray(a.name, a.type, a.global, a.dist, a.segShape);
-  internScalars();
 }
 
 Interpreter::~Interpreter() = default;
@@ -1082,8 +1022,7 @@ void Interpreter::computeBlockingStmts() {
   blockingComputed_ = true;
 
   // Memoized await-search over the (possibly DAG-shaped) expression
-  // forest; `seen` bounds the statement walk the same way internScalars'
-  // does.
+  // forest; `seen` bounds the statement walk as it does in il::ScalarIds.
   std::unordered_map<const void*, bool> memo;
   std::unordered_set<const void*> seen;
 

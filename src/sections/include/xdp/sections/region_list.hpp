@@ -28,7 +28,12 @@ class RegionList {
   /// paper's iown() evaluation algorithm (section 3.1): intersect the query
   /// with every piece and check the union of the intersections equals the
   /// query — since the pieces are disjoint, a cardinality sum suffices.
+  /// A one-point query is a single contains() test.
   bool covers(const Section& query) const;
+
+  /// True iff some element of `query` is in this set (a one-point query
+  /// is a contains() test).
+  bool overlaps(const Section& query) const;
 
   /// Add a section. Any elements already present are not duplicated
   /// (the incoming section is diffed against existing pieces first).

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "xdp/sections/triplet.hpp"
+#include "xdp/support/check.hpp"
 
 namespace xdp::sec {
 
@@ -26,7 +27,10 @@ class Point {
  public:
   Point() : rank_(0), idx_{} {}
   Point(std::initializer_list<Index> idx);
-  Point(int rank, const std::array<Index, kMaxRank>& idx);
+  Point(int rank, const std::array<Index, kMaxRank>& idx)
+      : rank_(rank), idx_(idx) {
+    XDP_CHECK(rank >= 0 && rank <= kMaxRank, "point rank out of range");
+  }
 
   int rank() const { return rank_; }
   Index operator[](int d) const { return idx_[static_cast<unsigned>(d)]; }
@@ -61,14 +65,36 @@ class Section {
   static Section box(std::initializer_list<std::pair<Index, Index>> bounds);
 
   int rank() const { return rank_; }
-  const Triplet& dim(int d) const;
+  const Triplet& dim(int d) const {
+    XDP_CHECK(d >= 0 && d < rank_, "dimension out of range");
+    return dims_[static_cast<unsigned>(d)];
+  }
   void setDim(int d, const Triplet& t);
 
   /// Number of elements (product over dims; 1 for rank 0).
-  Index count() const;
+  Index count() const {
+    Index n = 1;
+    for (int d = 0; d < rank_; ++d)
+      n *= dims_[static_cast<unsigned>(d)].count();
+    return n;
+  }
   bool empty() const { return count() == 0; }
 
-  bool contains(const Point& p) const;
+  /// The point of per-dimension lower bounds: the first element in
+  /// Fortran order, and the only one when count() == 1.
+  Point origin() const {
+    std::array<Index, kMaxRank> idx{};
+    for (int d = 0; d < rank_; ++d)
+      idx[static_cast<unsigned>(d)] = dims_[static_cast<unsigned>(d)].lb();
+    return Point(rank_, idx);
+  }
+
+  bool contains(const Point& p) const {
+    if (p.rank() != rank_) return false;
+    for (int d = 0; d < rank_; ++d)
+      if (!dims_[static_cast<unsigned>(d)].contains(p[d])) return false;
+    return true;
+  }
 
   /// True iff every element of `inner` is an element of this section.
   bool containsAll(const Section& inner) const;

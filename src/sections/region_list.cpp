@@ -1,5 +1,6 @@
 #include "xdp/sections/region_list.hpp"
 
+#include <algorithm>
 #include <ostream>
 
 #include "xdp/support/check.hpp"
@@ -28,14 +29,27 @@ bool RegionList::contains(const Point& p) const {
 }
 
 bool RegionList::covers(const Section& query) const {
-  if (query.empty()) return true;
+  const Index n = query.count();
+  if (n == 0) return true;
+  if (n == 1) return contains(query.origin());
   Index covered = 0;
   for (const Section& s : sections_) {
     if (s.rank() != query.rank()) continue;
     covered += Section::intersect(s, query).count();
-    if (covered >= query.count()) return true;  // pieces are disjoint
+    if (covered >= n) return true;  // pieces are disjoint
   }
-  return covered == query.count();
+  return covered == n;
+}
+
+bool RegionList::overlaps(const Section& query) const {
+  const Index n = query.count();
+  if (n == 0) return false;
+  if (n == 1) return contains(query.origin());
+  for (const Section& s : sections_) {
+    if (s.rank() != query.rank()) continue;
+    if (!Section::intersect(s, query).empty()) return true;
+  }
+  return false;
 }
 
 void RegionList::add(const Section& s) {
@@ -83,6 +97,9 @@ std::vector<Section> RegionList::intersect(const Section& query) const {
 }
 
 bool RegionList::sameSet(const RegionList& other) const {
+  if (sections_.size() == other.sections_.size() &&
+      std::equal(sections_.begin(), sections_.end(), other.sections_.begin()))
+    return true;  // same pieces in the same order
   if (count() != other.count()) return false;
   for (const Section& s : sections_)
     if (!other.covers(s)) return false;

@@ -12,11 +12,6 @@ Point::Point(std::initializer_list<Index> idx) : rank_(0), idx_{} {
   for (Index i : idx) idx_[static_cast<unsigned>(rank_++)] = i;
 }
 
-Point::Point(int rank, const std::array<Index, kMaxRank>& idx)
-    : rank_(rank), idx_(idx) {
-  XDP_CHECK(rank >= 0 && rank <= kMaxRank, "point rank out of range");
-}
-
 std::ostream& operator<<(std::ostream& os, const Point& p) {
   os << "(";
   for (int d = 0; d < p.rank(); ++d) {
@@ -49,27 +44,9 @@ Section Section::box(std::initializer_list<std::pair<Index, Index>> bounds) {
   return s;
 }
 
-const Triplet& Section::dim(int d) const {
-  XDP_CHECK(d >= 0 && d < rank_, "dimension out of range");
-  return dims_[static_cast<unsigned>(d)];
-}
-
 void Section::setDim(int d, const Triplet& t) {
   XDP_CHECK(d >= 0 && d < rank_, "dimension out of range");
   dims_[static_cast<unsigned>(d)] = t;
-}
-
-Index Section::count() const {
-  Index n = 1;
-  for (int d = 0; d < rank_; ++d) n *= dims_[static_cast<unsigned>(d)].count();
-  return n;
-}
-
-bool Section::contains(const Point& p) const {
-  if (p.rank() != rank_) return false;
-  for (int d = 0; d < rank_; ++d)
-    if (!dims_[static_cast<unsigned>(d)].contains(p[d])) return false;
-  return true;
 }
 
 bool Section::containsAll(const Section& inner) const {

@@ -70,6 +70,7 @@ Index Triplet::at(Index k) const {
 
 Triplet Triplet::intersect(const Triplet& a, const Triplet& b) {
   if (a.empty() || b.empty()) return Triplet();
+  if (std::max(a.lb_, b.lb_) > std::min(a.ub_, b.ub_)) return Triplet();
   // Solve a.lb + i*a.stride == b.lb + j*b.stride.
   Index x = 0, y = 0;
   Index g = extGcd(a.stride_, b.stride_, x, y);
@@ -88,7 +89,6 @@ Triplet Triplet::intersect(const Triplet& a, const Triplet& b) {
                       ((static_cast<__int128>(diff) / g) % q) % q;
   const __int128 lo = std::max(a.lb_, b.lb_);
   const __int128 hi = std::min(a.ub_, b.ub_);
-  if (lo > hi) return Triplet();
   // cand is one common element (|i0| < q keeps |i0*sa| < m); shift its
   // residue class mod m to the first element >= lo.
   const __int128 cand = static_cast<__int128>(a.lb_) + i0 * sa;

@@ -11,6 +11,8 @@
 #include "xdp/il/parser.hpp"
 #include "xdp/il/printer.hpp"
 
+#include "analysis_programs.hpp"
+
 namespace xdp::analysis {
 namespace {
 
@@ -375,6 +377,67 @@ fill(W[0:0], M[0:2])
   VerifyResult r = verifySrc(src);
   EXPECT_NE(findKind(r, DiagKind::UnmatchedSend), nullptr) << dump(src, r);
   EXPECT_NE(findKind(r, DiagKind::OrphanRecv), nullptr) << dump(src, r);
+}
+
+// --- scaling and arithmetic regressions ------------------------------------
+
+TEST(AnalysisScaling, LargeRendezvousFarmVerifies) {
+  // 20 000 unbound sends and 20 000 receives of one name form a single
+  // matching group; pairing it must stay linear (the analysis label's ctest
+  // TIMEOUT turns a complexity regression into a failure).
+  for (int procs : {2, 4}) {
+    il::Program prog = il::parseProgram(testprog::farmText(procs, 20000, 20000));
+    VerifyResult r = verifyProgram(prog);
+    EXPECT_TRUE(r.clean()) << formatDiagnostics(prog, r);
+    EXPECT_TRUE(r.exhaustive);
+  }
+}
+
+TEST(AnalysisScaling, LargeFarmSurplusKeepsItsDiagnostic) {
+  for (int procs : {2, 4}) {
+    const struct {
+      sec::Index sends, recvs;
+      DiagKind kind;
+      int pid, line;
+    } cases[] = {
+        {20001, 20000, DiagKind::UnmatchedSend, 0, 8},        // extra send
+        {20000, 19999, DiagKind::UnmatchedSend, 0, 8},        // missing recv
+        {20000, 20001, DiagKind::OrphanRecv, procs - 1, 13},  // extra recv
+    };
+    for (const auto& c : cases) {
+      const std::string src = testprog::farmText(procs, c.sends, c.recvs);
+      VerifyResult r = verifySrc(src);
+      ASSERT_EQ(r.diagnostics.size(), 1u) << dump(src, r);
+      const Diagnostic& d = r.diagnostics[0];
+      EXPECT_EQ(d.kind, c.kind) << dump(src, r);
+      EXPECT_EQ(d.pid, c.pid) << dump(src, r);
+      EXPECT_EQ(d.loc.line, c.line) << dump(src, r);
+      EXPECT_EQ(d.message.find("times"), std::string::npos) << d.message;
+    }
+  }
+}
+
+TEST(AnalysisOverflow, LoopEndingAtInt64MaxRunsExactly) {
+  // `i += step` would overflow past INT64_MAX: each loop must stop after
+  // its last in-range iteration (2 + 2 of them, so x == 4 and the guarded
+  // send below runs), not wrap around and spin until the step budget.
+  const char* src = R"(procs 1
+array A f64 [1:4] (BLOCK)
+
+x = 0
+do i = 9223372036854775806, 9223372036854775807
+  x = x + 1
+enddo
+do j = 9223372036854775800, 9223372036854775807, 5
+  x = x + 1
+enddo
+(x == 4) : { A[1] -> {0} }
+)";
+  VerifyResult r = verifySrc(src);
+  EXPECT_TRUE(r.exhaustive);
+  ASSERT_EQ(r.diagnostics.size(), 1u) << dump(src, r);
+  EXPECT_EQ(r.diagnostics[0].kind, DiagKind::UnmatchedSend);
+  EXPECT_EQ(r.diagnostics[0].loc.line, 11);
 }
 
 }  // namespace

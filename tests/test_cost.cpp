@@ -248,6 +248,30 @@ array A f64 [1:2000000000000000000] (BLOCK)
   EXPECT_THROW(analyzeCost(prog), UsageError);
 }
 
+TEST(CostModel, ExtremeLoopBoundsDoNotOverflow) {
+  // Trip counts and widened sweep ends past INT64 range: a trip count
+  // beyond Index makes the loop unanalyzable, and the sweep window is
+  // clamped to the array before any arithmetic can wrap. None of these
+  // sweeps pins a transfer, so the bound is 0 (UBSan flags the old
+  // overflows under the asan preset).
+  const char* loops[] = {
+      "do i = -4611686018427387904, 4611686018427387904\n"
+      "  A[i] = A[i - 1] + A[i]\n",
+      "do i = 9223372036854775800, 9223372036854775806\n"
+      "  A[i] = A[i + 2]\n",
+      "do i = -9223372036854775807, -9223372036854775801\n"
+      "  A[i] = A[i - 2]\n",
+      "do i = 1, 4611686018427387905\n"
+      "  A[i] = A[i + 4611686018427387904]\n",
+  };
+  for (const char* loop : loops) {
+    il::Program prog = il::parseProgram(
+        std::string("procs 4\narray A f64 [1:64] (BLOCK)\n\n") + loop +
+        "enddo\n");
+    EXPECT_EQ(parametricLowerBound(prog), 0) << loop;
+  }
+}
+
 TEST(CostModel, LoweredVecaddMatchesHandCount) {
   // The standard pipeline lowers the misaligned vecadd to guarded sends;
   // with A BLOCK and B CYCLIC on 4 procs every non-aligned B element
