@@ -58,12 +58,6 @@ struct RuntimeOptions {
   /// Fault plan to install on the fabric at construction (fault injection
   /// can also be enabled for unmodified drivers via net::FaultScope).
   std::optional<net::FaultPlan> faultPlan;
-  /// Message transport under the fabric (net::TransportKind::Locked keeps
-  /// the original inline-delivery behaviour; Ring enables the lock-free
-  /// SPSC fast path with batched completion reaping). The runtime wires
-  /// the deferred-delivery plumbing — await polls, delivery wakes,
-  /// quiescence drains — whenever the ring backend is selected.
-  net::TransportOptions transport{};
 };
 
 /// The effective watchdog window: `configured` if >= 0, else
@@ -166,9 +160,6 @@ class Runtime {
   /// Returns true when every node ran to completion (no failure); recovery
   /// signals are absorbed (read ctrl_->signal() afterwards).
   bool runRound(const std::function<void(Proc&)>& node);
-  /// Wire each fresh table's deferred-delivery poll hooks (no-op unless
-  /// the ring transport is active). Called after every tables_ rebuild.
-  void installTransportHooks();
   std::vector<ckpt::ContImage> applySnapshot(const ckpt::Snapshot& snap);
   ckpt::Snapshot buildSnapshot();
   bool captureAttempt();

@@ -49,19 +49,8 @@ int resolveWatchdogPollMs(int configured, int watchdogMs) {
 }
 
 Runtime::Runtime(int nprocs, RuntimeOptions opts)
-    : nprocs_(nprocs),
-      opts_(opts),
-      fabric_(nprocs, opts.costModel, opts.transport) {
+    : nprocs_(nprocs), opts_(opts), fabric_(nprocs, opts.costModel) {
   if (opts_.faultPlan.has_value()) fabric_.setFaultPlan(*opts_.faultPlan);
-  if (fabric_.transportKind() == net::TransportKind::Ring) {
-    // A deferred (ring) delivery must wake its receiver if it is parked in
-    // an await. The hook indexes tables_ at fire time: tables churn per
-    // run, but only between rounds, when no sender can be firing it.
-    fabric_.setDeliveryWake([this](int dst) {
-      const auto i = static_cast<std::size_t>(dst);
-      if (i < tables_.size() && tables_[i]) tables_[i]->notifyWaiters();
-    });
-  }
 }
 
 Runtime::~Runtime() = default;
@@ -97,14 +86,12 @@ namespace {
 /// thread moved in between and the non-atomic multi-lock snapshot is
 /// consistent).
 ///
-/// This stays sound with the sharded fabric: under the locked transport,
-/// delivery is synchronous on the sending thread (send() returns only
-/// after the message completed a receive or was parked), so when every
-/// thread is blocked/finished there is no message in flight between
-/// endpoint shards that could still wake a blocked await. Under the ring
-/// transport delivery is deferred, so the watchdog loop additionally
-/// treats a nonzero transport backlog as non-quiescence and reaps it
-/// (Fabric::pollAll) before any observation may count toward stability.
+/// This stays sound with the sharded fabric: delivery is synchronous on
+/// the sending thread (send() returns only after the message completed a
+/// receive or was parked), so when every thread is blocked/finished there
+/// is no message in flight between endpoint shards that could still wake
+/// a blocked await. The one exception, messages a reorder fault holds
+/// back, is flushed by the watchdog loop before an observation counts.
 struct QuiescenceSnapshot {
   std::vector<ProcTable::WaitState> waits;  // by pid
   std::vector<char> finished;               // by pid
@@ -166,7 +153,6 @@ void Runtime::run(const std::function<void(Proc&)>& node) {
       for (int p = 0; p < nprocs_; ++p)
         tables_[static_cast<std::size_t>(p)] =
             std::make_unique<ProcTable>(p, decls_, opts_.debugChecks);
-      installTransportHooks();
     }
     restored = false;
     if (ctrl_) {
@@ -207,12 +193,6 @@ void Runtime::run(const std::function<void(Proc&)>& node) {
     (void)completed;
     break;
   }
-
-  // Reap any messages still queued in the transport: their completions are
-  // part of the region's observable result (the locked backend delivered
-  // them inline at send time), and the hygiene checks below must judge a
-  // fully-delivered machine. No-op under the locked transport.
-  fabric_.pollAll();
 
   if (opts_.debugChecks && !fabric_.faultPlanLossy()) {
     if (fabric_.undeliveredCount() != 0) {
@@ -295,11 +275,6 @@ bool Runtime::runRound(const std::function<void(Proc&)>& node) {
         QuiescenceSnapshot snap = gather();
         if (!snap.quiescent(nprocs_)) {
           prev.reset();
-        } else if (fabric_.totalTransportBacklog() != 0) {
-          // Deferred (ring) deliveries are queued; reaping them may
-          // unblock parked awaits, so this round does not count.
-          fabric_.pollAll();
-          prev.reset();
         } else if (fabric_.flushHeldFaults() != 0) {
           // Reordering holdbacks were still parked; delivering them may
           // unblock the machine, so this round does not count.
@@ -355,14 +330,6 @@ bool Runtime::runRound(const std::function<void(Proc&)>& node) {
   return failure == nullptr;
 }
 
-void Runtime::installTransportHooks() {
-  if (fabric_.transportKind() != net::TransportKind::Ring) return;
-  for (int p = 0; p < nprocs_; ++p)
-    tables_[static_cast<std::size_t>(p)]->setFabricPoll(
-        [this, p] { return fabric_.poll(p); },
-        [this, p] { return fabric_.transportBacklog(p) != 0; });
-}
-
 ProcTable& Runtime::table(int pid) {
   XDP_CHECK(pid >= 0 && pid < nprocs_, "bad pid");
   XDP_CHECK(tables_.size() == static_cast<std::size_t>(nprocs_),
@@ -405,7 +372,6 @@ std::vector<ckpt::ContImage> Runtime::applySnapshot(
     t = std::make_unique<ProcTable>(p, decls_, opts_.debugChecks);
     t->restoreImage(snap.tables[static_cast<std::size_t>(p)]);
   }
-  installTransportHooks();
   // Rebuild each restored pending receive's completion callback from its
   // RecvDesc, mirroring the closures Proc's receive operations install: a
   // sectioned scatter into the destination table, valueless for plain
@@ -436,10 +402,6 @@ ckpt::Snapshot Runtime::buildSnapshot() {
   XDP_CHECK(ctrl_ != nullptr, "checkpointing not enabled");
   XDP_CHECK(tables_.size() == static_cast<std::size_t>(nprocs_),
             "tables not materialized");
-  // The fabric image cannot represent transport-queued messages; deliver
-  // them first. Callers capture only at quiescent points (every processor
-  // parked/finished/unwound), so reaping here cannot race a producer.
-  fabric_.pollAll();
   ckpt::Snapshot s;
   s.version = ckpt::kSnapshotVersion;
   s.backend = ckptBackend_;
@@ -469,12 +431,6 @@ bool Runtime::captureAttempt() {
       std::chrono::milliseconds(ctrl_->options().captureTimeoutMs);
   std::vector<ProcTable::WaitState> waits(static_cast<std::size_t>(nprocs_));
   for (;;) {
-    // Deferred (ring) deliveries must land *before* stability is judged:
-    // a pinned processor may have submitted just before parking, and a
-    // delivery here can wake a blocked await — which the epoch checks
-    // below then see as movement and retry. Draining after the stability
-    // window instead would race the export against the woken thread.
-    fabric_.pollAll();
     // A capturable state: every processor parked *for this capture*,
     // finished, or blocked in an await (its restart point was published
     // before it blocked), and nobody inside a barrier. A Parked slot left
@@ -492,10 +448,14 @@ bool Runtime::captureAttempt() {
     }
     if (settled && fabric_.barrierWaiters() == 0) {
       // Double-observe: every blocked processor must still be in the same
-      // wait (same epoch) after a settle delay. Parked processors cannot
-      // move while the leader holds the rendezvous, so a stable second
-      // observation means the export below reads frozen state.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      // wait (same epoch). The second look follows the first at once:
+      // waitState() re-derives blockedness from table state under the
+      // table lock, and a parked processor's await, once decided, cannot
+      // become undecided again (only its own thread posts receives), so a
+      // processor seen blocked twice with one epoch was blocked the whole
+      // time in between. Delivery is synchronous, so with every other
+      // processor pinned, finished or blocked no thread can be running
+      // and the export below reads frozen state.
       bool stable = true;
       for (int p = 0; p < nprocs_ && stable; ++p) {
         if (!blocked[static_cast<std::size_t>(p)]) continue;

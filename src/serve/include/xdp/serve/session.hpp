@@ -199,9 +199,6 @@ struct SessionOptions {
   /// same stepHook and fabric hooks).
   interp::Backend backend = interp::Backend::TreeWalk;
   net::CostModel costModel{};
-  /// Message transport for each session's fabric (locked = inline
-  /// delivery, ring = lock-free SPSC fast path; see net::TransportOptions).
-  net::TransportOptions transport{};
   RetryPolicy retry{};
   /// Directory for preemption spill files. Empty: a preempted session
   /// still reports Preempted but its snapshot is discarded (nothing to

@@ -310,7 +310,6 @@ SessionReport runSession(const SessionRequest& req, const SessionOptions& opts,
     rt::RuntimeOptions ropts;
     ropts.debugChecks = opts.debugChecks;
     ropts.costModel = opts.costModel;
-    ropts.transport = opts.transport;
     ropts.watchdogMs = opts.watchdogMs;
     ropts.watchdogPollMs = opts.watchdogPollMs;
     if (req.faultPlan.has_value()) {

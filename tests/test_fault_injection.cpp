@@ -5,12 +5,14 @@
 // via FaultScope.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "xdp/apps/jacobi.hpp"
 #include "xdp/net/fabric.hpp"
+#include "xdp/net/spmd.hpp"
 #include "xdp/rt/proc.hpp"
 #include "xdp/support/check.hpp"
 
@@ -128,6 +130,66 @@ TEST(FaultInjection, DecisionsAreDeterministicUnderFixedSeed) {
   EXPECT_EQ(f1.delayed, f2.delayed);
   EXPECT_EQ(f1.reordered, f2.reordered);
   EXPECT_EQ(t1.size(), 8u);  // non-lossy: every message completes exactly once
+}
+
+// The per-source fault decision stream is keyed by each source's own send
+// ordinal, so on concurrent traffic an identical plan must produce the
+// same fault statistics, receipts and stranded receives however the
+// threads interleave.
+TEST(FaultInjection, FaultDecisionsRepeatUnderConcurrentPairTraffic) {
+  constexpr int kProcs = 8, kMsgs = 300;
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.dropProb = 0.25;
+  plan.dupProb = 0.25;
+  plan.delayProb = 0.25;
+  plan.maxDelay = 1e-4;
+  struct Observed {
+    int received = 0;
+    NetStats stats{};
+    FaultStats faults{};
+    std::size_t pendingReceives = 0;
+  };
+  // Even pids send `kMsgs` direct messages to their partner (pid ^ 1);
+  // odd pids post the matching receives.
+  auto run = [&] {
+    Fabric f(kProcs);
+    f.setFaultPlan(plan);
+    std::atomic<int> received{0};
+    runSpmd(kProcs, [&](int pid) {
+      const int partner = pid ^ 1;
+      for (int i = 0; i < kMsgs; ++i) {
+        if (pid % 2 == 0) {
+          f.send(pid, name(pid, i, i), TransferKind::Data, bytes({i & 0xff}),
+                 partner);
+        } else {
+          f.postReceive(pid, name(partner, i, i), TransferKind::Data,
+                        [&](const Message&) {
+                          received.fetch_add(1, std::memory_order_relaxed);
+                        });
+        }
+      }
+    });
+    Observed o;
+    o.received = received.load();
+    o.stats = f.totalStats();
+    o.faults = f.faultStats();
+    o.pendingReceives = f.pendingReceiveCount();
+    return o;
+  };
+  const Observed a = run();
+  const Observed b = run();
+  EXPECT_GT(a.faults.dropped, 0u);
+  EXPECT_GT(a.faults.duplicated, 0u);
+  EXPECT_EQ(b.received, a.received);
+  EXPECT_EQ(b.faults.dropped, a.faults.dropped);
+  EXPECT_EQ(b.faults.duplicated, a.faults.duplicated);
+  EXPECT_EQ(b.faults.suppressedDuplicates, a.faults.suppressedDuplicates);
+  EXPECT_EQ(b.faults.delayed, a.faults.delayed);
+  EXPECT_EQ(b.stats.messagesReceived, a.stats.messagesReceived);
+  // Un-matched receives for dropped messages must strand identically.
+  EXPECT_EQ(b.pendingReceives, a.pendingReceives);
+  EXPECT_EQ(a.pendingReceives, a.faults.dropped);
 }
 
 TEST(FaultInjection, DroppedMessageIsCountedAndNeverDelivered) {

@@ -70,7 +70,8 @@ std::uint64_t digestState(rt::Runtime& rt) {
 struct RunResult {
   std::uint64_t digest = 0;
   InterpStats stats;
-  std::uint64_t messagesSent = 0, bytesSent = 0, ownershipTransfers = 0;
+  net::NetStats net;
+  double makespan = 0.0;
   std::uint64_t recoveries = 0;
   std::uint64_t snapshots = 0;
 };
@@ -79,10 +80,8 @@ RunResult gather(Interpreter& in) {
   RunResult r;
   r.digest = digestState(in.runtime());
   r.stats = in.totalStats();
-  auto net = in.runtime().fabric().totalStats();
-  r.messagesSent = net.messagesSent;
-  r.bytesSent = net.bytesSent;
-  r.ownershipTransfers = net.ownershipTransfers;
+  r.net = in.runtime().fabric().totalStats();
+  r.makespan = in.runtime().fabric().makespan();
   r.recoveries = in.runtime().recoveries();
   if (in.runtime().ckptStore() != nullptr)
     r.snapshots = in.runtime().ckptStore()->stats().snapshots;
@@ -135,9 +134,9 @@ void expectLogicalEq(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.stats.rulesTrue, b.stats.rulesTrue) << what;
   EXPECT_EQ(a.stats.elemAssigns, b.stats.elemAssigns) << what;
   EXPECT_EQ(a.stats.kernelCalls, b.stats.kernelCalls) << what;
-  EXPECT_EQ(a.messagesSent, b.messagesSent) << what;
-  EXPECT_EQ(a.bytesSent, b.bytesSent) << what;
-  EXPECT_EQ(a.ownershipTransfers, b.ownershipTransfers) << what;
+  EXPECT_EQ(a.net.messagesSent, b.net.messagesSent) << what;
+  EXPECT_EQ(a.net.bytesSent, b.net.bytesSent) << what;
+  EXPECT_EQ(a.net.ownershipTransfers, b.net.ownershipTransfers) << what;
 }
 
 class RecoveryDifferential : public ::testing::TestWithParam<const char*> {};
@@ -149,8 +148,9 @@ TEST_P(RecoveryDifferential, CrashRecoverMatchesFaultFreeTreeWalk) {
   // A program with no communication (vecadd) never trips a send-triggered
   // crash; the differential still checks the checkpointing machinery is
   // inert on its results.
-  if (base.messagesSent > 0)
+  if (base.net.messagesSent > 0) {
     EXPECT_GE(rec.recoveries, 1u) << "crash never triggered";
+  }
   expectLogicalEq(base, rec, std::string(GetParam()) + " (tree)");
 }
 
@@ -158,8 +158,9 @@ TEST_P(RecoveryDifferential, CrashRecoverMatchesFaultFreeBytecode) {
   il::Program prog = loadExample(GetParam());
   RunResult base = baselineRun(prog, Backend::Bytecode);
   RunResult rec = crashRecoverRun(prog, Backend::Bytecode, 0, 32);
-  if (base.messagesSent > 0)
+  if (base.net.messagesSent > 0) {
     EXPECT_GE(rec.recoveries, 1u) << "crash never triggered";
+  }
   expectLogicalEq(base, rec, std::string(GetParam()) + " (vm)");
 }
 
@@ -322,6 +323,59 @@ TEST(Recovery, CheckpointingRunWithoutFaultsMatchesPlainRun) {
     expectLogicalEq(base, r, "steady-state ckpt");
   }
 }
+
+/// Capture stress: checkpointing a fault-free run at fine and coarse
+/// intervals, again and again, must leave the run exactly as it is
+/// without checkpointing: same digest, same NetStats and the same
+/// makespan. The task farm's makespan depends on rendezvous match order,
+/// so it is compared for the other programs only. At interval 1 the
+/// captures follow each other back to back, so a capture that exported a
+/// machine still in motion would show up here as a mismatch.
+class CaptureStress : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CaptureStress, CheckpointedRunsMatchPlainRun) {
+  constexpr int kReps = 10;
+  const std::string name = GetParam();
+  const il::Program prog = loadExample(name);
+  for (Backend be : {Backend::TreeWalk, Backend::Bytecode}) {
+    const RunResult base = baselineRun(prog, be);
+    for (std::uint64_t interval : {1, 7, 64}) {
+      for (int rep = 0; rep < kReps; ++rep) {
+        InterpOptions io;
+        io.backend = be;
+        Interpreter in(prog, {}, io);
+        ckpt::CkptOptions co;
+        co.intervalSteps = interval;
+        in.runtime().enableCheckpointing(co);
+        apps::registerFillKernel(in, 42);
+        apps::registerFftKernels(in);
+        in.run();
+        const RunResult r = gather(in);
+        const std::string what =
+            name + (be == Backend::TreeWalk ? " tree" : " vm") +
+            " interval " + std::to_string(interval) + " run " +
+            std::to_string(rep);
+        EXPECT_EQ(r.recoveries, 0u) << what;
+        EXPECT_GE(r.snapshots, 1u) << what;
+        expectLogicalEq(base, r, what);
+        EXPECT_EQ(r.net.messagesReceived, base.net.messagesReceived) << what;
+        EXPECT_EQ(r.net.bytesReceived, base.net.bytesReceived) << what;
+        EXPECT_EQ(r.net.rendezvousSends, base.net.rendezvousSends) << what;
+        EXPECT_EQ(r.net.directSends, base.net.directSends) << what;
+        EXPECT_EQ(r.net.unexpectedMessages, base.net.unexpectedMessages)
+            << what;
+        if (name != "taskfarm.xdp") {
+          EXPECT_EQ(r.makespan, base.makespan) << what;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Examples, CaptureStress,
+                         ::testing::Values("vecadd.xdp", "jacobi.xdp",
+                                           "cannon.xdp", "ownership.xdp",
+                                           "taskfarm.xdp"));
 
 }  // namespace
 }  // namespace xdp::interp

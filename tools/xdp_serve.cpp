@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "xdp/net/transport.hpp"
 #include "xdp/serve/server.hpp"
 
 namespace {
@@ -46,10 +45,6 @@ int usage(const char* argv0) {
                "  --no-analyze       skip the static --analyze gate\n"
                "  --seed N           fill-kernel seed (default 42)\n"
                "  --retries N        max attempts per session (default 3)\n"
-               "  --transport=locked|ring\n"
-               "                     session fabric transport: inline locked\n"
-               "                     delivery (default) or the lock-free\n"
-               "                     ring fast path\n"
                "  --watchdog-ms N    per-session watchdog window\n"
                "  --max-steps N      per-session logical step quota\n"
                "  --max-bytes N      per-processor resident-byte quota\n"
@@ -102,14 +97,6 @@ int main(int argc, char** argv) {
     else if (arg == "--seed") proto.fillSeed = std::stoull(nextArg(i));
     else if (arg == "--retries")
       cfg.session.retry.maxAttempts = std::stoi(nextArg(i));
-    else if (arg.rfind("--transport=", 0) == 0) {
-      auto k = net::parseTransportKind(arg.substr(12));
-      if (!k) {
-        std::fprintf(stderr, "unknown transport: %s\n", arg.c_str() + 12);
-        return usage(argv[0]);
-      }
-      cfg.session.transport.kind = *k;
-    }
     else if (arg == "--watchdog-ms")
       cfg.session.watchdogMs = std::stoi(nextArg(i));
     else if (arg == "--max-steps")

@@ -30,7 +30,6 @@
 #include "xdp/ckpt/io.hpp"
 #include "xdp/il/parser.hpp"
 #include "xdp/il/printer.hpp"
-#include "xdp/net/transport.hpp"
 #include "xdp/opt/auto_place.hpp"
 #include "xdp/opt/passes.hpp"
 #include "xdp/support/json.hpp"
@@ -82,10 +81,6 @@ int usage(const char* argv0) {
                "  --backend=tree|vm  execution engine for --run: the\n"
                "                     tree-walking interpreter (default) or\n"
                "                     the compiled bytecode VM\n"
-               "  --transport=locked|ring\n"
-               "                     fabric message transport for --run:\n"
-               "                     inline locked delivery (default) or the\n"
-               "                     lock-free ring fast path\n"
                "  --debug-checks     enforce the Figure-1 usage rules\n"
                "  --seed N           fill-kernel seed (default 42)\n"
                "  --checkpoint-dir DIR\n"
@@ -109,7 +104,6 @@ int main(int argc, char** argv) {
   bool debugChecks = false, analyze = false, verifyPasses = false;
   bool cost = false, autoPlace = false, jsonFormat = false;
   interp::Backend backend = interp::Backend::TreeWalk;
-  net::TransportOptions transport;
   std::uint64_t seed = 42;
   std::string ckptDir;
   std::uint64_t ckptInterval = 0;
@@ -122,14 +116,6 @@ int main(int argc, char** argv) {
     else if (arg == "--run") run = true;
     else if (arg == "--backend=tree") backend = interp::Backend::TreeWalk;
     else if (arg == "--backend=vm") backend = interp::Backend::Bytecode;
-    else if (arg.rfind("--transport=", 0) == 0) {
-      auto k = net::parseTransportKind(arg.substr(12));
-      if (!k) {
-        std::fprintf(stderr, "unknown transport: %s\n", arg.c_str() + 12);
-        return usage(argv[0]);
-      }
-      transport.kind = *k;
-    }
     else if (arg == "--trace") trace = true;
     else if (arg == "--debug-checks") debugChecks = true;
     else if (arg == "--analyze") analyze = true;
@@ -289,7 +275,6 @@ int main(int argc, char** argv) {
     if (run) {
       rt::RuntimeOptions opts;
       opts.debugChecks = debugChecks;
-      opts.transport = transport;
       interp::InterpOptions iopts;
       iopts.backend = backend;
       interp::Interpreter interp(prog, opts, iopts);
