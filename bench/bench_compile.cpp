@@ -1,6 +1,6 @@
-// Bytecode backend benchmarks: compilation throughput of the flat-IL
-// pipeline (flatten + bc::compile, in statements/s), and execution
-// throughput of the two interpreter backends on IL programs the VM can
+// Bytecode VM benchmarks: compilation throughput of the flat-IL pipeline
+// (flatten + bc::compile, in statements/s), and execution throughput of
+// the VM against the reference tree walker on IL programs the VM can
 // compile hot.
 //
 // Counters (deterministic ones are gated by PERF_TRAJECTORY.json):
@@ -9,9 +9,9 @@
 //   hot / cold        bc::Module statement split (deterministic)
 //   logical_ops       stmts + loop iters + rule evals + elem assigns,
 //                     summed over processors; must be identical for both
-//                     backends on the same program (deterministic)
-//   logical_ops_per_s backend throughput on those ops (rate) — the
-//                     tree-walk vs VM rows are the speedup measurement
+//                     engines on the same program (deterministic)
+//   logical_ops_per_s engine throughput on those ops (rate) — the
+//                     reference vs VM rows are the speedup measurement
 #include <benchmark/benchmark.h>
 
 #include "xdp/il/flat.hpp"
@@ -84,7 +84,7 @@ void BM_FlattenCompile(benchmark::State& state) {
 
 /// Guard-free 3-point stencil over n elements (kSweeps sweeps). Every
 /// statement compiles hot, so this is the VM's best case: the number it
-/// reports is the headline tree-walk vs VM logical-op throughput.
+/// reports is the headline reference vs VM logical-op throughput.
 il::Program buildStencil(sec::Index n) {
   il::Program prog;
   prog.nprocs = 1;
@@ -127,8 +127,8 @@ il::Program buildStencil(sec::Index n) {
 }
 
 /// The same stencil under per-iteration iown guards on 4 processors —
-/// jacobi-shaped owner-computes code, where every guard is a cold
-/// EvalRule callback into ProcTable. Shows what guards cost both engines.
+/// jacobi-shaped owner-computes code. The reference walker pays one cold
+/// ownership query per iteration; the VM range-splits every loop.
 il::Program buildGuardedStencil(sec::Index n) {
   il::Program prog;
   prog.nprocs = 4;
@@ -177,7 +177,7 @@ void runExec(benchmark::State& state, const il::Program& prog) {
   state.counters["logical_ops_per_s"] = benchmark::Counter(
       static_cast<double>(ops) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
-  state.SetLabel(state.range(0) == 0 ? "tree-walk" : "bytecode-vm");
+  state.SetLabel(state.range(0) == 0 ? "reference" : "vm");
 }
 
 void BM_StencilExec(benchmark::State& state) {

@@ -69,10 +69,10 @@ void BM_Fft3d(benchmark::State& state) {
                  (cfg.skewCost > 0 ? "/skewed" : "/uniform"));
 }
 
-// Backend comparison on the same staged programs: wall-clock execution
-// throughput of the tree-walking interpreter vs the bytecode VM, with the
-// deterministic logical-op count as the parity check (both backends must
-// report the same logical_ops for a given stage — the perf gate pins it).
+// Engine comparison on the same staged programs: execution throughput of
+// the reference tree walker vs the bytecode VM, with the deterministic
+// logical-op count as the parity check (both engines must report the same
+// logical_ops for a given stage — the perf gate pins it).
 void BM_Fft3dExec(benchmark::State& state) {
   apps::Fft3dConfig cfg;
   cfg.n = state.range(1);
@@ -98,7 +98,7 @@ void BM_Fft3dExec(benchmark::State& state) {
       static_cast<double>(ops) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
   state.SetLabel(std::string(stageName(stage)) +
-                 (state.range(2) == 0 ? "/tree-walk" : "/bytecode-vm"));
+                 (state.range(2) == 0 ? "/reference" : "/vm"));
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Guard overhead on owner-computes loops (paper §2.4): the idiomatic XDP
 // loop `for i in 1..n: if iown(A[i]) A[i] = ...` evaluates an ownership
 // guard every iteration. Compares three schedules of the same loop:
-//   unguarded      — mylb/myub bounds, no guard at all (the floor)
-//   guarded/naive  — per-iteration iown query (splitGuardedLoops off)
+//   unguarded      — mylb/myub bounds, no guard at all (the floor; VM)
+//   guarded/naive  — per-iteration iown query (the reference walker)
 //   guarded/split  — one ownedRanges query, owned subranges run unguarded
-// The fast path is meant to put guarded throughput within ~1.5x of the
-// unguarded floor instead of paying a runtime-table query per element.
+//                    (the VM's split op)
+// The split is meant to put guarded throughput near the unguarded floor
+// instead of paying a runtime-table query per element.
 #include <benchmark/benchmark.h>
 
 #include "xdp/interp/interpreter.hpp"
@@ -45,7 +46,7 @@ il::Program makeProg(sec::Index n, bool guarded) {
 void runLoop(benchmark::State& state, bool guarded, bool split) {
   const sec::Index n = state.range(0);
   interp::InterpOptions io;
-  io.splitGuardedLoops = split;
+  if (guarded && !split) io.backend = interp::Backend::TreeWalk;
   interp::InterpStats last;
   for (auto _ : state) {
     interp::Interpreter in(makeProg(n, guarded), {}, io);

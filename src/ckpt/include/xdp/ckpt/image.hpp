@@ -3,8 +3,8 @@
 // XDP's thesis — placement as an explicit compile-time representation —
 // makes run-time state unusually snapshotable: a processor's entire data
 // state is its run-time symbol table (segment descriptor triplets plus
-// element payloads), its control state is a statement boundary in a
-// program both backends execute deterministically, and the fabric's
+// element payloads), its control state is a point between two bytecode
+// instructions of a deterministically executed program, and the fabric's
 // in-flight state is a finite set of named messages and posted receives.
 // A snapshot is therefore compact, exact, and *verifiable*: restoring it
 // and running to completion must produce a result digest bit-identical to
@@ -56,13 +56,13 @@ inline constexpr std::uint32_t kSnapshotVersion = 1;
 /// treats them as an opaque ordered array).
 inline constexpr int kNumContStats = 9;
 
-/// Continuation engines.
-enum class ContEngine : std::uint8_t { None = 0, Tree = 1, Vm = 2 };
+/// Continuation engines. Tag 1 belonged to the retired tree-walker
+/// continuation format; it is never written, and resuming it is an error.
+enum class ContEngine : std::uint8_t { None = 0, Vm = 2 };
 
 /// One processor's continuation: where its node program stands, captured
-/// at a statement boundary. `payload` is engine-encoded (tree walker:
-/// frame cursors + interned-scalar env; VM: flat-IL pc + register file)
-/// and opaque to this layer. `unsafe` marks a continuation published
+/// at a statement boundary. `payload` is engine-encoded (the VM's pc +
+/// register file) and opaque to this layer. `unsafe` marks a continuation published
 /// before a statement that is not safely re-executable (kernel calls may
 /// block mid-way after side effects); a coordinated capture refuses to
 /// cut there and retries.

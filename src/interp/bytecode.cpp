@@ -1,22 +1,23 @@
 // Bytecode compiler + register VM (see bytecode.hpp for the model).
 //
 // Everything here is semantics-mirroring: each hot op and each cold-path
-// evaluator case corresponds to one case of the tree walker in
+// evaluator case corresponds to one case of the reference tree walker in
 // interpreter.cpp, and must stay bit-identical to it — the differential
-// tests (test_vm_differential, test_pipeline_fuzz) hold both backends to
-// equal result digests and logical counters.
+// tests (test_vm_differential, test_pipeline_fuzz) hold the VM to the
+// walker's result digests and logical counters.
 #include "xdp/interp/bytecode.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "xdp/ckpt/io.hpp"
-#include "xdp/interp/cont.hpp"
 #include "xdp/support/arith.hpp"
 #include "xdp/support/check.hpp"
 
@@ -71,6 +72,32 @@ struct Slot {
   }
 };
 
+// --- Continuation stats: the ckpt layer carries InterpStats as an opaque
+// ordered array; this order is the wire format, and the controller's park
+// threshold reads stats[2] (executed statements).
+
+std::array<std::uint64_t, ckpt::kNumContStats> statsToArray(
+    const InterpStats& s) {
+  return {s.rulesEvaluated, s.rulesTrue,   s.stmtsExecuted,
+          s.loopIterations, s.elemAssigns, s.kernelCalls,
+          s.guardCacheHits, s.rangeSplits, s.guardedItersSaved};
+}
+
+InterpStats statsFromArray(
+    const std::array<std::uint64_t, ckpt::kNumContStats>& a) {
+  InterpStats s;
+  s.rulesEvaluated = a[0];
+  s.rulesTrue = a[1];
+  s.stmtsExecuted = a[2];
+  s.loopIterations = a[3];
+  s.elemAssigns = a[4];
+  s.kernelCalls = a[5];
+  s.guardCacheHits = a[6];
+  s.rangeSplits = a[7];
+  s.guardedItersSaved = a[8];
+  return s;
+}
+
 // --- Value coercions: byte-for-byte the tree walker's asInt/asReal/asBool.
 
 Index asInt(const Slot& v) {
@@ -101,8 +128,8 @@ bool asBool(const Slot& v) {
 // =========================================================================
 // Cold path: a flat-IL walking evaluator mirroring interpreter.cpp's Exec
 // case-for-case, sharing the VM's register file as the scalar environment.
-// It never range-splits guarded loops — the VM runs the naive logical
-// schedule, which is the schedule the logical counters describe.
+// It executes leaf statements only: Block, For and Guarded always compile
+// hot, which keeps every ExecFlat a restartable leaf (DESIGN.md §11).
 // =========================================================================
 
 class FlatEval {
@@ -124,8 +151,9 @@ class FlatEval {
     stats_.stmtsExecuted += 1;
     switch (s.kind) {
       case StmtKind::Block:
-        for (std::uint32_t k = 0; k < s.kidsLen; ++k)
-          exec(fp_.stmtKids[s.kidsOff + k]);
+      case StmtKind::For:
+      case StmtKind::Guarded:
+        XDP_CHECK(false, "compound statement on the VM's cold path");
         return;
       case StmtKind::ScalarAssign:
         regs_[s.scalarId] = evalValue(s.value);
@@ -136,30 +164,6 @@ class FlatEval {
         XDP_CHECK(pt.count() == 1, "element assignment needs a single point");
         double v = asReal(evalValue(s.rhs));
         writeReal(s.sym, pt, v);
-        return;
-      }
-      case StmtKind::For: {
-        Index lb = asInt(evalValue(s.lb));
-        Index ub = asInt(evalValue(s.ub));
-        Index step = s.step.valid() ? asInt(evalValue(s.step)) : 1;
-        XDP_CHECK(step > 0, "loop step must be positive");
-        if (lb > ub) return;
-        for (Index i = lb;;) {
-          stats_.loopIterations += 1;
-          regs_[s.scalarId] = Slot::ofInt(i);
-          exec(s.body);
-          if (static_cast<std::uint64_t>(ub) - static_cast<std::uint64_t>(i) <
-              static_cast<std::uint64_t>(step))
-            break;
-          i += step;
-        }
-        return;
-      }
-      case StmtKind::Guarded: {
-        stats_.rulesEvaluated += 1;
-        if (!evalRule(s.rule)) return;
-        stats_.rulesTrue += 1;
-        exec(s.body);
         return;
       }
       case StmtKind::SendData: {
@@ -563,9 +567,16 @@ class Compiler {
       if (e.kind == ExprKind::IntConst) internInt(e.intVal);
       else if (e.kind == ExprKind::RealConst) internReal(e.realVal);
     }
-    // Implicit step of step-less For loops.
-    for (const flat::Stmt& s : m_.fp.stmts)
-      if (s.kind == StmtKind::For && !s.step.valid()) internInt(1);
+    // Implicit step of step-less For loops; the split sites' constant
+    // coefficients (a loop scalar is 1 * v + 0, an invariant 0 * v + b).
+    for (const flat::Stmt& s : m_.fp.stmts) {
+      if (s.kind != StmtKind::For) continue;
+      if (!s.step.valid()) internInt(1);
+      if (splitShape(s)) {
+        internInt(0);
+        internInt(1);
+      }
+    }
   }
 
   std::int32_t ipool(Index v) {
@@ -864,6 +875,11 @@ class Compiler {
         const std::uint16_t stR =
             s.step.valid() ? boundReg(s.step) : cintReg_.at(1);
         emit({Op::CheckStep, 0, stR, 0, 0, 0});
+        std::optional<std::size_t> site;
+        if (splitNest_ < kMaxSplitNest) {
+          if (auto shape = splitShape(s))
+            site = emitSplit(s, *shape, lbR, ubR, stR);
+        }
         // The loop counter is a dedicated temp (the tree walker's local
         // `i`): a body assignment to the loop scalar must not change the
         // trip sequence.
@@ -874,28 +890,18 @@ class Compiler {
               0});
         compileStmt(s.body);
         emit({Op::ForNext, 0, iR, ubR, stR, head});
-        m_.code[static_cast<std::size_t>(enter)].d =
-            static_cast<std::int32_t>(m_.code.size());
+        const auto end = static_cast<std::int32_t>(m_.code.size());
+        m_.code[static_cast<std::size_t>(enter)].d = end;
+        if (site) {
+          m_.splits[*site].naivePc = enter;
+          m_.splits[*site].exitPc = end;
+        }
         // Pure-loop flag (ForEnter.rank = 1): the body runs only register
         // ops and point element accesses — no modeled cost, no cold
         // callbacks — so the VM may hold one table lease across all
         // iterations (see rt::ProcTable::ElemLease).
-        bool pure = true;
-        for (std::size_t k = static_cast<std::size_t>(head);
-             k + 1 < m_.code.size() && pure; ++k) {
-          switch (m_.code[k].op) {
-            case Op::Cost:
-            case Op::EvalFlat:
-            case Op::EvalRule:
-            case Op::ExecFlat:
-            case Op::Halt:
-              pure = false;
-              break;
-            default:
-              break;
-          }
-        }
-        if (pure) m_.code[static_cast<std::size_t>(enter)].rank = 1;
+        if (pureSpan(static_cast<std::size_t>(head), m_.code.size() - 1))
+          m_.code[static_cast<std::size_t>(enter)].rank = 1;
         break;
       }
       case StmtKind::Guarded: {
@@ -934,6 +940,300 @@ class Compiler {
     tempTop_ = mark;
   }
 
+  /// No instruction in [from, to) needs more than register ops and
+  /// point element accesses (see the pure-loop flag).
+  bool pureSpan(std::size_t from, std::size_t to) const {
+    for (std::size_t k = from; k < to; ++k) {
+      switch (m_.code[k].op) {
+        case Op::Cost:
+        case Op::EvalFlat:
+        case Op::EvalRule:
+        case Op::ExecFlat:
+        case Op::SplitRun:  // takes the table lock for ownedRanges
+        case Op::Halt:
+          return false;
+        default:
+          break;
+      }
+    }
+    return true;
+  }
+
+  // --- guarded-loop range split (DESIGN.md §9.3) --------------------------
+  //
+  // The owner-computes lowering produces loops of the shape
+  //     do i = lb, ub { iown(A[a*i+b]) : { body } }
+  // where the guard is re-decided once per iteration although ownership is
+  // a property of whole index ranges. When the shape is recognized and the
+  // body provably cannot change the guard's answer mid-loop, a split site
+  // goes in front of the ordinary loop: register code computes a and b,
+  // one ownedRanges query finds the owned iterations, and a compiled copy
+  // of the body runs just those, in ascending order.
+
+  struct SplitShape {
+    const flat::Stmt* guard = nullptr;
+    std::uint32_t chain = 0;  ///< unwrapped blocks + the guard
+  };
+
+  /// A split copy nested in a split copy doubles the code again; deeper
+  /// loop nests run their inner guarded loops naive.
+  static constexpr int kMaxSplitNest = 3;
+
+  /// True iff `e` cannot reference the loop variable or any run-dependent
+  /// state — safe to evaluate once before the loop. Div/Mod are
+  /// deliberately absent: they can trap (divisor zero, INT64_MIN / -1),
+  /// and the split must never hoist a trap onto a schedule position the
+  /// naive schedule doesn't have.
+  bool isPureInvariant(ExprRef er, int var) const {
+    const flat::Expr& e = fp()[er];
+    switch (e.kind) {
+      case ExprKind::IntConst:
+      case ExprKind::MyPid:
+      case ExprKind::NProcs:
+        return true;
+      case ExprKind::ScalarRef:
+        return e.scalarId != var;
+      case ExprKind::Neg:
+        return isPureInvariant(e.lhs, var);
+      case ExprKind::Bin:
+        switch (e.op) {
+          case BinOp::Add:
+          case BinOp::Sub:
+          case BinOp::Mul:
+          case BinOp::Min:
+          case BinOp::Max:
+            return isPureInvariant(e.lhs, var) && isPureInvariant(e.rhs, var);
+          default:
+            return false;
+        }
+      default:
+        return false;
+    }
+  }
+
+  /// `e` decomposes as a * var + b with invariant a and b.
+  bool affineInVar(ExprRef er, int var) const {
+    const flat::Expr& e = fp()[er];
+    if (e.kind == ExprKind::ScalarRef && e.scalarId == var) return true;
+    if (isPureInvariant(er, var)) return true;
+    if (e.kind == ExprKind::Neg) return affineInVar(e.lhs, var);
+    if (e.kind != ExprKind::Bin) return false;
+    if (e.op == BinOp::Add || e.op == BinOp::Sub)
+      return affineInVar(e.lhs, var) && affineInVar(e.rhs, var);
+    if (e.op != BinOp::Mul) return false;
+    // One side must be invariant (both-invariant was handled above).
+    if (isPureInvariant(e.lhs, var)) return affineInVar(e.rhs, var);
+    return isPureInvariant(e.rhs, var) && affineInVar(e.lhs, var);
+  }
+
+  /// Register code for (a, b) of an affineInVar expression. The ops wrap
+  /// exactly like the naive evaluation, so a * i + b equals the naive
+  /// subscript modulo 2^64; SplitRun's fit checks make it equal outright.
+  std::pair<std::uint16_t, std::uint16_t> emitAffine(ExprRef er, int var) {
+    const flat::Expr& e = fp()[er];
+    if (e.kind == ExprKind::ScalarRef && e.scalarId == var)
+      return {cintReg_.at(1), cintReg_.at(0)};
+    if (isPureInvariant(er, var)) return {cintReg_.at(0), compileExpr(er)};
+    auto op = [&](Op o, std::uint16_t x, std::uint16_t y) {
+      const auto t = allocTemp();
+      emit({o, 0, t, x, y, 0});
+      return t;
+    };
+    if (e.kind == ExprKind::Neg) {
+      const auto [a, b] = emitAffine(e.lhs, var);
+      return {op(Op::Neg, a, 0), op(Op::Neg, b, 0)};
+    }
+    if (e.op == BinOp::Add || e.op == BinOp::Sub) {
+      const Op o = e.op == BinOp::Add ? Op::Add : Op::Sub;
+      const auto [la, lb] = emitAffine(e.lhs, var);
+      const auto [ra, rb] = emitAffine(e.rhs, var);
+      return {op(o, la, ra), op(o, lb, rb)};
+    }
+    const bool lInv = isPureInvariant(e.lhs, var);
+    const auto c = compileExpr(lInv ? e.lhs : e.rhs);
+    const auto [a, b] = emitAffine(lInv ? e.rhs : e.lhs, var);
+    return {op(Op::Mul, a, c), op(Op::Mul, b, c)};
+  }
+
+  /// No awaiting expression anywhere in `e`.
+  bool exprSplitSafe(ExprRef er) const {
+    if (!er.valid()) return true;
+    const flat::Expr& e = fp()[er];
+    return e.kind != ExprKind::Await && exprSplitSafe(e.lhs) &&
+           exprSplitSafe(e.rhs) && secSplitSafe(e.section);
+  }
+
+  bool secSplitSafe(SecRef sr) const {
+    if (!sr.valid()) return true;
+    const flat::Sec& se = fp()[sr];
+    switch (se.kind) {
+      case SecExprKind::Literal:
+        for (std::uint32_t k = 0; k < se.dimsLen; ++k) {
+          const flat::TripletRef& t = fp().triplets[se.dimsOff + k];
+          if (!exprSplitSafe(t.lb) || !exprSplitSafe(t.ub) ||
+              !exprSplitSafe(t.stride))
+            return false;
+        }
+        return true;
+      case SecExprKind::LocalPart:
+        return true;
+      case SecExprKind::OwnerPart:
+        return exprSplitSafe(se.pid);
+      case SecExprKind::Intersect:
+        return secSplitSafe(se.a) && secSplitSafe(se.b);
+    }
+    return false;
+  }
+
+  bool destSplitSafe(const flat::Stmt& s) const {
+    for (std::uint32_t k = 0; k < s.destPidsLen; ++k)
+      if (!exprSplitSafe(fp().exprKids[s.destPidsOff + k])) return false;
+    return secSplitSafe(s.destSection);
+  }
+
+  /// Mark every scalar id referenced under `e` in `frozen`.
+  void collectScalars(ExprRef er, std::vector<char>& frozen) const {
+    if (!er.valid()) return;
+    const flat::Expr& e = fp()[er];
+    if (e.kind == ExprKind::ScalarRef)
+      frozen[static_cast<std::size_t>(e.scalarId)] = 1;
+    collectScalars(e.lhs, frozen);
+    collectScalars(e.rhs, frozen);
+    collectScalarsSec(e.section, frozen);
+  }
+
+  void collectScalarsSec(SecRef sr, std::vector<char>& frozen) const {
+    if (!sr.valid()) return;
+    const flat::Sec& se = fp()[sr];
+    for (std::uint32_t k = 0; k < se.dimsLen; ++k) {
+      const flat::TripletRef& t = fp().triplets[se.dimsOff + k];
+      collectScalars(t.lb, frozen);
+      collectScalars(t.ub, frozen);
+      collectScalars(t.stride, frozen);
+    }
+    collectScalars(se.pid, frozen);
+    collectScalarsSec(se.a, frozen);
+    collectScalarsSec(se.b, frozen);
+  }
+
+  /// The body may run unguarded only if it cannot change what the guard
+  /// would have answered on a later iteration: no ownership transitions,
+  /// no receives, no blocking, no kernels (opaque), and no assignment to
+  /// the loop variable or any scalar the guard's section reads.
+  bool bodySplitSafe(StmtRef sr, const std::vector<char>& frozen) const {
+    const flat::Stmt& st = fp()[sr];
+    auto free = [&](std::int32_t id) {
+      return frozen[static_cast<std::size_t>(id)] == 0;
+    };
+    switch (st.kind) {
+      case StmtKind::Block:
+        for (std::uint32_t k = 0; k < st.kidsLen; ++k)
+          if (!bodySplitSafe(fp().stmtKids[st.kidsOff + k], frozen))
+            return false;
+        return true;
+      case StmtKind::ScalarAssign:
+        return free(st.scalarId) && exprSplitSafe(st.value);
+      case StmtKind::ElemAssign:
+        return secSplitSafe(st.lhs) && exprSplitSafe(st.rhs);
+      case StmtKind::For:
+        return free(st.scalarId) && exprSplitSafe(st.lb) &&
+               exprSplitSafe(st.ub) && exprSplitSafe(st.step) &&
+               bodySplitSafe(st.body, frozen);
+      case StmtKind::Guarded:
+        return exprSplitSafe(st.rule) && bodySplitSafe(st.body, frozen);
+      case StmtKind::SendData:
+        // Plain data sends read values and talk to the fabric; they never
+        // touch this processor's ownership or pending-receive state.
+        return secSplitSafe(st.lhs) && destSplitSafe(st);
+      case StmtKind::LocalCopy:
+        return secSplitSafe(st.lhs) && secSplitSafe(st.sec2);
+      case StmtKind::ComputeCost:
+        return exprSplitSafe(st.value);
+      case StmtKind::SendOwn:
+      case StmtKind::RecvOwn:
+      case StmtKind::RecvData:
+      case StmtKind::Await:
+      case StmtKind::Kernel:
+        return false;
+    }
+    return false;
+  }
+
+  /// The split shape of `loop`, if it has one: its body is, through
+  /// single-statement blocks, an iown/accessible guard of a literal point
+  /// section affine in the loop scalar, over a split-safe body.
+  std::optional<SplitShape> splitShape(const flat::Stmt& loop) const {
+    const int var = loop.scalarId;
+    SplitShape sh;
+    sh.chain = 1;
+    StmtRef g = loop.body;
+    while (fp()[g].kind == StmtKind::Block && fp()[g].kidsLen == 1) {
+      g = fp().stmtKids[fp()[g].kidsOff];
+      ++sh.chain;
+    }
+    sh.guard = &fp()[g];
+    if (sh.guard->kind != StmtKind::Guarded) return std::nullopt;
+    const flat::Expr& rule = fp()[sh.guard->rule];
+    if (rule.kind != ExprKind::Iown && rule.kind != ExprKind::Accessible)
+      return std::nullopt;
+    if (!rule.section.valid()) return std::nullopt;
+    const flat::Sec& se = fp()[rule.section];
+    if (se.kind != SecExprKind::Literal || se.dimsLen == 0)
+      return std::nullopt;
+    bool anyVarying = false;
+    for (std::uint32_t k = 0; k < se.dimsLen; ++k) {
+      const flat::TripletRef& t = fp().triplets[se.dimsOff + k];
+      if (t.ub.valid() || t.stride.valid()) return std::nullopt;  // points
+      if (!affineInVar(t.lb, var)) return std::nullopt;
+      anyVarying = anyVarying || !isPureInvariant(t.lb, var);
+    }
+    if (!anyVarying) return std::nullopt;
+    std::vector<char> frozen(static_cast<std::size_t>(fp().numScalars()), 0);
+    frozen[static_cast<std::size_t>(var)] = 1;
+    collectScalars(sh.guard->rule, frozen);
+    if (!bodySplitSafe(sh.guard->body, frozen)) return std::nullopt;
+    return sh;
+  }
+
+  /// Emit `SplitEnter; <coefficients>; SplitRun; <body copy>; SplitNext`
+  /// and return the new site's index; the caller patches naivePc/exitPc
+  /// once the ordinary loop is emitted.
+  std::size_t emitSplit(const flat::Stmt& loop, const SplitShape& sh,
+                        std::uint16_t lbR, std::uint16_t ubR,
+                        std::uint16_t stR) {
+    const std::size_t idx = m_.splits.size();
+    m_.splits.emplace_back();
+    const auto d = static_cast<std::int32_t>(idx);
+    emit({Op::SplitEnter, 0, 0, 0, 0, d});
+    const flat::Expr& rule = fp()[sh.guard->rule];
+    const flat::Sec& se = fp()[rule.section];
+    SplitSite site;
+    site.sym = rule.sym;
+    site.accessible = rule.kind == ExprKind::Accessible;
+    site.var = static_cast<std::uint16_t>(loop.scalarId);
+    site.lb = lbR;
+    site.ub = ubR;
+    site.step = stR;
+    site.chain = sh.chain;
+    for (std::uint32_t k = 0; k < se.dimsLen; ++k)
+      site.dims.push_back(
+          emitAffine(fp().triplets[se.dimsOff + k].lb, loop.scalarId));
+    emit({Op::SplitRun, 0, 0, 0, 0, d});
+    site.bodyPc = static_cast<std::int32_t>(m_.code.size());
+    // The copy is the same statements again: hot/cold count them once.
+    const auto hot = m_.hotStmts, cold = m_.coldStmts;
+    ++splitNest_;
+    compileStmt(sh.guard->body);
+    --splitNest_;
+    m_.hotStmts = hot;
+    m_.coldStmts = cold;
+    emit({Op::SplitNext, 0, 0, 0, 0, d});
+    site.pure =
+        pureSpan(static_cast<std::size_t>(site.bodyPc), m_.code.size() - 1);
+    m_.splits[idx] = std::move(site);
+    return idx;
+  }
+
   std::uint16_t toIndexTemp(std::uint16_t src) {
     // A hoisted int constant is already a validated Int slot: ToIndex on
     // it would be an identity copy.
@@ -951,7 +1251,126 @@ class Compiler {
   std::unordered_map<Index, std::uint16_t> cintReg_;
   std::unordered_map<std::uint64_t, std::uint16_t> crealReg_;
   std::unordered_set<std::uint16_t> intConstRegs_;
+  int splitNest_ = 0;  ///< split body copies being compiled
 };
+
+/// The split's arithmetic preconditions for one varying subscript
+/// a * v + b over the loop lb:ub:step, decided in 128 bits. The image ends
+/// and the image stride must be Index values, or the split would query a
+/// different (wrapped) image than the naive schedule evaluates; holding
+/// |a|, |a * lb| and |a * ub| below 2^62 also keeps affinePreimage's sums
+/// (a * v + |a|) and the loop's own extent inside Index.
+bool splitFits(Index a, Index b, Index lb, Index ub, Index step) {
+  using I128 = __int128;
+  constexpr I128 kMin = std::numeric_limits<Index>::min();
+  constexpr I128 kMax = std::numeric_limits<Index>::max();
+  constexpr I128 kHalf = I128{1} << 62;
+  auto mag = [](I128 v) { return v < 0 ? -v : v; };
+  const I128 lo = I128{a} * lb, hi = I128{a} * ub;
+  return mag(a) < kHalf && mag(lo) < kHalf && mag(hi) < kHalf &&
+         lo + b >= kMin && lo + b <= kMax && hi + b >= kMin &&
+         hi + b <= kMax && mag(I128{a} * step) <= kMax;
+}
+
+/// The owned iterations of an active split site, in ascending order: one
+/// progression, or the sorted union of several interleaved ones. A site is
+/// never re-entered while its loop runs (loop nests are static).
+struct SplitCursor {
+  std::vector<Index> order;  ///< several sets, materialized
+  std::size_t pos = 0;
+  Index at = 0;              ///< the current iteration
+  Index end = 0, stride = 1; ///< the one set's last element and stride
+  Index last = 0;            ///< the loop's last logical iteration
+  bool any = false;          ///< some iteration is owned
+
+  bool next() {
+    if (!order.empty()) {
+      if (++pos == order.size()) return false;
+      at = order[pos];
+      return true;
+    }
+    if (at == end) return false;
+    at += stride;
+    return true;
+  }
+};
+
+/// SplitRun's work, out of line so the dispatch loop stays small. Decide
+/// the split: every coefficient an Int, every varying subscript's image
+/// representable. Then one ownedRanges query, each owned rectangle pulled
+/// back to loop iterations, `cur` loaded with them, and the logical
+/// counters credited as if every iteration had run its guard. False: the
+/// loop must run naive.
+[[gnu::noinline]] bool startSplit(const SplitSite& site, const Slot* regs,
+                                  rt::Proc& proc, InterpStats& stats,
+                                  SplitCursor& cur) {
+  const Index lb = regs[site.lb].i, ub = regs[site.ub].i;
+  const Index step = regs[site.step].i;
+  std::vector<Triplet> image;
+  bool anyVarying = false;
+  for (const auto& [ra, rb] : site.dims) {
+    const Slot& a = regs[ra];
+    const Slot& b = regs[rb];
+    if (a.tag != Tag::Int || b.tag != Tag::Int) return false;
+    if (a.i == 0) {
+      image.emplace_back(b.i);
+      continue;
+    }
+    if (!splitFits(a.i, b.i, lb, ub, step)) return false;
+    anyVarying = true;
+    if (a.i > 0)
+      image.emplace_back(a.i * lb + b.i, a.i * ub + b.i, a.i * step);
+    else
+      image.emplace_back(a.i * ub + b.i, a.i * lb + b.i, -a.i * step);
+  }
+  if (!anyVarying) return false;
+  const Triplet loop(lb, ub, step);
+  const sec::RegionList owned =
+      proc.ownedRanges(site.sym, Section(image), site.accessible);
+  // Rectangles are disjoint and each iteration maps to one point, so the
+  // per-rectangle iteration sets are disjoint.
+  std::vector<Triplet> sets;
+  std::uint64_t ownedIters = 0;
+  for (const Section& r : owned.sections()) {
+    Triplet it = loop;
+    for (std::size_t d = 0; d < site.dims.size() && !it.empty(); ++d) {
+      const Index a = regs[site.dims[d].first].i;
+      if (a == 0) continue;
+      it = Triplet::intersect(
+          it, r.dim(static_cast<int>(d))
+                  .affinePreimage(a, regs[site.dims[d].second].i));
+    }
+    if (it.empty()) continue;
+    ownedIters += static_cast<std::uint64_t>(it.count());
+    sets.push_back(it);
+  }
+  const auto total = static_cast<std::uint64_t>(loop.count());
+  stats.rangeSplits += 1;
+  stats.guardedItersSaved += total;
+  // Logical schedule: every iteration ran, entered the block chain and
+  // evaluated the guard (see InterpStats).
+  stats.loopIterations += total;
+  stats.stmtsExecuted += site.chain * total;
+  stats.rulesEvaluated += total;
+  stats.rulesTrue += ownedIters;
+  cur.order.clear();
+  cur.pos = 0;
+  cur.last = loop.ub();
+  cur.any = !sets.empty();
+  if (sets.size() == 1) {
+    cur.at = sets.front().lb();
+    cur.end = sets.front().ub();
+    cur.stride = sets.front().stride();
+  } else if (!sets.empty()) {
+    // Interleaved strided sets: materialize and sort so iterations run in
+    // the ascending order the naive schedule uses.
+    for (const Triplet& t : sets)
+      for (Index k = 0; k < t.count(); ++k) cur.order.push_back(t.at(k));
+    std::sort(cur.order.begin(), cur.order.end());
+    cur.at = cur.order.front();
+  }
+  return true;
+}
 
 [[noreturn]] void undefinedReg(const Module& m, std::uint16_t r) {
   if (r < m.fp.scalarNames.size()) {
@@ -1059,6 +1478,8 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
                               bytes);
     }
   };
+
+  std::vector<SplitCursor> cursors(m.splits.size());
 
   // --- checkpoint continuations (DESIGN.md §11) --------------------------
   // Between any two instructions the VM's whole control state is
@@ -1408,6 +1829,50 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
       case Op::IdxAff:
         regs[in.a] = Slot::ofInt(arith::wrapAdd(asInt(val(in.b)), ipool[in.c]));
         break;
+      case Op::SplitEnter: {
+        // Continuations cannot name a point inside a split copy, so a run
+        // with a checkpoint controller always takes the naive loop.
+        const SplitSite& site = m.splits[static_cast<std::size_t>(in.d)];
+        if (ctrl != nullptr || regs[site.lb].i > regs[site.ub].i) {
+          pc = static_cast<std::size_t>(site.naivePc);
+          continue;
+        }
+        break;
+      }
+      case Op::SplitRun: {
+        const SplitSite& site = m.splits[static_cast<std::size_t>(in.d)];
+        SplitCursor& cur = cursors[static_cast<std::size_t>(in.d)];
+        if (!startSplit(site, regs.data(), proc, stats, cur)) {
+          pc = static_cast<std::size_t>(site.naivePc);
+          continue;
+        }
+        if (!cur.any) {
+          // The naive schedule assigns the variable on every (also
+          // unowned) iteration; leave it at the last logical value.
+          regs[site.var] = Slot::ofInt(cur.last);
+          pc = static_cast<std::size_t>(site.exitPc);
+          continue;
+        }
+        regs[site.var] = Slot::ofInt(cur.at);
+        if (site.pure && canLease && !lease) {
+          lease.emplace(proc.table());
+          leaseOwner = site.bodyPc;
+        }
+        break;
+      }
+      case Op::SplitNext: {
+        const SplitSite& site = m.splits[static_cast<std::size_t>(in.d)];
+        SplitCursor& cur = cursors[static_cast<std::size_t>(in.d)];
+        if (cur.next()) {
+          regs[site.var] = Slot::ofInt(cur.at);
+          pc = static_cast<std::size_t>(site.bodyPc);
+          continue;
+        }
+        if (lease && leaseOwner == site.bodyPc) dropLease();
+        regs[site.var] = Slot::ofInt(cur.last);
+        pc = static_cast<std::size_t>(site.exitPc);
+        continue;
+      }
     }
     ++pc;
   }
@@ -1425,6 +1890,7 @@ std::string disassemble(const Module& m) {
       "CountElemAssign", "LoadElem", "StoreElem", "Cost",
       "EvalFlat", "EvalRule", "ExecFlat",
       "ForIter", "StepElem", "StepRule", "LoadElem1", "IdxAff",
+      "SplitEnter", "SplitRun", "SplitNext",
   };
   std::ostringstream os;
   os << "regs=" << m.numRegs << " scalars=" << m.fp.numScalars()

@@ -1,5 +1,5 @@
-// Register-based bytecode for IL+XDP programs — the compiled execution
-// backend behind InterpOptions::backend (see DESIGN.md §9).
+// Register-based bytecode for IL+XDP programs — the execution engine
+// behind interp::Interpreter (see DESIGN.md §9).
 //
 // compile() lowers a flat::FlatProgram (xdp/il/flat.hpp) into one dense
 // instruction stream per program: scalar arithmetic, For loops, guards,
@@ -7,11 +7,13 @@
 // register file; everything stateful — ownership queries, sends/receives,
 // awaits, kernels, general sections — stays a single cold instruction
 // (EvalFlat / EvalRule / ExecFlat) that walks the flat IL and calls back
-// into the same rt::Proc the tree walker uses. Quotas (stepHook), fault
-// injection, the watchdog, and NetStats are therefore untouched, and the
-// logical InterpStats counters are bit-identical to the tree walker's by
-// construction (the VM runs the naive guard-per-iteration schedule, which
-// is exactly what the logical counters describe).
+// into the same rt::Proc the reference tree walker uses. Quotas
+// (stepHook), fault injection, the watchdog, and NetStats are therefore
+// untouched, and the logical InterpStats counters are bit-identical to
+// the reference walker's naive guard-per-iteration schedule. Owner-
+// computes loops additionally compile a range-split copy (SplitEnter /
+// SplitRun / SplitNext, see SplitSite) that runs only the owned
+// iterations and credits the skipped ones to the logical counters.
 //
 // Register file layout: registers [0, numScalars) ARE the universal
 // scalars (register index == flat scalarId, so the cold-path evaluator
@@ -23,6 +25,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "xdp/ckpt/controller.hpp"
@@ -79,6 +82,13 @@ enum class Op : std::uint8_t {
   LoadElem1,   ///< a = A_d[asInt(b) +w ipool[c]] (wrapping add, as real)
   IdxAff,      ///< a = asInt(b) +w ipool[c] — store-side subscript, kept
                ///< before the value expression (tree-walker eval order)
+  // Guarded-loop range split; d is the SplitSite index.
+  SplitEnter,  ///< no checkpoint controller and lb <= ub: fall into the
+               ///< coefficient code; otherwise pc = naivePc
+  SplitRun,    ///< one ownedRanges query; run the owned iterations from
+               ///< bodyPc, or pc = naivePc when the split preconditions fail
+  SplitNext,   ///< next owned iteration (pc = bodyPc) or leave the loop
+               ///< scalar at the last iteration and pc = exitPc
 };
 
 /// One fixed-size instruction. `a`/`b`/`c` are register indices, `rank`
@@ -92,6 +102,26 @@ struct Insn {
 };
 static_assert(sizeof(Insn) == 12, "Insn packs to 12 bytes");
 
+/// One owner-computes loop `do v = lb, ub, st { rule : body }` (through
+/// single-statement blocks) whose rule is iown/accessible of a literal
+/// point section affine in v, and whose body cannot change the rule's
+/// answer. Its code is, in front of the ordinary (naive) loop:
+///   SplitEnter; <coefficient code>; SplitRun; <body copy>; SplitNext
+/// SplitRun splits only when every coefficient register holds an Int and
+/// the subscript images of the whole loop fit int64 (see DESIGN.md §9.3).
+struct SplitSite {
+  std::int32_t sym = -1;        ///< the rule's array
+  bool accessible = false;      ///< rule is accessible(), not iown()
+  bool pure = false;            ///< body copy may hold a table lease
+  std::uint16_t var = 0;        ///< loop scalar register
+  std::uint16_t lb = 0, ub = 0, step = 0;  ///< loop bound registers
+  std::uint32_t chain = 0;      ///< skipped statements per iteration
+                                ///< (unwrapped blocks + the guard)
+  std::int32_t bodyPc = 0, naivePc = 0, exitPc = 0;
+  /// Per subscript: registers of a and b in a * v + b.
+  std::vector<std::pair<std::uint16_t, std::uint16_t>> dims;
+};
+
 /// A compiled program: the flat IL it was lowered from (the cold path
 /// walks it), the instruction stream, constant pools, and per-symbol
 /// element types resolved at compile time.
@@ -101,6 +131,7 @@ struct Module {
   std::vector<Index> ipool;
   std::vector<double> rpool;
   std::vector<rt::ElemType> elemTypes;  ///< by symbol index
+  std::vector<SplitSite> splits;        ///< by SplitEnter/Run/Next.d
   std::uint16_t numRegs = 0;            ///< scalars + consts + temporaries
   std::uint32_t hotStmts = 0;           ///< statements fully compiled
   std::uint32_t coldStmts = 0;          ///< statements left to ExecFlat
@@ -110,8 +141,9 @@ struct Module {
 Module compile(il::flat::FlatProgram fp);
 
 /// Run `m` as the node program of `proc`. Counters accumulate into
-/// `stats`; `iopts.stepHook` fires exactly as in the tree walker; kernels
-/// resolve by name from `kernels`. With a checkpoint controller the VM
+/// `stats`; `iopts.stepHook` fires as in the reference walker, except for
+/// the loop blocks and guards a range split skips; kernels resolve by
+/// name from `kernels`. With a checkpoint controller the VM never splits,
 /// observes statement boundaries (park/signal/publish; DESIGN.md §11) and
 /// resumes from a pc + register-file continuation when one is seeded.
 void execute(const Module& m, rt::Proc& proc, InterpStats& stats,

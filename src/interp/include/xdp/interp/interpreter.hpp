@@ -13,7 +13,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <variant>
 #include <vector>
 
@@ -31,8 +30,8 @@ using sec::Section;
 
 /// Per-processor execution counters. `rulesEvaluated - rulesTrue` is the
 /// wasted guard work that ComputeRuleElimination removes (paper 2.4).
-/// The counters describe *logical* work: a guarded loop executed via the
-/// range-split fast path still reports one rule evaluation per iteration,
+/// The counters describe *logical* work: a guarded loop the VM executes
+/// by range splitting still reports one rule evaluation per iteration,
 /// so exact-count expectations are independent of how the loop ran; the
 /// fast-path counters below record what was actually saved.
 struct InterpStats {
@@ -62,31 +61,25 @@ struct InterpStats {
 /// per-session step/memory/wall-time quota enforcement off it.
 using StepHook = std::function<void(rt::Proc&)>;
 
-/// Which execution engine runs the node programs. Both engines produce
-/// bit-identical results, NetStats, and logical InterpStats (the
-/// differential tests enforce it); they differ in speed and in the
-/// non-logical fast-path counters (the VM never range-splits, so
-/// rangeSplits/guardedItersSaved stay 0 and guardCacheHits differ).
+/// Which execution engine runs the node programs. The VM is the engine;
+/// the tree walker is the naive reference the differential tests compare
+/// it against. Both produce bit-identical results, NetStats, and logical
+/// InterpStats; they differ in speed and in the non-logical fast-path
+/// counters (only the VM range-splits, and guardCacheHits differ).
 enum class Backend {
-  TreeWalk,  ///< reference tree-walking interpreter (the oracle)
+  TreeWalk,  ///< reference tree walker: naive schedule, no checkpointing
   Bytecode,  ///< flat-IL register VM (xdp/interp/bytecode.hpp)
 };
 
 /// Interpreter-level execution switches (distinct from RuntimeOptions,
 /// which configure the simulated machine).
 struct InterpOptions {
-  /// When a loop body is a single guarded statement whose rule is
-  /// iown/accessible over a section affine in the loop variable, execute
-  /// the owned subranges unguarded via ProcTable::ownedRanges. Observable
-  /// only through InterpStats and speed; off reproduces the naive
-  /// guard-per-iteration schedule exactly.
-  bool splitGuardedLoops = true;
   /// Per-statement hook (see StepHook); empty = no per-step overhead
   /// beyond one branch.
   StepHook stepHook;
   /// Execution engine (see Backend). The program is flattened and
   /// compiled lazily on the first run() when Bytecode is selected.
-  Backend backend = Backend::TreeWalk;
+  Backend backend = Backend::Bytecode;
 };
 
 /// A computational kernel callable from IL (e.g. fft1D). Receives the
@@ -107,6 +100,8 @@ class Interpreter {
   void registerKernel(std::string name, KernelFn fn);
 
   /// Execute the program body on every processor; joins before returning.
+  /// Throws UsageError when the reference walker is asked to run under a
+  /// checkpoint controller (checkpointing is a VM feature).
   void run();
 
   InterpStats stats(int pid) const;
@@ -124,16 +119,6 @@ class Interpreter {
   int scalarIdOfStmt(const il::Stmt* s) const;
   int numScalars() const { return scalarIds_.count(); }
 
-  // Checkpointing (DESIGN.md §11): the tree walker publishes a
-  // continuation before every statement that can block, so the set of
-  // such statements is precomputed once when the runtime has a
-  // checkpoint controller. A statement blocks if it is itself a
-  // transfer/await/kernel or if any expression under it awaits.
-  void computeBlockingStmts();
-  bool isBlockingStmt(const il::Stmt* s) const {
-    return blockingStmts_.count(s) != 0;
-  }
-
   il::Program prog_;
   rt::Runtime rt_;
   InterpOptions iopts_;
@@ -142,8 +127,6 @@ class Interpreter {
   std::unique_ptr<bc::Module> module_;  ///< lazily compiled (Bytecode)
 
   il::ScalarIds scalarIds_;
-  std::unordered_set<const il::Stmt*> blockingStmts_;
-  bool blockingComputed_ = false;
 };
 
 }  // namespace xdp::interp

@@ -77,8 +77,8 @@ class Server {
 
   /// Scan `dir` for *.xdpspill files written by preempted sessions (this
   /// server's spillDir, or a crashed predecessor's) and resubmit each as
-  /// a resume request. Corrupt spills and spills checkpointed under a
-  /// different backend are skipped and left on disk; a resumed session
+  /// a resume request. Corrupt spills and spills checkpointed by another
+  /// engine than the VM are skipped and left on disk; a resumed session
   /// deletes its spill on completion. Returns the number re-admitted.
   int readmitSpilled(const std::string& dir);
 

@@ -187,17 +187,12 @@ struct SessionReport {
 };
 
 /// Server-level execution knobs shared by every session (the per-tenant
-/// envelope rides in SessionRequest).
+/// envelope rides in SessionRequest). Sessions always run the bytecode VM.
 struct SessionOptions {
   bool debugChecks = true;
   /// Per-session watchdog window; sessions, not the server, own hangs.
   int watchdogMs = 1000;
   int watchdogPollMs = -1;
-  bool splitGuardedLoops = true;
-  /// Execution engine for session programs (quotas, fault isolation,
-  /// watchdog, and stats behave identically on both — the VM reuses the
-  /// same stepHook and fabric hooks).
-  interp::Backend backend = interp::Backend::TreeWalk;
   net::CostModel costModel{};
   RetryPolicy retry{};
   /// Directory for preemption spill files. Empty: a preempted session
@@ -224,6 +219,12 @@ SessionReport runSession(const SessionRequest& req,
 // top of the snapshot's own per-record checksums. Only source-backed
 // sessions can spill: prebuilt-IL requests have no serializable program
 // identity, so they report Preempted with an empty spillPath.
+
+/// The engine tag sessions stamp into snapshots and spill envelopes (the
+/// VM's interp::Backend value). Spills carrying any other tag, such as the
+/// retired tree walker's 0, are foreign and stay on disk.
+inline constexpr std::uint8_t kSessionBackend =
+    static_cast<std::uint8_t>(interp::Backend::Bytecode);
 
 /// One preempted session at rest.
 struct SpillFile {

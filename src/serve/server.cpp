@@ -89,11 +89,9 @@ int Server::readmitSpilled(const std::string& dir) {
     } catch (const ckpt::CkptError&) {
       continue;  // torn/corrupt spill: leave it for inspection
     }
-    // A snapshot carries one backend's continuation representation; this
-    // server can only resume spills matching its own engine. Foreign
-    // spills stay on disk for a compatible server.
-    if (sp.backend != static_cast<std::uint8_t>(cfg_.session.backend))
-      continue;
+    // A snapshot carries one engine's continuation representation; a
+    // server resumes only the VM's. Foreign spills stay on disk.
+    if (sp.backend != kSessionBackend) continue;
     SessionRequest req;
     req.name = sp.name;
     req.source = sp.source;

@@ -323,8 +323,6 @@ SessionReport runSession(const SessionRequest& req, const SessionOptions& opts,
 
     SessionScope scope(req.quotas, sessionStart, req.preemptAfterSteps);
     interp::InterpOptions iopts;
-    iopts.splitGuardedLoops = opts.splitGuardedLoops;
-    iopts.backend = opts.backend;
     iopts.stepHook = [&scope](rt::Proc& p) { scope.onStep(p); };
 
     const bool wantCkpt = req.checkpointIntervalSteps > 0 ||
@@ -347,7 +345,7 @@ SessionReport runSession(const SessionRequest& req, const SessionOptions& opts,
         // Snapshot identity: the source text's digest, so a resume into a
         // different program (or a torn spill) is rejected structurally.
         rt.setCkptProgram(
-            static_cast<std::uint8_t>(opts.backend),
+            kSessionBackend,
             req.source.empty()
                 ? 0
                 : ckpt::fnv1a(
@@ -402,7 +400,7 @@ SessionReport runSession(const SessionRequest& req, const SessionOptions& opts,
           sp.usePipeline = req.usePipeline;
           sp.analyze = req.analyze;
           sp.checkpointIntervalSteps = req.checkpointIntervalSteps;
-          sp.backend = static_cast<std::uint8_t>(opts.backend);
+          sp.backend = kSessionBackend;
           sp.source = req.source;
           sp.snapshot = ckpt::encodeSnapshot(snap);
           rep.recovery.spillPath = spillFilePath(opts.spillDir, id, req.name);

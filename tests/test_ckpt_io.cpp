@@ -24,7 +24,7 @@ Snapshot sampleSnapshot(std::uint64_t tag = 7) {
   s.tables.push_back({std::byte{4}, std::byte{5}});
   s.fabric = {std::byte{9}, std::byte{8}, std::byte{7}, std::byte{6}};
   ContImage c;
-  c.engine = static_cast<std::uint8_t>(ContEngine::Tree);
+  c.engine = static_cast<std::uint8_t>(ContEngine::None);
   c.stats[2] = 41 + tag;
   c.payload = {std::byte{0xAA}, std::byte{0xBB}};
   s.conts.push_back(c);

@@ -341,6 +341,20 @@ TEST_P(ArithEdge, ZeroTripLoopSkipsTrappingBody) {
   Interpreter in(prog, debug(), iopts());
   EXPECT_NO_THROW(in.run());
   EXPECT_EQ(in.totalStats().loopIterations, 0u);
+  // A zero-trip owner-computes loop whose guard reads a never-assigned
+  // scalar: the VM's split coefficients must not be evaluated either.
+  il::Program guarded = base(
+      1, 4,
+      il::block({il::forLoop(
+          "i", il::intConst(5), il::intConst(2),
+          il::guarded(
+              il::iown(0, il::secPoint({il::add(il::scalar("i"),
+                                                il::scalar("unset"))})),
+              il::block({il::elemAssign(0, il::secPoint({il::scalar("i")}),
+                                        il::intConst(1))})))}));
+  Interpreter g(guarded, debug(), iopts());
+  EXPECT_NO_THROW(g.run());
+  EXPECT_EQ(g.totalStats().rulesEvaluated, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ArithEdge,
@@ -348,10 +362,11 @@ INSTANTIATE_TEST_SUITE_P(Backends, ArithEdge,
                                            Backend::Bytecode));
 
 TEST(InterpEdge, DivisionInGuardSubscriptBlocksRangeSplit) {
-  // isPureInvariant must refuse Div/Mod: hoisting one to split time would
+  // The VM's split must refuse Div/Mod: hoisting one to split time would
   // move a potential trap onto a schedule position the naive schedule
   // doesn't have. A division in the guard subscript therefore forces the
-  // guard-per-iteration path (correct result, zero splits).
+  // guard-per-iteration path (correct result, zero splits). Both VM runs
+  // must match the reference walker's naive schedule.
   auto build = [](il::ExprPtr offset) {
     return base(
         2, 16,
@@ -375,10 +390,23 @@ TEST(InterpEdge, DivisionInGuardSubscriptBlocksRangeSplit) {
       debug());
   noSplit.run();
   EXPECT_EQ(noSplit.totalStats().rangeSplits, 0u);
-  EXPECT_EQ(noSplit.totalStats().rulesTrue, split.totalStats().rulesTrue);
-  auto a = apps::gatherF64(split.runtime(), 0, Section{Triplet(1, 16)});
-  auto b = apps::gatherF64(noSplit.runtime(), 0, Section{Triplet(1, 16)});
-  EXPECT_EQ(a, b);
+  InterpOptions ref;
+  ref.backend = Backend::TreeWalk;
+  Interpreter naive(build(il::intConst(2)), debug(), ref);
+  naive.run();
+  EXPECT_EQ(naive.totalStats().rangeSplits, 0u);
+  for (const Interpreter* vm : {&split, &noSplit}) {
+    EXPECT_EQ(vm->totalStats().rulesTrue, naive.totalStats().rulesTrue);
+    EXPECT_EQ(vm->totalStats().rulesEvaluated,
+              naive.totalStats().rulesEvaluated);
+    EXPECT_EQ(vm->totalStats().stmtsExecuted,
+              naive.totalStats().stmtsExecuted);
+  }
+  auto want = apps::gatherF64(naive.runtime(), 0, Section{Triplet(1, 16)});
+  EXPECT_EQ(apps::gatherF64(split.runtime(), 0, Section{Triplet(1, 16)}),
+            want);
+  EXPECT_EQ(apps::gatherF64(noSplit.runtime(), 0, Section{Triplet(1, 16)}),
+            want);
 }
 
 TEST(InterpEdge, StatsResetWorks) {

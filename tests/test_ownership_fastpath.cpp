@@ -2,16 +2,20 @@
 // ProcTable state queries and ownedRanges must stay bit-identical to
 // brute-force per-element iown across randomized ownership histories, the
 // lock-free cache-hit path must be race-free (run under `-L sanitize`),
-// and the interpreter's guarded-loop range splitting must be observable
-// only through InterpStats.
+// and the VM's guarded-loop range splitting must be observable only
+// through InterpStats: every split run matches the reference walker's
+// naive schedule.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <random>
 #include <set>
 #include <thread>
 #include <utility>
 
+#include "xdp/apps/programs.hpp"
+#include "xdp/il/parser.hpp"
 #include "xdp/interp/interpreter.hpp"
 #include "xdp/rt/proc_table.hpp"
 
@@ -436,7 +440,7 @@ TEST(GuardSplit, SplitAndNaiveSchedulesAgree) {
   ro.debugChecks = true;  // writes to unowned elements would throw
 
   InterpOptions naive;
-  naive.splitGuardedLoops = false;
+  naive.backend = Backend::TreeWalk;
   Interpreter a(guardProg(kProcs, kN), ro, naive);
   a.run();
 
@@ -454,7 +458,7 @@ TEST(GuardSplit, SplitAndNaiveSchedulesAgree) {
   EXPECT_EQ(sa.stmtsExecuted, sb.stmtsExecuted);
   EXPECT_EQ(sa.elemAssigns, sb.elemAssigns);
 
-  // The fast path fired on every loop in split mode, never in naive mode.
+  // The VM split every loop; the reference walker never splits.
   EXPECT_EQ(sa.rangeSplits, 0u);
   EXPECT_EQ(sb.rangeSplits, 3u * kProcs);
   EXPECT_EQ(sb.guardedItersSaved,
@@ -513,6 +517,147 @@ TEST(GuardSplit, LoopVariableHoldsFinalValueAfterSplit) {
   double v = 0.0;
   t1.readElems(0, Section{Triplet(8)}, reinterpret_cast<std::byte*>(&v));
   EXPECT_EQ(v, 7.0);
+}
+
+/// FNV-1a over every array's final contents in global Fortran order.
+std::uint64_t digestState(rt::Runtime& rt) {
+  std::uint64_t h = 1469598103934665603ULL;
+  std::vector<std::byte> buf, seg;
+  for (const auto& d : rt.decls()) {
+    const std::size_t esz = rt::elemSize(d.type);
+    buf.assign(static_cast<std::size_t>(d.global.count()) * esz,
+               std::byte{0});
+    for (int p = 0; p < rt.nprocs(); ++p) {
+      for (const auto& sg : rt.table(p).segments(d.index)) {
+        if (sg.status != rt::SegState::Accessible) continue;
+        seg.resize(static_cast<std::size_t>(sg.count()) * esz);
+        rt.table(p).readElems(d.index, sg.bounds, seg.data());
+        std::size_t i = 0;
+        sg.bounds.forEach([&](const sec::Point& pt) {
+          const auto pos = static_cast<std::size_t>(d.global.fortranPos(pt));
+          std::memcpy(buf.data() + pos * esz, seg.data() + i * esz, esz);
+          ++i;
+        });
+      }
+    }
+    for (std::byte b : buf) {
+      h ^= static_cast<std::uint64_t>(std::to_integer<unsigned>(b));
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+struct Observed {
+  std::string error;
+  std::uint64_t digest = 0;
+  net::NetStats net;
+  InterpStats stats;
+};
+
+Observed runSource(const std::string& src, Backend be) {
+  InterpOptions io;
+  io.backend = be;
+  Interpreter in(il::parseProgram(src), {}, io);
+  apps::registerFillKernel(in, 42);
+  Observed o;
+  try {
+    in.run();
+  } catch (const std::exception& e) {
+    o.error = e.what();
+  }
+  o.digest = digestState(in.runtime());
+  o.net = in.runtime().fabric().totalStats();
+  o.stats = in.totalStats();
+  return o;
+}
+
+/// The VM must reproduce the reference walker's naive schedule exactly:
+/// the same outcome, result digest, NetStats and logical counters.
+void expectVmMatchesReference(const std::string& src) {
+  const Observed ref = runSource(src, Backend::TreeWalk);
+  const Observed vm = runSource(src, Backend::Bytecode);
+  EXPECT_EQ(ref.error, "");
+  EXPECT_EQ(vm.error, ref.error);
+  EXPECT_EQ(vm.digest, ref.digest);
+  EXPECT_EQ(vm.net.messagesSent, ref.net.messagesSent);
+  EXPECT_EQ(vm.net.bytesSent, ref.net.bytesSent);
+  EXPECT_EQ(vm.net.ownershipTransfers, ref.net.ownershipTransfers);
+  EXPECT_EQ(vm.stats.stmtsExecuted, ref.stats.stmtsExecuted);
+  EXPECT_EQ(vm.stats.loopIterations, ref.stats.loopIterations);
+  EXPECT_EQ(vm.stats.rulesEvaluated, ref.stats.rulesEvaluated);
+  EXPECT_EQ(vm.stats.rulesTrue, ref.stats.rulesTrue);
+  EXPECT_EQ(vm.stats.elemAssigns, ref.stats.elemAssigns);
+  EXPECT_EQ(vm.stats.kernelCalls, ref.stats.kernelCalls);
+}
+
+TEST(GuardSplit, WrappedSubscriptRunsTheNaiveSchedule) {
+  // IL arithmetic wraps: 2^62 * i + 1 names A[1] at i = 0 and again at
+  // i = 4, so the owner of A[1] sends twice. The image of the whole loop
+  // (2^62 * 4 + 1) does not fit int64; a split computed in overflowing
+  // int64 would pull back only i = 0 and send once.
+  const std::string src =
+      "procs 2\n"
+      "array A f64 [1:8] (BLOCK)\n"
+      "fill(A[1:8])\n"
+      "do i = 0, 4\n"
+      "  iown(A[4611686018427387904 * i + 1]) : { A[1] -> {1} }\n"
+      "enddo\n";
+  expectVmMatchesReference(src);
+  const Observed vm = runSource(src, Backend::Bytecode);
+  EXPECT_EQ(vm.net.messagesSent, 2u);
+  EXPECT_EQ(vm.stats.rangeSplits, 0u);
+  // The image 2 * 2^62 + (1 - 2^63) = 1 fits, but 2 * 2^62 alone does
+  // not: pulling A[1] back through a * v + b would overflow on the way.
+  expectVmMatchesReference(
+      "procs 2\n"
+      "array A f64 [1:8] (BLOCK)\n"
+      "fill(A[1:8])\n"
+      "do i = 4611686018427387904, 4611686018427387904\n"
+      "  iown(A[2 * i - 9223372036854775807]) : { A[1] -> {1} }\n"
+      "enddo\n");
+}
+
+TEST(GuardSplit, RealCoefficientRunsTheNaiveSchedule) {
+  // k * i is integral on every iteration, so the naive schedule runs; a
+  // split that converted the coefficient k = 0.5 to an index up front
+  // would fail with "non-integral value in index context".
+  const std::string src =
+      "procs 2\n"
+      "array A f64 [1:8] (BLOCK)\n"
+      "fill(A[1:8])\n"
+      "k = 0.5\n"
+      "do i = 2, 16, 2\n"
+      "  iown(A[k * i]) : { A[k * i] = 1.0 }\n"
+      "enddo\n";
+  expectVmMatchesReference(src);
+  const Observed vm = runSource(src, Backend::Bytecode);
+  EXPECT_EQ(vm.stats.rulesEvaluated, 16u);
+  EXPECT_EQ(vm.stats.rangeSplits, 0u);
+}
+
+TEST(GuardSplit, InterleavedOwnedSetsRunInAscendingOrder) {
+  // CYCLIC(2) gives each processor several owned pieces, so one loop
+  // pulls back to several iteration sets; `s` makes the body's effect
+  // depend on the order the owned iterations run in. Both rule kinds,
+  // and a descending subscript, must reproduce the naive schedule.
+  for (const char* rule : {"iown(A[i])", "accessible(A[17 - i])"}) {
+    const std::string src =
+        std::string("procs 2\n"
+                    "array A f64 [1:16] (CYCLIC(2))\n"
+                    "fill(A[1:16])\n"
+                    "s = 1\n"
+                    "do i = 1, 16\n  ") +
+        rule +
+        " : {\n"
+        "    s = s * 3 + i\n"
+        "    A[i] = s\n"
+        "  }\n"
+        "enddo\n";
+    expectVmMatchesReference(src);
+    EXPECT_EQ(runSource(src, Backend::Bytecode).stats.rangeSplits, 2u)
+        << rule;
+  }
 }
 
 TEST(GuardSplit, CacheHitsAreReported) {

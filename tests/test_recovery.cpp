@@ -1,10 +1,11 @@
-// Differential crash-tolerance tests (DESIGN.md §11): a run that crashes
-// mid-way and recovers from a checkpoint must produce a result digest and
-// logical counters bit-identical to the uninterrupted run, on both
-// execution engines, for every example program. Preemption must likewise
-// round-trip: a run preempted to a snapshot and resumed — in the same
-// runtime or in a freshly constructed one fed the serialized bytes —
-// finishes with the fault-free digest.
+// Differential crash-tolerance tests (DESIGN.md §11): a VM run that
+// crashes mid-way and recovers from a checkpoint must produce a result
+// digest and logical counters bit-identical to the uninterrupted run —
+// the fault-free reference walker's and the VM's — for every example
+// program. Preemption must likewise round-trip: a run preempted to a
+// snapshot and resumed — in the same runtime or in a freshly constructed
+// one fed the serialized bytes — finishes with the fault-free digest.
+// Checkpointing is a VM feature: the reference walker refuses it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -98,7 +99,9 @@ RunResult baselineRun(const il::Program& prog, Backend be) {
   return gather(in);
 }
 
-RunResult crashRecoverRun(const il::Program& prog, Backend be,
+/// A checkpointed VM run in which every processor crashes after
+/// `crashAfterSends` sends and recovers from its last snapshot.
+RunResult crashRecoverRun(const il::Program& prog,
                           std::uint64_t crashAfterSends,
                           std::uint64_t intervalSteps) {
   rt::RuntimeOptions opts;
@@ -109,9 +112,7 @@ RunResult crashRecoverRun(const il::Program& prog, Backend be,
   plan.crashAfterSends = crashAfterSends;
   plan.crashFate = net::CrashFate::Recover;
   opts.faultPlan = plan;
-  InterpOptions io;
-  io.backend = be;
-  Interpreter in(prog, opts, io);
+  Interpreter in(prog, opts);
   ckpt::CkptOptions co;
   co.intervalSteps = intervalSteps;
   in.runtime().enableCheckpointing(co);
@@ -123,8 +124,9 @@ RunResult crashRecoverRun(const il::Program& prog, Backend be,
 
 /// The six logical counters both engines and every recovery path must
 /// reproduce exactly. Fast-path counters (guardCacheHits, rangeSplits,
-/// guardedItersSaved) are excluded by design: range splitting is disabled
-/// under checkpointing and cache hits depend on table lifetimes.
+/// guardedItersSaved) are excluded by design: the VM never splits under
+/// checkpointing, the walker never splits, and cache hits depend on table
+/// lifetimes.
 void expectLogicalEq(const RunResult& a, const RunResult& b,
                      const std::string& what) {
   EXPECT_EQ(a.digest, b.digest) << what << ": result digests differ";
@@ -144,20 +146,20 @@ class RecoveryDifferential : public ::testing::TestWithParam<const char*> {};
 TEST_P(RecoveryDifferential, CrashRecoverMatchesFaultFreeTreeWalk) {
   il::Program prog = loadExample(GetParam());
   RunResult base = baselineRun(prog, Backend::TreeWalk);
-  RunResult rec = crashRecoverRun(prog, Backend::TreeWalk, 0, 32);
+  RunResult rec = crashRecoverRun(prog, 0, 32);
   // A program with no communication (vecadd) never trips a send-triggered
   // crash; the differential still checks the checkpointing machinery is
   // inert on its results.
   if (base.net.messagesSent > 0) {
     EXPECT_GE(rec.recoveries, 1u) << "crash never triggered";
   }
-  expectLogicalEq(base, rec, std::string(GetParam()) + " (tree)");
+  expectLogicalEq(base, rec, std::string(GetParam()) + " (vs reference)");
 }
 
 TEST_P(RecoveryDifferential, CrashRecoverMatchesFaultFreeBytecode) {
   il::Program prog = loadExample(GetParam());
   RunResult base = baselineRun(prog, Backend::Bytecode);
-  RunResult rec = crashRecoverRun(prog, Backend::Bytecode, 0, 32);
+  RunResult rec = crashRecoverRun(prog, 0, 32);
   if (base.net.messagesSent > 0) {
     EXPECT_GE(rec.recoveries, 1u) << "crash never triggered";
   }
@@ -168,13 +170,11 @@ TEST_P(RecoveryDifferential, LateCrashRecoversFromMidRunSnapshot) {
   // A later crash budget lets periodic captures land first, so recovery
   // restores a mid-run snapshot rather than the genesis one.
   il::Program prog = loadExample(GetParam());
-  for (Backend be : {Backend::TreeWalk, Backend::Bytecode}) {
-    RunResult base = baselineRun(prog, be);
-    RunResult rec = crashRecoverRun(prog, be, 3, 16);
-    if (rec.recoveries == 0) continue;  // p1 sent too few messages to die
-    EXPECT_GE(rec.snapshots, 1u);
-    expectLogicalEq(base, rec, std::string(GetParam()) + " (late crash)");
-  }
+  RunResult base = baselineRun(prog, Backend::TreeWalk);
+  RunResult rec = crashRecoverRun(prog, 3, 16);
+  if (rec.recoveries == 0) return;  // p1 sent too few messages to die
+  EXPECT_GE(rec.snapshots, 1u);
+  expectLogicalEq(base, rec, std::string(GetParam()) + " (late crash)");
 }
 
 INSTANTIATE_TEST_SUITE_P(Examples, RecoveryDifferential,
@@ -182,6 +182,8 @@ INSTANTIATE_TEST_SUITE_P(Examples, RecoveryDifferential,
                                            "cannon.xdp", "ownership.xdp",
                                            "taskfarm.xdp"));
 
+/// Preemption runs on the VM; the parameter names the engine of the
+/// fault-free baseline (the reference walker, or the VM itself).
 class PreemptResume : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(PreemptResume, PreemptThenResumeSameRuntimeMatchesFaultFree) {
@@ -191,7 +193,6 @@ TEST_P(PreemptResume, PreemptThenResumeSameRuntimeMatchesFaultFree) {
   rt::Runtime* rtp = nullptr;
   std::atomic<bool> armed{true};
   InterpOptions io;
-  io.backend = GetParam();
   io.stepHook = [&](rt::Proc& p) {
     if (p.mypid() == 0 && armed.exchange(false)) rtp->requestPreempt();
   };
@@ -224,7 +225,6 @@ TEST_P(PreemptResume, SnapshotSurvivesSerializationIntoFreshRuntime) {
     rt::Runtime* rtp = nullptr;
     std::atomic<bool> armed{true};
     InterpOptions io;
-    io.backend = GetParam();
     io.stepHook = [&](rt::Proc& p) {
       if (p.mypid() == 0 && armed.exchange(false)) rtp->requestPreempt();
     };
@@ -238,9 +238,7 @@ TEST_P(PreemptResume, SnapshotSurvivesSerializationIntoFreshRuntime) {
     encoded = ckpt::encodeSnapshot(in.runtime().takePreemptSnapshot());
   }
 
-  InterpOptions io2;
-  io2.backend = GetParam();
-  Interpreter in2(prog, {}, io2);
+  Interpreter in2(prog);
   in2.runtime().enableCheckpointing({});
   apps::registerFillKernel(in2, 42);
   apps::registerFftKernels(in2);
@@ -254,12 +252,14 @@ INSTANTIATE_TEST_SUITE_P(Backends, PreemptResume,
                                            Backend::Bytecode));
 
 TEST(Recovery, CrossEngineResumeIsRejected) {
+  // A snapshot whose continuation carries the retired tree-walker tag
+  // (engine 1) must be refused, not reinterpreted as VM state.
   il::Program prog = loadExample("vecadd.xdp");
   std::vector<std::byte> encoded;
   {
     rt::Runtime* rtp = nullptr;
     std::atomic<bool> armed{true};
-    InterpOptions io;  // tree walker
+    InterpOptions io;
     io.stepHook = [&](rt::Proc& p) {
       if (p.mypid() == 0 && armed.exchange(false)) rtp->requestPreempt();
     };
@@ -269,11 +269,11 @@ TEST(Recovery, CrossEngineResumeIsRejected) {
     apps::registerFillKernel(in, 42);
     in.run();
     ASSERT_TRUE(in.runtime().preempted());
-    encoded = ckpt::encodeSnapshot(in.runtime().takePreemptSnapshot());
+    ckpt::Snapshot snap = in.runtime().takePreemptSnapshot();
+    for (ckpt::ContImage& c : snap.conts) c.engine = 1;
+    encoded = ckpt::encodeSnapshot(snap);
   }
-  InterpOptions io2;
-  io2.backend = Backend::Bytecode;
-  Interpreter in2(prog, {}, io2);
+  Interpreter in2(prog);
   in2.runtime().enableCheckpointing({});
   apps::registerFillKernel(in2, 42);
   in2.runtime().restoreFrom(ckpt::decodeSnapshot(encoded));
@@ -281,13 +281,23 @@ TEST(Recovery, CrossEngineResumeIsRejected) {
   // a single XdpError naming the failed processors.
   try {
     in2.run();
-    FAIL() << "cross-engine resume was not rejected";
+    FAIL() << "a retired-engine continuation was not rejected";
   } catch (const xdp::XdpError& e) {
     EXPECT_NE(std::string(e.what()).find(
                   "cannot resume a continuation captured by another engine"),
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(Recovery, ReferenceWalkerRefusesCheckpointing) {
+  il::Program prog = loadExample("vecadd.xdp");
+  InterpOptions io;
+  io.backend = Backend::TreeWalk;
+  Interpreter in(prog, {}, io);
+  in.runtime().enableCheckpointing({});
+  apps::registerFillKernel(in, 42);
+  EXPECT_THROW(in.run(), xdp::UsageError);
 }
 
 TEST(Recovery, ProgramHashMismatchIsRejected) {
@@ -305,13 +315,12 @@ TEST(Recovery, ProgramHashMismatchIsRejected) {
 
 TEST(Recovery, CheckpointingRunWithoutFaultsMatchesPlainRun) {
   // Steady state: enabling checkpointing (with periodic captures) must
-  // not perturb results or logical counters.
+  // not perturb results or logical counters against either engine's
+  // plain run.
   il::Program prog = loadExample("cannon.xdp");
   for (Backend be : {Backend::TreeWalk, Backend::Bytecode}) {
     RunResult base = baselineRun(prog, be);
-    InterpOptions io;
-    io.backend = be;
-    Interpreter in(prog, {}, io);
+    Interpreter in(prog);
     ckpt::CkptOptions co;
     co.intervalSteps = 64;
     in.runtime().enableCheckpointing(co);
@@ -324,7 +333,7 @@ TEST(Recovery, CheckpointingRunWithoutFaultsMatchesPlainRun) {
   }
 }
 
-/// Capture stress: checkpointing a fault-free run at fine and coarse
+/// Capture stress: checkpointing a fault-free VM run at fine and coarse
 /// intervals, again and again, must leave the run exactly as it is
 /// without checkpointing: same digest, same NetStats and the same
 /// makespan. The task farm's makespan depends on rendezvous match order,
@@ -337,36 +346,31 @@ TEST_P(CaptureStress, CheckpointedRunsMatchPlainRun) {
   constexpr int kReps = 10;
   const std::string name = GetParam();
   const il::Program prog = loadExample(name);
-  for (Backend be : {Backend::TreeWalk, Backend::Bytecode}) {
-    const RunResult base = baselineRun(prog, be);
-    for (std::uint64_t interval : {1, 7, 64}) {
-      for (int rep = 0; rep < kReps; ++rep) {
-        InterpOptions io;
-        io.backend = be;
-        Interpreter in(prog, {}, io);
-        ckpt::CkptOptions co;
-        co.intervalSteps = interval;
-        in.runtime().enableCheckpointing(co);
-        apps::registerFillKernel(in, 42);
-        apps::registerFftKernels(in);
-        in.run();
-        const RunResult r = gather(in);
-        const std::string what =
-            name + (be == Backend::TreeWalk ? " tree" : " vm") +
-            " interval " + std::to_string(interval) + " run " +
-            std::to_string(rep);
-        EXPECT_EQ(r.recoveries, 0u) << what;
-        EXPECT_GE(r.snapshots, 1u) << what;
-        expectLogicalEq(base, r, what);
-        EXPECT_EQ(r.net.messagesReceived, base.net.messagesReceived) << what;
-        EXPECT_EQ(r.net.bytesReceived, base.net.bytesReceived) << what;
-        EXPECT_EQ(r.net.rendezvousSends, base.net.rendezvousSends) << what;
-        EXPECT_EQ(r.net.directSends, base.net.directSends) << what;
-        EXPECT_EQ(r.net.unexpectedMessages, base.net.unexpectedMessages)
-            << what;
-        if (name != "taskfarm.xdp") {
-          EXPECT_EQ(r.makespan, base.makespan) << what;
-        }
+  const RunResult base = baselineRun(prog, Backend::Bytecode);
+  for (std::uint64_t interval : {1, 7, 64}) {
+    for (int rep = 0; rep < kReps; ++rep) {
+      Interpreter in(prog);
+      ckpt::CkptOptions co;
+      co.intervalSteps = interval;
+      in.runtime().enableCheckpointing(co);
+      apps::registerFillKernel(in, 42);
+      apps::registerFftKernels(in);
+      in.run();
+      const RunResult r = gather(in);
+      const std::string what = name + " interval " +
+                               std::to_string(interval) + " run " +
+                               std::to_string(rep);
+      EXPECT_EQ(r.recoveries, 0u) << what;
+      EXPECT_GE(r.snapshots, 1u) << what;
+      expectLogicalEq(base, r, what);
+      EXPECT_EQ(r.net.messagesReceived, base.net.messagesReceived) << what;
+      EXPECT_EQ(r.net.bytesReceived, base.net.bytesReceived) << what;
+      EXPECT_EQ(r.net.rendezvousSends, base.net.rendezvousSends) << what;
+      EXPECT_EQ(r.net.directSends, base.net.directSends) << what;
+      EXPECT_EQ(r.net.unexpectedMessages, base.net.unexpectedMessages)
+          << what;
+      if (name != "taskfarm.xdp") {
+        EXPECT_EQ(r.makespan, base.makespan) << what;
       }
     }
   }

@@ -1,8 +1,8 @@
-// Differential testing of the bytecode VM against the tree-walking
-// interpreter (the oracle). Both backends must produce bit-identical
-// results (FNV-1a digest over every array's final contents), identical
-// logical InterpStats, and identical deterministic NetStats on every
-// example program and every pipeline stage.
+// Differential testing of the bytecode VM against the reference tree
+// walker (the oracle). Both engines must produce bit-identical results
+// (FNV-1a digest over every array's final contents), identical logical
+// InterpStats, and identical deterministic NetStats on every example
+// program and every pipeline stage.
 //
 // Deliberately NOT compared:
 //   * unexpectedMessages / rendezvousSends — the rendezvous-vs-unexpected
@@ -10,7 +10,8 @@
 //     message arrival and receive posting, and varies run-to-run on a
 //     single backend;
 //   * guardCacheHits / rangeSplits / guardedItersSaved — non-logical
-//     fast-path counters; the VM never range-splits by design.
+//     fast-path counters; only the VM range-splits (SplitParity pins its
+//     split counts on the example programs).
 //   * makespan, for programs that use the FCFS matchmaker (taskfarm) —
 //     which worker draws which job depends on real-time arrival order, so
 //     the virtual-time critical path is not comparable across two
@@ -232,21 +233,54 @@ TEST(VmDifferential, ErrorSurfacesMatchAcrossBackends) {
 }
 
 TEST(VmDifferential, ServeSessionsMatchAcrossBackends) {
+  // Sessions run the VM; the reference walker runs the same program (the
+  // session's pipeline applied by hand) outside the server.
   for (bool pipeline : {false, true}) {
+    il::Program prog = loadExample("jacobi.xdp");
     serve::SessionRequest req;
     req.name = "diff";
-    req.program = std::make_shared<il::Program>(loadExample("jacobi.xdp"));
+    req.program = std::make_shared<il::Program>(prog);
     req.usePipeline = pipeline;
-    serve::SessionOptions treeOpts, vmOpts;
-    vmOpts.backend = Backend::Bytecode;
-    serve::SessionReport t = serve::runSession(req, treeOpts, 1);
-    serve::SessionReport v = serve::runSession(req, vmOpts, 2);
-    ASSERT_EQ(t.outcome, serve::SessionOutcome::Completed) << t.error;
+    serve::SessionReport v = serve::runSession(req, {}, 1);
     ASSERT_EQ(v.outcome, serve::SessionOutcome::Completed) << v.error;
-    EXPECT_EQ(t.resultDigest, v.resultDigest);
+    if (pipeline) {
+      for (const auto& pass : opt::standardPipeline()) prog = pass.fn(prog);
+    }
+    RunResult t = runWith(prog, Backend::TreeWalk, req.fillSeed);
+    EXPECT_EQ(t.digest, v.resultDigest);
     EXPECT_EQ(t.stats.stmtsExecuted, v.stats.stmtsExecuted);
     EXPECT_EQ(t.stats.rulesEvaluated, v.stats.rulesEvaluated);
-    EXPECT_EQ(t.net.messagesSent, v.net.messagesSent);
+    EXPECT_EQ(t.messagesSent, v.net.messagesSent);
+  }
+}
+
+TEST(SplitParity, ExamplesSplitLikeTheRetiredWalkerSplit) {
+  // The VM's split op replaces the tree walker's range split, which was
+  // the default engine before. On each example, raw and after the
+  // standard pipeline, the VM must split as many loops and skip as many
+  // guard evaluations as that walker did (recorded from it).
+  struct Want {
+    const char* name;
+    bool pipeline;
+    std::uint64_t rangeSplits, guardedItersSaved;
+  };
+  const Want wants[] = {
+      {"vecadd.xdp", false, 0, 0},    {"vecadd.xdp", true, 0, 0},
+      {"jacobi.xdp", false, 12, 24},  {"jacobi.xdp", true, 0, 0},
+      {"cannon.xdp", false, 0, 0},    {"cannon.xdp", true, 0, 0},
+      {"ownership.xdp", false, 0, 0}, {"ownership.xdp", true, 0, 0},
+      {"taskfarm.xdp", false, 0, 0},  {"taskfarm.xdp", true, 0, 0},
+  };
+  for (const Want& w : wants) {
+    il::Program prog = loadExample(w.name);
+    if (w.pipeline) {
+      for (const auto& pass : opt::standardPipeline()) prog = pass.fn(prog);
+    }
+    const RunResult vm = runWith(prog, Backend::Bytecode);
+    const std::string what =
+        std::string(w.name) + (w.pipeline ? " pipeline" : " raw");
+    EXPECT_EQ(vm.stats.rangeSplits, w.rangeSplits) << what;
+    EXPECT_EQ(vm.stats.guardedItersSaved, w.guardedItersSaved) << what;
   }
 }
 

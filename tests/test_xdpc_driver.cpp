@@ -1,8 +1,9 @@
 // End-to-end tests of the xdpc driver's exit-code contract and diagnostic
 // formatting: 0 = success, 1 = diagnostics or a compile/run failure,
-// 2 = usage error (bad flag, unknown pass, missing file operand). Runs the
-// real binary (XDPC_PATH) against the shipped programs and against seeded
-// defect programs written to a temp directory.
+// 2 = usage error (bad flag or option value, unknown pass, missing file
+// operand). Runs the real binary (XDPC_PATH) against the shipped programs
+// and against seeded defect programs written to a temp directory, and
+// holds xdp_serve (XDP_SERVE_PATH) to the same usage-error code.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,8 +20,8 @@ struct RunResult {
   std::string output;  // stdout + stderr interleaved
 };
 
-RunResult runXdpc(const std::string& args) {
-  std::string cmd = std::string(XDPC_PATH) + " " + args + " 2>&1";
+RunResult runTool(const std::string& tool, const std::string& args) {
+  std::string cmd = tool + " " + args + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
   RunResult r;
@@ -32,6 +33,8 @@ RunResult runXdpc(const std::string& args) {
   }
   return r;
 }
+
+RunResult runXdpc(const std::string& args) { return runTool(XDPC_PATH, args); }
 
 std::string programPath(const std::string& name) {
   return std::string(XDP_PROGRAMS_DIR) + "/" + name;
@@ -139,6 +142,33 @@ TEST(XdpcDriver, UsageErrorsExitTwo) {
   EXPECT_EQ(runXdpc(programPath("vecadd.xdp") + " --passes no-such-pass")
                 .exitCode,
             2);
+  // One engine: the retired engine switch is an unknown option.
+  EXPECT_EQ(runXdpc(programPath("vecadd.xdp") + " --run --backend=vm")
+                .exitCode,
+            2);
+  // Malformed numeric values are usage errors, never an uncaught
+  // exception (exit 134) or a silent wrap-around.
+  for (const char* bad :
+       {" --run --seed abc", " --run --seed 99999999999999999999999",
+        " --run --seed 12x", " --run --seed -1", " --run --seed ''",
+        " --run --checkpoint-interval -5",
+        " --run --checkpoint-interval 1e3"}) {
+    const RunResult r = runXdpc(programPath("vecadd.xdp") + bad);
+    EXPECT_EQ(r.exitCode, 2) << bad << "\n" << r.output;
+  }
+}
+
+TEST(XdpServeDriver, UsageErrorsExitTwo) {
+  const std::string prog = programPath("vecadd.xdp");
+  for (const char* bad :
+       {" --workers x", " --workers 0", " --checkpoint-steps -1",
+        " --sessions 99999999999", " --seed abc", " --drop 1.5",
+        " --drop nan", " --crash -1", " --max-steps 5k"}) {
+    const RunResult r = runTool(XDP_SERVE_PATH, prog + bad);
+    EXPECT_EQ(r.exitCode, 2) << bad << "\n" << r.output;
+  }
+  const RunResult ok = runTool(XDP_SERVE_PATH, prog + " --workers 2");
+  EXPECT_EQ(ok.exitCode, 0) << ok.output;
 }
 
 TEST(XdpcDriver, MissingFileExitsOne) {
@@ -163,7 +193,7 @@ long long numberAfter(const std::string& text, const std::string& tag) {
 TEST(XdpcDriver, CostReportMatchesRuntimeTrafficBitExactly) {
   // The tentpole contract: on every shipped program, under the standard
   // pipeline, the static model's bytes and messages equal the NetStats
-  // counters --run prints — on both backends.
+  // counters --run prints.
   const char* programs[] = {"vecadd.xdp", "jacobi.xdp", "cannon.xdp",
                             "ownership.xdp", "taskfarm.xdp"};
   for (const char* name : programs) {
@@ -175,19 +205,15 @@ TEST(XdpcDriver, CostReportMatchesRuntimeTrafficBitExactly) {
       ASSERT_GE(bytes, 0) << name << extra << "\n" << cost.output;
       EXPECT_NE(cost.output.find("(exact)"), std::string::npos)
           << name << extra << "\n" << cost.output;
-      for (const char* backend : {"tree", "vm"}) {
-        RunResult run = runXdpc(programPath(name) + extra +
-                                " --run --backend=" + backend);
-        ASSERT_EQ(run.exitCode, 0) << name << extra << "\n" << run.output;
-        // "..., <bytes> bytes, ..." from the run summary.
-        auto pos = run.output.find("unexpected), ");
-        ASSERT_NE(pos, std::string::npos) << run.output;
-        const long long measured =
-            std::strtoll(run.output.c_str() + pos + 13, nullptr, 10);
-        EXPECT_EQ(bytes, measured)
-            << name << extra << " backend=" << backend << "\n"
-            << cost.output << run.output;
-      }
+      RunResult run = runXdpc(programPath(name) + extra + " --run");
+      ASSERT_EQ(run.exitCode, 0) << name << extra << "\n" << run.output;
+      // "..., <bytes> bytes, ..." from the run summary.
+      auto pos = run.output.find("unexpected), ");
+      ASSERT_NE(pos, std::string::npos) << run.output;
+      const long long measured =
+          std::strtoll(run.output.c_str() + pos + 13, nullptr, 10);
+      EXPECT_EQ(bytes, measured)
+          << name << extra << "\n" << cost.output << run.output;
     }
   }
 }

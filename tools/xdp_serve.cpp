@@ -24,11 +24,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "xdp/serve/server.hpp"
+#include "xdp/support/cli.hpp"
 
 namespace {
 
@@ -87,42 +89,56 @@ int main(int argc, char** argv) {
     return argv[i];
   };
 
+  // Every numeric option goes through the one checked parser: a
+  // malformed, wrongly signed or out-of-range value is a usage error.
+  auto num = [&](int& i, auto lo, decltype(lo) hi) {
+    const char* opt = argv[i];
+    const char* text = nextArg(i);
+    const auto v = cli::parseNumber(text, lo, hi);
+    if (!v) {
+      std::fprintf(stderr, "xdp_serve: bad value for %s: '%s'\n", opt, text);
+      usage(argv[0]);
+      std::exit(2);
+    }
+    return *v;
+  };
+  constexpr int kInt = std::numeric_limits<int>::max();
+  constexpr std::uint64_t kU64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kU0 = 0;
+
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--sessions") sessions = std::stoi(nextArg(i));
-    else if (arg == "--workers") cfg.workers = std::stoi(nextArg(i));
-    else if (arg == "--max-pending") cfg.maxPending = std::stoi(nextArg(i));
+    if (arg == "--sessions") sessions = num(i, 0, kInt);
+    else if (arg == "--workers") cfg.workers = num(i, 1, kInt);
+    else if (arg == "--max-pending") cfg.maxPending = num(i, 1, kInt);
     else if (arg == "--pipeline") proto.usePipeline = true;
     else if (arg == "--no-analyze") proto.analyze = false;
-    else if (arg == "--seed") proto.fillSeed = std::stoull(nextArg(i));
-    else if (arg == "--retries")
-      cfg.session.retry.maxAttempts = std::stoi(nextArg(i));
+    else if (arg == "--seed") proto.fillSeed = num(i, kU0, kU64);
+    else if (arg == "--retries") cfg.session.retry.maxAttempts = num(i, 0, kInt);
     else if (arg == "--watchdog-ms")
-      cfg.session.watchdogMs = std::stoi(nextArg(i));
-    else if (arg == "--max-steps")
-      proto.quotas.maxSteps = std::stoull(nextArg(i));
+      cfg.session.watchdogMs = num(i, -kInt - 1, kInt);
+    else if (arg == "--max-steps") proto.quotas.maxSteps = num(i, kU0, kU64);
     else if (arg == "--max-bytes")
-      proto.quotas.maxResidentBytes = std::stoull(nextArg(i));
-    else if (arg == "--max-msgs")
-      proto.quotas.maxMessages = std::stoull(nextArg(i));
-    else if (arg == "--wall-ms") proto.quotas.wallBudgetMs = std::stoi(nextArg(i));
-    else if (arg == "--drop") { plan.dropProb = std::stod(nextArg(i)); anyFault = true; }
+      proto.quotas.maxResidentBytes = num(i, kU0, kU64);
+    else if (arg == "--max-msgs") proto.quotas.maxMessages = num(i, kU0, kU64);
+    else if (arg == "--wall-ms") proto.quotas.wallBudgetMs = num(i, 0, kInt);
+    else if (arg == "--drop") { plan.dropProb = num(i, 0.0, 1.0); anyFault = true; }
     else if (arg == "--delay") {
-      plan.delayProb = std::stod(nextArg(i));
+      plan.delayProb = num(i, 0.0, 1.0);
       plan.maxDelay = 1e-4;
       anyFault = true;
     } else if (arg == "--crash") {
-      plan.crashPids.push_back(std::stoi(nextArg(i)));
+      plan.crashPids.push_back(num(i, 0, kInt));
       anyFault = true;
     } else if (arg == "--crash-recover") {
       plan.crashFate = net::CrashFate::Recover;
       anyFault = true;
     } else if (arg == "--checkpoint-steps")
-      proto.checkpointIntervalSteps = std::stoull(nextArg(i));
+      proto.checkpointIntervalSteps = num(i, kU0, kU64);
     else if (arg == "--preempt-steps")
-      proto.preemptAfterSteps = std::stoull(nextArg(i));
+      proto.preemptAfterSteps = num(i, kU0, kU64);
     else if (arg == "--spill-dir") cfg.session.spillDir = nextArg(i);
-    else if (arg == "--fault-seed") plan.seed = std::stoull(nextArg(i));
+    else if (arg == "--fault-seed") plan.seed = num(i, kU0, kU64);
     else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return usage(argv[0]);

@@ -15,9 +15,11 @@
 // reports traffic and modeled-time statistics after the SPMD region.
 //
 // Exit codes: 0 = success, 1 = diagnostics reported or a compile/run
-// failure, 2 = usage error (bad flag, unknown pass, missing file).
+// failure, 2 = usage error (bad flag or option value, unknown pass,
+// missing file).
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -32,6 +34,7 @@
 #include "xdp/il/printer.hpp"
 #include "xdp/opt/auto_place.hpp"
 #include "xdp/opt/passes.hpp"
+#include "xdp/support/cli.hpp"
 #include "xdp/support/json.hpp"
 
 namespace {
@@ -78,9 +81,6 @@ int usage(const char* argv0) {
                "                     violation (implies --pipeline if no\n"
                "                     passes are named)\n"
                "  --run              execute on the simulated machine\n"
-               "  --backend=tree|vm  execution engine for --run: the\n"
-               "                     tree-walking interpreter (default) or\n"
-               "                     the compiled bytecode VM\n"
                "  --debug-checks     enforce the Figure-1 usage rules\n"
                "  --seed N           fill-kernel seed (default 42)\n"
                "  --checkpoint-dir DIR\n"
@@ -103,10 +103,24 @@ int main(int argc, char** argv) {
   bool print = false, parseable = false, run = false, trace = false;
   bool debugChecks = false, analyze = false, verifyPasses = false;
   bool cost = false, autoPlace = false, jsonFormat = false;
-  interp::Backend backend = interp::Backend::TreeWalk;
   std::uint64_t seed = 42;
   std::string ckptDir;
   std::uint64_t ckptInterval = 0;
+
+  // Every numeric option goes through the one checked parser: a
+  // malformed, signed or out-of-range value is a usage error.
+  auto number = [&](int& i, std::uint64_t& out) {
+    if (++i >= argc) return false;
+    const auto v = cli::parseNumber<std::uint64_t>(
+        argv[i], 0, std::numeric_limits<std::uint64_t>::max());
+    if (!v) {
+      std::fprintf(stderr, "xdpc: bad value for %s: '%s'\n", argv[i - 1],
+                   argv[i]);
+      return false;
+    }
+    out = *v;
+    return true;
+  };
 
   auto reg = passRegistry();
   for (int i = 1; i < argc; ++i) {
@@ -114,8 +128,6 @@ int main(int argc, char** argv) {
     if (arg == "--print") print = true;
     else if (arg == "--parseable") parseable = true;
     else if (arg == "--run") run = true;
-    else if (arg == "--backend=tree") backend = interp::Backend::TreeWalk;
-    else if (arg == "--backend=vm") backend = interp::Backend::Bytecode;
     else if (arg == "--trace") trace = true;
     else if (arg == "--debug-checks") debugChecks = true;
     else if (arg == "--analyze") analyze = true;
@@ -132,14 +144,12 @@ int main(int argc, char** argv) {
       std::string name;
       while (std::getline(ss, name, ',')) passNames.push_back(name);
     } else if (arg == "--seed") {
-      if (++i >= argc) return usage(argv[0]);
-      seed = std::stoull(argv[i]);
+      if (!number(i, seed)) return usage(argv[0]);
     } else if (arg == "--checkpoint-dir") {
       if (++i >= argc) return usage(argv[0]);
       ckptDir = argv[i];
     } else if (arg == "--checkpoint-interval") {
-      if (++i >= argc) return usage(argv[0]);
-      ckptInterval = std::stoull(argv[i]);
+      if (!number(i, ckptInterval)) return usage(argv[0]);
     } else if (arg == "--list-passes") {
       for (const auto& [name, fn] : reg) std::printf("%s\n", name.c_str());
       return 0;
@@ -275,9 +285,7 @@ int main(int argc, char** argv) {
     if (run) {
       rt::RuntimeOptions opts;
       opts.debugChecks = debugChecks;
-      interp::InterpOptions iopts;
-      iopts.backend = backend;
-      interp::Interpreter interp(prog, opts, iopts);
+      interp::Interpreter interp(prog, opts);
       apps::registerFillKernel(interp, seed);
       apps::registerFftKernels(interp);
       if (!ckptDir.empty() || ckptInterval > 0) {
