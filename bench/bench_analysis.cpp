@@ -5,16 +5,22 @@
 // processor, so stmts/sec is the end-to-end figure a compile would see.
 //
 // The remaining rows cover the shapes that dominate the end-to-end
-// `compile` and `exchange` benchmark workloads: a rank-1 update through
-// the standard pipeline with one array on CYCLIC(k) (k = 2 has 96 blocks
-// per processor, so every ownership query meets a fragmented local part),
-// the cost analyzer's placement-oblivious run (every guard undecidable),
-// and a rendezvous task farm whose matching is one large group.
+// `compile`, `exchange` and `serve` benchmark workloads: a rank-1 update
+// through the standard pipeline with one array on CYCLIC(k) (k = 2 has 96
+// blocks per processor, so every ownership query meets a fragmented local
+// part), the cost analyzer's placement-oblivious run (every guard
+// undecidable), a rendezvous task farm whose matching is one large group,
+// and serve's analysis gate on its halo (b-element blocks, 20 sweeps) and
+// ownership ring (32-element blocks, n steps), two processors each, whose
+// inner element loops the verifier summarizes.
 //
 // Reported counters (per run):
-//   stmts       abstract statements interpreted across all processors
-//   stmts/s     verification throughput
-//   diags       diagnostics produced (0 on these programs)
+//   stmts             abstract statements charged across all processors
+//   stmts/s           verification throughput
+//   loops_summarized  loop executions verified by one section-granular
+//                     summary instead of per iteration
+//   diags             diagnostics produced (0 errors on these programs;
+//                     the ring's one await-ordering warning counts)
 #include <benchmark/benchmark.h>
 
 #include "xdp/analysis/verifier.hpp"
@@ -30,21 +36,23 @@ namespace {
 
 void runVerify(benchmark::State& state, const il::Program& prog,
                const analysis::VerifyOptions& opts = {}) {
-  std::uint64_t stmts = 0;
+  std::uint64_t stmts = 0, loops = 0;
   std::size_t diags = 0;
   for (auto _ : state) {
     analysis::VerifyResult r = analysis::verifyProgram(prog, opts);
     benchmark::DoNotOptimize(r);
     stmts += r.stmtsAnalyzed;
+    loops += r.loopsSummarized;
     diags += r.diagnostics.size();
   }
-  state.counters["stmts"] =
-      benchmark::Counter(static_cast<double>(stmts) /
-                         static_cast<double>(state.iterations()));
+  const auto perRun = [&](double v) {
+    return benchmark::Counter(v / static_cast<double>(state.iterations()));
+  };
+  state.counters["stmts"] = perRun(static_cast<double>(stmts));
   state.counters["stmts/s"] = benchmark::Counter(
       static_cast<double>(stmts), benchmark::Counter::kIsRate);
-  state.counters["diags"] = benchmark::Counter(
-      static_cast<double>(diags) / static_cast<double>(state.iterations()));
+  state.counters["loops_summarized"] = perRun(static_cast<double>(loops));
+  state.counters["diags"] = perRun(static_cast<double>(diags));
 }
 
 void BM_VerifyVecAddRaw(benchmark::State& state) {
@@ -104,5 +112,15 @@ void BM_VerifyFarm(benchmark::State& state) {
   runVerify(state, il::parseProgram(testprog::farmText(2, jobs, jobs)));
 }
 BENCHMARK(BM_VerifyFarm)->Arg(2000);
+
+void BM_VerifyHalo(benchmark::State& state) {
+  runVerify(state, il::parseProgram(testprog::haloText(2, state.range(0), 20)));
+}
+BENCHMARK(BM_VerifyHalo)->Arg(256)->Arg(1024)->Unit(benchmark::kMicrosecond);
+
+void BM_VerifyRing(benchmark::State& state) {
+  runVerify(state, il::parseProgram(testprog::ringText(2, 32, state.range(0))));
+}
+BENCHMARK(BM_VerifyRing)->Arg(80)->Arg(800)->Unit(benchmark::kMillisecond);
 
 }  // namespace

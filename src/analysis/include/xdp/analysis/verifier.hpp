@@ -10,6 +10,9 @@
 // interpretation is usually *exact*: per (pid, symbol) it tracks the owned
 // region set (including transitional subsections), the pending receive
 // initiations, and the regions whose ownership was transferred away.
+// A loop of element assignments only is checked once per owned iteration
+// set rather than per iteration when that proves it clean; any loop that
+// could raise a diagnostic is unrolled.
 // Wherever exactness is lost — a data-dependent rule or loop bound — the
 // state joins to Top and the verifier goes silent on the affected facts
 // rather than risk a false positive; VerifyResult::exhaustive reports
@@ -117,6 +120,10 @@ struct VerifyResult {
   /// stayed silent about parts of the program (never the reverse).
   bool exhaustive = true;
   std::uint64_t stmtsAnalyzed = 0;
+  /// Loop executions verified by one section-granular summary instead of
+  /// per iteration (DESIGN.md §7). They are charged the steps unrolling
+  /// would take, so stmtsAnalyzed does not depend on this count.
+  std::uint64_t loopsSummarized = 0;
   /// Populated when VerifyOptions::collectCost is set.
   std::vector<CostEvent> costEvents;
 

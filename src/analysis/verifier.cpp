@@ -15,7 +15,9 @@
 #include "xdp/analysis/verifier.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -572,6 +574,7 @@ class PidExec {
     std::optional<Index> stp =
         s->step ? knownInt(evalValue(s->step)) : std::optional<Index>(1);
     if (lb && ub && stp && *stp > 0) {
+      if (summarizeLoop(s, *lb, *ub, *stp)) return;
       const int var = bindOf(s);
       for (Index i = *lb; i <= *ub;) {
         slotMut(var) = Slot{true, Value(i)};
@@ -614,6 +617,315 @@ class PidExec {
     --condDepth_;
     joinRegion();
     closeRegion();
+  }
+
+  // --- loop summaries ----------------------------------------------------
+  //
+  // A loop body of blocks and element assignments, under at most one
+  // iown/accessible guard of a literal point, changes no ownership state:
+  // every iteration meets the state the loop started in. Its iterations
+  // are then checked a section at a time (paper §3.1): the guard's owned
+  // pieces are pulled back to iteration sets, each set is pushed through
+  // every subscript, and each image gets one covers and one
+  // pending-overlap test. The summary is taken only when every test
+  // passes, so it never has a diagnostic to raise; any other loop unrolls.
+
+  /// a * v + b in the loop variable v.
+  struct Affine {
+    Index a = 0;
+    Index b = 0;
+  };
+
+  /// An element reference of a summarizable body.
+  struct Access {
+    int sym;
+    const il::SectionExpr* point;
+  };
+
+  struct LoopShape {
+    const Stmt* guard = nullptr;   ///< the iown/accessible guard, if any
+    std::uint64_t perIter = 0;     ///< steps every iteration is charged
+    std::uint64_t perGuarded = 0;  ///< steps a guarded iteration adds
+    std::vector<Access> accesses;  ///< element reads and writes
+  };
+
+  static bool isLiteralPoint(const SectionExprPtr& se) {
+    if (!se || se->kind != SecExprKind::Literal || se->dims.empty() ||
+        se->dims.size() > static_cast<std::size_t>(sec::kMaxRank))
+      return false;
+    return std::all_of(se->dims.begin(), se->dims.end(),
+                       [](const il::TripletExpr& t) {
+                         return t.lb && !t.ub && !t.stride;
+                       });
+  }
+
+  /// Collect the element reads of `e`; false on an expression kind whose
+  /// evaluation queries or changes ownership state.
+  static bool collectReads(const ExprPtr& e, std::vector<Access>& out) {
+    if (!e) return true;
+    switch (e->kind) {
+      case ExprKind::IntConst:
+      case ExprKind::RealConst:
+      case ExprKind::ScalarRef:
+      case ExprKind::MyPid:
+      case ExprKind::NProcs:
+        return true;
+      case ExprKind::Bin:
+        return collectReads(e->lhs, out) && collectReads(e->rhs, out);
+      case ExprKind::Neg:
+      case ExprKind::Not:
+        return collectReads(e->lhs, out);
+      case ExprKind::Elem:
+        if (!isLiteralPoint(e->section)) return false;
+        out.push_back(Access{e->sym, e->section.get()});
+        return true;
+      default:
+        return false;
+    }
+  }
+
+  /// Count the statements of a tree of blocks and element assignments and
+  /// collect its element references; false on any other statement.
+  static bool collectBody(const StmtPtr& s, std::uint64_t& nodes,
+                          std::vector<Access>& out) {
+    if (!s) return true;
+    ++nodes;
+    if (s->kind == StmtKind::Block) {
+      for (const auto& c : s->stmts)
+        if (!collectBody(c, nodes, out)) return false;
+      return true;
+    }
+    if (s->kind != StmtKind::ElemAssign || !isLiteralPoint(s->lhs))
+      return false;
+    out.push_back(Access{s->sym, s->lhs.get()});
+    return collectReads(s->rhs, out);
+  }
+
+  /// Single-statement blocks down to an optional guard (the VM's split
+  /// shape, DESIGN.md §9.3), then only blocks and element assignments.
+  static bool loopShape(const StmtPtr& body, LoopShape& sh) {
+    const StmtPtr* at = &body;
+    std::uint64_t chain = 0;
+    while (*at && (*at)->kind == StmtKind::Block &&
+           (*at)->stmts.size() == 1) {
+      ++chain;
+      at = &(*at)->stmts.front();
+    }
+    if (*at && (*at)->kind == StmtKind::Guarded) {
+      const ExprPtr& rule = (*at)->rule;
+      if (!rule ||
+          (rule->kind != ExprKind::Iown &&
+           rule->kind != ExprKind::Accessible) ||
+          !isLiteralPoint(rule->section))
+        return false;
+      sh.guard = at->get();
+      sh.perIter = chain + 1;
+      return collectBody((*at)->body, sh.perGuarded, sh.accesses);
+    }
+    return collectBody(body, sh.perIter, sh.accesses);
+  }
+
+  /// `e` as a * v + b, v the loop variable `var` running from lb to last:
+  /// built from integer literals, mypid, nprocs, v and integer scalars
+  /// known in the frame under + - * min max and negation. Each
+  /// subexpression is affine in v, so its values at the two ends bound it
+  /// on every iteration; they and its coefficients must lie strictly
+  /// within ±2^62 (decided in 128 bits). The wrapping evaluation of each
+  /// iteration is then exact, and the section algebra on the images has
+  /// room to work.
+  std::optional<Affine> affineOf(const ExprPtr& e, int var, Index lb,
+                                 Index last) const {
+    using I128 = __int128;
+    if (!e) return std::nullopt;
+    I128 a = 0, b = 0;
+    switch (e->kind) {
+      case ExprKind::IntConst:
+        b = e->intVal;
+        break;
+      case ExprKind::MyPid:
+        b = pid_;
+        break;
+      case ExprKind::NProcs:
+        b = prog_.nprocs;
+        break;
+      case ExprKind::ScalarRef: {
+        const int id = sh_.scalars.ofRef(e.get());
+        if (id < 0) return std::nullopt;
+        if (id == var) {
+          a = 1;
+          break;
+        }
+        const AbsVal& v = frame_.slots[static_cast<std::size_t>(id)].val;
+        if (!v || !std::holds_alternative<Index>(*v)) return std::nullopt;
+        b = std::get<Index>(*v);
+        break;
+      }
+      case ExprKind::Neg: {
+        const std::optional<Affine> x = affineOf(e->lhs, var, lb, last);
+        if (!x) return std::nullopt;
+        a = -I128{x->a};
+        b = -I128{x->b};
+        break;
+      }
+      case ExprKind::Bin: {
+        const std::optional<Affine> x = affineOf(e->lhs, var, lb, last);
+        if (!x) return std::nullopt;
+        const std::optional<Affine> y = affineOf(e->rhs, var, lb, last);
+        if (!y) return std::nullopt;
+        switch (e->op) {
+          case il::BinOp::Add:
+            a = I128{x->a} + y->a;
+            b = I128{x->b} + y->b;
+            break;
+          case il::BinOp::Sub:
+            a = I128{x->a} - y->a;
+            b = I128{x->b} - y->b;
+            break;
+          case il::BinOp::Mul:
+            if (x->a != 0 && y->a != 0) return std::nullopt;
+            a = I128{x->a} * y->b + I128{y->a} * x->b;
+            b = I128{x->b} * y->b;
+            break;
+          case il::BinOp::Min:
+          case il::BinOp::Max:
+            if (x->a != 0 || y->a != 0) return std::nullopt;
+            b = e->op == il::BinOp::Min ? std::min(x->b, y->b)
+                                        : std::max(x->b, y->b);
+            break;
+          default:
+            return std::nullopt;
+        }
+        break;
+      }
+      default:
+        return std::nullopt;
+    }
+    constexpr I128 kBound = I128{1} << 62;
+    for (const I128 v : {a, b, a * lb + b, a * last + b})
+      if (v <= -kBound || v >= kBound) return std::nullopt;
+    return Affine{static_cast<Index>(a), static_cast<Index>(b)};
+  }
+
+  /// The subscripts of a literal point as affine maps; false if one is not.
+  bool pointAffine(const il::SectionExpr& se, int var, Index lb, Index last,
+                   std::array<Affine, sec::kMaxRank>& out) const {
+    for (std::size_t d = 0; d < se.dims.size(); ++d) {
+      const std::optional<Affine> f = affineOf(se.dims[d].lb, var, lb, last);
+      if (!f) return false;
+      out[d] = *f;
+    }
+    return true;
+  }
+
+  /// The bounding section of the points `f` maps the iterations `it`
+  /// (within the loop) to: per dimension the image triplet, or the point
+  /// b where a = 0. nullopt if an image stride or the element count
+  /// leaves Index.
+  static std::optional<Section> hullOf(
+      const std::array<Affine, sec::kMaxRank>& f, int rank,
+      const Triplet& it) {
+    std::array<Triplet, sec::kMaxRank> dims{};
+    __int128 count = 1;
+    for (int d = 0; d < rank; ++d) {
+      const Affine& m = f[d];
+      dims[d] = Triplet(m.b);
+      if (m.a != 0) {
+        const __int128 stride =
+            (m.a < 0 ? -__int128{m.a} : __int128{m.a}) * it.stride();
+        if (stride > std::numeric_limits<Index>::max()) return std::nullopt;
+        const Index x = m.a * it.lb() + m.b, y = m.a * it.ub() + m.b;
+        dims[d] = m.a > 0 ? Triplet(x, y, static_cast<Index>(stride))
+                          : Triplet(y, x, static_cast<Index>(stride));
+      }
+      count *= dims[d].count();
+      if (count > std::numeric_limits<Index>::max()) return std::nullopt;
+    }
+    return Section(rank, dims);
+  }
+
+  /// Verify the loop lb:ub:step of `s` at section granularity. True when
+  /// every check passed: the steps unrolling would take are charged and
+  /// the loop variable holds its last value. False, with nothing
+  /// changed, when the loop must unroll.
+  bool summarizeLoop(const StmtPtr& s, Index lb, Index ub, Index step) {
+    using U128 = unsigned __int128;
+    if (lb > ub) return false;
+    LoopShape shape;
+    if (!loopShape(s->body, shape)) return false;
+    const auto ustep = static_cast<std::uint64_t>(step);
+    const std::uint64_t trips = (static_cast<std::uint64_t>(ub) -
+                                 static_cast<std::uint64_t>(lb)) / ustep + 1;
+    const std::uint64_t room = opts_.maxSteps - sh_.steps;
+    if (U128{trips} * shape.perIter > room) return false;
+    const auto last = static_cast<Index>(static_cast<std::uint64_t>(lb) +
+                                         (trips - 1) * ustep);
+    if (__int128{last} - lb > std::numeric_limits<Index>::max())
+      return false;
+    const Triplet loop(lb, last, step);
+    const int var = bindOf(s);
+
+    // The iterations that run the body: all of them, or the guard's
+    // owned pieces pulled back through its subscripts.
+    std::vector<Triplet> sets;
+    std::uint64_t guarded = 0;
+    if (!shape.guard) {
+      sets.push_back(loop);
+    } else {
+      const il::Expr& rule = *shape.guard->rule;
+      const SymState& g = sym(rule.sym);
+      if (g.top) return false;  // the guard is undecidable on every iteration
+      if (rule.kind == ExprKind::Accessible && !g.pending.empty())
+        return false;
+      const int rank = static_cast<int>(rule.section->dims.size());
+      std::array<Affine, sec::kMaxRank> f{};
+      if (!pointAffine(*rule.section, var, lb, last, f)) return false;
+      for (int d = 0; d < rank; ++d)
+        if (f[d].a != 0 &&
+            !Triplet::affineImageFits(f[d].a, f[d].b, lb, last, step))
+          return false;
+      const std::optional<Section> image = hullOf(f, rank, loop);
+      if (!image) return false;
+      for (const Section& piece : g.owned.sections())
+        if (piece.rank() != rank) return false;
+      for (const Section& piece : g.owned.intersect(*image)) {
+        Triplet it = loop;
+        for (int d = 0; d < rank && !it.empty(); ++d)
+          if (f[d].a != 0)
+            it = Triplet::intersect(
+                it, piece.dim(d).affinePreimage(f[d].a, f[d].b));
+        if (it.empty()) continue;
+        guarded += static_cast<std::uint64_t>(it.count());
+        sets.push_back(it);
+      }
+    }
+
+    // Every access of every running iteration must be Accessible. An
+    // unguarded element assignment outside any guard is exempt, as in
+    // execElemAssign. A Top array owns nothing here, so its covers test
+    // fails and the loop unrolls, silent as before.
+    if (shape.guard || guardDepth_ > 0) {
+      for (const Access& acc : shape.accesses) {
+        const SymState& x = sym(acc.sym);
+        const int rank = static_cast<int>(acc.point->dims.size());
+        std::array<Affine, sec::kMaxRank> f{};
+        if (!pointAffine(*acc.point, var, lb, last, f)) return false;
+        for (const Triplet& it : sets) {
+          const std::optional<Section> hull = hullOf(f, rank, it);
+          if (!hull || !x.owned.covers(*hull) ||
+              pendingOverlaps(x.pending, *hull))
+            return false;
+        }
+      }
+    }
+
+    const U128 total =
+        U128{trips} * shape.perIter + U128{guarded} * shape.perGuarded;
+    if (total > room) return false;
+    sh_.steps += static_cast<std::uint64_t>(total);
+    res_.stmtsAnalyzed += static_cast<std::uint64_t>(total);
+    slotMut(var) = Slot{true, Value(last)};
+    ++res_.loopsSummarized;
+    return true;
   }
 
   void execGuarded(const StmtPtr& s) {
@@ -1374,6 +1686,35 @@ void matchGroup(const Group& g, std::vector<char>& sendMatched,
     const std::size_t k = std::min(n, m);
     std::fill(sendMatched.begin(), sendMatched.begin() + k, 1);
     std::fill(recvMatched.begin(), recvMatched.begin() + k, 1);
+    return;
+  }
+  if (std::none_of(g.sends.begin(), g.sends.end(),
+                   [](const Event* s) { return s->dest == kAnyDest; })) {
+    // Every send is bound: it serves exactly the receives on its
+    // destination pid, so the group splits by pid into complete bipartite
+    // parts (kNoDest sends serve none). Kuhn's search never leaves a part,
+    // and within one it pairs the first min(sends, receives) of each side.
+    int pids = 0;
+    for (const Event* r : g.recvs) pids = std::max(pids, r->pid + 1);
+    std::vector<std::size_t> recvsLeft(static_cast<std::size_t>(pids), 0);
+    std::vector<std::size_t> sendsLeft(static_cast<std::size_t>(pids), 0);
+    for (const Event* r : g.recvs) ++recvsLeft[static_cast<std::size_t>(r->pid)];
+    for (const Event* s : g.sends)
+      if (s->dest >= 0 && s->dest < pids)
+        ++sendsLeft[static_cast<std::size_t>(s->dest)];
+    for (std::size_t si = 0; si < n; ++si) {
+      const int d = g.sends[si]->dest;
+      if (d < 0 || d >= pids || recvsLeft[static_cast<std::size_t>(d)] == 0)
+        continue;
+      --recvsLeft[static_cast<std::size_t>(d)];
+      sendMatched[si] = 1;
+    }
+    for (std::size_t ri = 0; ri < m; ++ri) {
+      std::size_t& left = sendsLeft[static_cast<std::size_t>(g.recvs[ri]->pid)];
+      if (left == 0) continue;
+      --left;
+      recvMatched[ri] = 1;
+    }
     return;
   }
   // General case: Kuhn's algorithm with an explicit stack.

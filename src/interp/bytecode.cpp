@@ -11,7 +11,6 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
@@ -1254,24 +1253,6 @@ class Compiler {
   int splitNest_ = 0;  ///< split body copies being compiled
 };
 
-/// The split's arithmetic preconditions for one varying subscript
-/// a * v + b over the loop lb:ub:step, decided in 128 bits. The image ends
-/// and the image stride must be Index values, or the split would query a
-/// different (wrapped) image than the naive schedule evaluates; holding
-/// |a|, |a * lb| and |a * ub| below 2^62 also keeps affinePreimage's sums
-/// (a * v + |a|) and the loop's own extent inside Index.
-bool splitFits(Index a, Index b, Index lb, Index ub, Index step) {
-  using I128 = __int128;
-  constexpr I128 kMin = std::numeric_limits<Index>::min();
-  constexpr I128 kMax = std::numeric_limits<Index>::max();
-  constexpr I128 kHalf = I128{1} << 62;
-  auto mag = [](I128 v) { return v < 0 ? -v : v; };
-  const I128 lo = I128{a} * lb, hi = I128{a} * ub;
-  return mag(a) < kHalf && mag(lo) < kHalf && mag(hi) < kHalf &&
-         lo + b >= kMin && lo + b <= kMax && hi + b >= kMin &&
-         hi + b <= kMax && mag(I128{a} * step) <= kMax;
-}
-
 /// The owned iterations of an active split site, in ascending order: one
 /// progression, or the sorted union of several interleaved ones. A site is
 /// never re-entered while its loop runs (loop nests are static).
@@ -1316,7 +1297,9 @@ struct SplitCursor {
       image.emplace_back(b.i);
       continue;
     }
-    if (!splitFits(a.i, b.i, lb, ub, step)) return false;
+    // The image must be the one the naive schedule evaluates: a wrapped
+    // subscript names different elements than the exact affine map.
+    if (!Triplet::affineImageFits(a.i, b.i, lb, ub, step)) return false;
     anyVarying = true;
     if (a.i > 0)
       image.emplace_back(a.i * lb + b.i, a.i * ub + b.i, a.i * step);

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -69,6 +70,25 @@ class Triplet {
   /// in a loop variable is pulled back from an owned index range to the
   /// loop iterations that touch it (interpreter guard range-splitting).
   Triplet affinePreimage(Index a, Index b) const;
+
+  /// True iff the image of the loop lb:ub:step under i -> a*i + b, a != 0,
+  /// is an Index triplet whose owned pieces affinePreimage can pull back
+  /// without overflow. Decided in 128 bits: the image ends a*lb+b and
+  /// a*ub+b and the image stride |a*step| are Index values, and |a|,
+  /// |a*lb| and |a*ub| stay below 2^62, which keeps affinePreimage's sums
+  /// (a*i + |a|) in range.
+  static bool affineImageFits(Index a, Index b, Index lb, Index ub,
+                              Index step) {
+    using I128 = __int128;
+    constexpr I128 kMin = std::numeric_limits<Index>::min();
+    constexpr I128 kMax = std::numeric_limits<Index>::max();
+    constexpr I128 kHalf = I128{1} << 62;
+    auto mag = [](I128 v) { return v < 0 ? -v : v; };
+    const I128 lo = I128{a} * lb, hi = I128{a} * ub;
+    return mag(a) < kHalf && mag(lo) < kHalf && mag(hi) < kHalf &&
+           lo + b >= kMin && lo + b <= kMax && hi + b >= kMin &&
+           hi + b <= kMax && mag(I128{a} * step) <= kMax;
+  }
 
   /// True iff the two triplets denote the same index set.
   friend constexpr bool operator==(const Triplet& a, const Triplet& b) {

@@ -10,6 +10,7 @@
 #include "xdp/analysis/verifier.hpp"
 #include "xdp/il/parser.hpp"
 #include "xdp/il/printer.hpp"
+#include "xdp/support/rng.hpp"
 
 #include "analysis_programs.hpp"
 
@@ -379,6 +380,19 @@ fill(W[0:0], M[0:2])
   EXPECT_NE(findKind(r, DiagKind::OrphanRecv), nullptr) << dump(src, r);
 }
 
+TEST(AnalysisMutations, MatchingPairsBoundSendsPerDestination) {
+  // Every send is bound, to two receiving processors: processor 1 has one
+  // send too many, processor 2 three receives too many. Each processor's
+  // surplus is reported on its own statement.
+  const std::string src = testprog::kBoundSurplusText;
+  VerifyResult r = verifySrc(src);
+  EXPECT_EQ(dump(src, r),
+            "8:5: error: send of [0:0] of 'W' has no matching receive: the "
+            "message would go undelivered [unmatched-send, p0]\n"
+            "14:5: error: receive of [0:0] of 'W' has no matching send: it "
+            "never completes and awaiting it deadlocks [orphan-recv, p2]\n");
+}
+
 // --- scaling and arithmetic regressions ------------------------------------
 
 TEST(AnalysisScaling, LargeRendezvousFarmVerifies) {
@@ -417,6 +431,17 @@ TEST(AnalysisScaling, LargeFarmSurplusKeepsItsDiagnostic) {
   }
 }
 
+TEST(AnalysisScaling, OwnershipRingMatchesInLinearTime) {
+  // Each step moves every block one processor on with a bound send, so
+  // each block's name group holds thousands of bound sends and receives
+  // on two processors. Pairing them must stay linear: an augmenting-path
+  // search here walks the matched pairs on every send and is cubic.
+  const std::string src = testprog::ringText(2, 4, 8000);
+  VerifyResult r = verifySrc(src);
+  EXPECT_EQ(r.errors(), 0u) << dump(src, r);
+  EXPECT_TRUE(r.exhaustive);
+}
+
 TEST(AnalysisOverflow, LoopEndingAtInt64MaxRunsExactly) {
   // `i += step` would overflow past INT64_MAX: each loop must stop after
   // its last in-range iteration (2 + 2 of them, so x == 4 and the guarded
@@ -438,6 +463,180 @@ enddo
   ASSERT_EQ(r.diagnostics.size(), 1u) << dump(src, r);
   EXPECT_EQ(r.diagnostics[0].kind, DiagKind::UnmatchedSend);
   EXPECT_EQ(r.diagnostics[0].loc.line, 11);
+}
+
+// --- loop summaries ---------------------------------------------------------
+
+TEST(AnalysisLoopSummary, ServeShapesSummarizeEveryInnerLoop) {
+  // The serve workload's halo and ring run one element loop per sweep or
+  // step on every processor, and each run is one summary. The step counts
+  // are the ones per-iteration unrolling charges.
+  const struct {
+    std::string text;
+    std::uint64_t loops, stmts;
+  } cases[] = {
+      {testprog::haloText(2, 256, 20), 20 * 2, 41246},
+      {testprog::haloText(3, 64, 5), 5 * 3, 3989},
+      {testprog::ringText(2, 32, 80), 80 * 2, 11680},
+      {testprog::ringText(3, 16, 12), 12 * 3, 1476},
+  };
+  for (const auto& c : cases) {
+    VerifyResult r = verifySrc(c.text);
+    EXPECT_EQ(r.errors(), 0u) << dump(c.text, r);
+    EXPECT_TRUE(r.exhaustive);
+    EXPECT_EQ(r.loopsSummarized, c.loops) << c.text;
+    EXPECT_EQ(r.stmtsAnalyzed, c.stmts) << c.text;
+  }
+}
+
+TEST(AnalysisLoopSummary, FallbackCasesReportTheUnrolledDiagnostics) {
+  // Every loop that could raise a diagnostic, or whose state the summary
+  // cannot read, unrolls; the summarizable cases keep the same step count.
+  for (const testprog::LoopCase& c : testprog::kLoopCases) {
+    VerifyResult r = verifySrc(c.text);
+    EXPECT_EQ(dump(c.text, r), c.diagnostics) << c.name;
+    EXPECT_EQ(r.stmtsAnalyzed, c.stmts) << c.name;
+    EXPECT_EQ(r.loopsSummarized, c.summarized) << c.name;
+  }
+}
+
+TEST(AnalysisLoopSummary, BudgetRunningOutInsideALoopStopsWhereUnrollingStops) {
+  // Unrolling stops at the first step past the budget, so a summary that
+  // would cross it is not taken: every budget short of the whole run
+  // stops at budget + 1 steps with exhaustive=false.
+  const char* src = R"(procs 1
+array A f64 [1:64] (BLOCK)
+
+fill(A[1:64])
+do i = 1, 64
+  iown(A[i]) : { A[i] = 0.5 * A[i] }
+enddo
+)";
+  il::Program prog = il::parseProgram(src);
+  const VerifyResult whole = verifyProgram(prog);
+  ASSERT_TRUE(whole.exhaustive);
+  ASSERT_EQ(whole.loopsSummarized, 1u);
+  for (std::uint64_t budget = 1; budget <= whole.stmtsAnalyzed; ++budget) {
+    VerifyOptions opts;
+    opts.maxSteps = budget;
+    const VerifyResult r = verifyProgram(prog, opts);
+    const bool enough = budget == whole.stmtsAnalyzed;
+    EXPECT_EQ(r.stmtsAnalyzed, enough ? budget : budget + 1) << budget;
+    EXPECT_EQ(r.exhaustive, enough) << budget;
+    EXPECT_EQ(r.loopsSummarized, enough ? 1u : 0u) << budget;
+  }
+}
+
+TEST(AnalysisLoopSummary, LoopVariableKeepsItsLastIteration) {
+  // Both loops are summarized (the second is unguarded at the top level,
+  // where element assignments are exempt); each leaves its variable at
+  // the last iteration, not at ub, and the guarded sends that test it run.
+  const char* src = R"(procs 1
+array A f64 [1:64] (BLOCK)
+
+fill(A[1:64])
+do i = 1, 63, 5
+  iown(A[i]) : { A[i] = 0.5 * A[i] }
+enddo
+do j = 9223372036854775800, 9223372036854775807, 5
+  A[1] = 0.0
+enddo
+(i == 61) : { A[1] -> {0} }
+(j == 9223372036854775805) : { A[2] -> {0} }
+)";
+  VerifyResult r = verifySrc(src);
+  EXPECT_EQ(r.loopsSummarized, 2u);
+  EXPECT_TRUE(r.exhaustive);
+  ASSERT_EQ(r.diagnostics.size(), 2u) << dump(src, r);
+  EXPECT_EQ(r.diagnostics[0].kind, DiagKind::UnmatchedSend);
+  EXPECT_EQ(r.diagnostics[0].loc.line, 11);
+  EXPECT_EQ(r.diagnostics[1].kind, DiagKind::UnmatchedSend);
+  EXPECT_EQ(r.diagnostics[1].loc.line, 12);
+}
+
+/// A random element-only loop over two arrays on random placements,
+/// optionally after a receive that leaves part of Y pending, and the same
+/// program in a form the summary does not take but that unrolls to the
+/// same steps and diagnostics: the guard reads `rule && (1 == 1)`, and an
+/// unguarded body writes its target as the one-element range `X[s:s]`.
+std::pair<std::string, std::string> randomLoop(std::uint64_t seed) {
+  Rng rng(seed);
+  static const char* kDists[] = {"BLOCK", "CYCLIC", "CYCLIC(2)", "CYCLIC(3)"};
+  static const sec::Index kCoefs[] = {-2, -1, 1, 1, 1, 2, 3};
+  const int procs = static_cast<int>(rng.range(1, 4));
+  const sec::Index n = rng.range(8, 40);
+  const sec::Index lb = rng.range(1, n);
+  const sec::Index ub = lb + rng.range(0, n / 2);
+  const sec::Index step = rng.range(1, 3);
+  const std::string N = std::to_string(n);
+  auto sub = [&] {  // a * i + b, mostly inside 1..n over the loop
+    const sec::Index a = kCoefs[rng.below(7)];
+    const sec::Index b = rng.range(1, n) - a * lb + rng.range(-1, 1);
+    return std::to_string(a) + " * i + " + std::to_string(b);
+  };
+  std::string head = "procs " + std::to_string(procs) + "\n";
+  head += std::string("array X f64 [1:") + N + "] (" + kDists[rng.below(4)] +
+          ")\n";
+  head += std::string("array Y f64 [1:") + N + "] (" + kDists[rng.below(4)] +
+          ")\n\nfill(X[1:" + N + "], Y[1:" + N + "])\n";
+  if (rng.below(3) == 0) {
+    const std::string k = std::to_string(rng.range(1, n - 1));
+    head += "(mypid == " + std::to_string(rng.below(procs)) + ") : { Y[" + k +
+            ":" + k + " + 1] <- X[1:2] }\n";
+  }
+  const std::string x = sub(), y = sub();
+  const std::string rhs = "0.5 * Y[" + y + "] + X[" + x + "]";
+  const std::string loop = "do i = " + std::to_string(lb) + ", " +
+                           std::to_string(ub) + ", " + std::to_string(step) +
+                           "\n";
+  switch (rng.below(4)) {
+    case 0:
+    case 1: {
+      const std::string g =
+          std::string(rng.below(2) ? "iown" : "accessible") + "(" +
+          (rng.below(2) ? "X[" + x + "]" : "Y[" + sub() + "]") + ")";
+      const std::string body = " : { X[" + x + "] = " + rhs + " }\nenddo\n";
+      return {head + loop + "  " + g + body,
+              head + loop + "  " + g + " && (1 == 1)" + body};
+    }
+    default: {
+      // Unguarded: checked inside a guard, exempt at the top level.
+      const bool inGuard = rng.below(3) != 0;
+      const std::string open = inGuard ? "(mypid >= 0) : {\n" : "";
+      const std::string close = inGuard ? "}\n" : "";
+      return {head + open + loop + "  X[" + x + "] = " + rhs + "\nenddo\n" +
+                  close,
+              head + open + loop + "  X[" + x + ":" + x + "] = " + rhs +
+                  "\nenddo\n" + close};
+    }
+  }
+}
+
+/// Diagnostics without their column, which the control form shifts.
+std::string linesOf(const VerifyResult& r) {
+  std::string out;
+  for (const Diagnostic& d : r.diagnostics)
+    out += std::to_string(d.loc.line) + " p" + std::to_string(d.pid) + " " +
+           kindName(d.kind) + " " + severityName(d.severity) + ": " +
+           d.message + "\n";
+  return out;
+}
+
+TEST(AnalysisLoopSummary, RandomLoopsMatchTheirUnrolledForm) {
+  std::uint64_t summarized = 0, programs = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    const auto [text, unrolled] = randomLoop(seed);
+    const VerifyResult r = verifySrc(text);
+    const VerifyResult u = verifySrc(unrolled);
+    ASSERT_EQ(u.loopsSummarized, 0u) << unrolled;
+    EXPECT_EQ(linesOf(r), linesOf(u)) << text;
+    EXPECT_EQ(r.stmtsAnalyzed, u.stmtsAnalyzed) << text;
+    EXPECT_EQ(r.exhaustive, u.exhaustive) << text;
+    summarized += r.loopsSummarized;
+    programs += r.loopsSummarized > 0;
+  }
+  // Enough of the corpus takes the summary for the comparison to bite.
+  EXPECT_GE(programs, 100u) << summarized;
 }
 
 }  // namespace

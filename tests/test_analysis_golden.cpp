@@ -5,9 +5,10 @@
 // every standard pipeline stage, the seeded-defect programs of
 // test_analysis, rank-1 update programs over every placement family the
 // compile benchmark uses, small task farms with and without a
-// send/receive surplus, and random mixes of bound and unbound sends of one
-// message name. The whole record must match
-// tests/golden/analysis.golden byte for byte, so any change to the
+// send/receive surplus, random mixes of bound and unbound sends of one
+// message name, the element-only loops the verifier summarizes or must
+// unroll, and the serve workload's halo and ring. The whole record must
+// match tests/golden/analysis.golden byte for byte, so any change to the
 // abstract executor that is meant to be a pure speed-up is proven
 // output-neutral on this corpus.
 //
@@ -148,7 +149,7 @@ il::Program loadExample(const std::string& name) {
 }
 
 // The seeded-defect programs of test_analysis (one per diagnostic class,
-// plus the clean base and the matching-with-destinations pair).
+// plus the clean base and the matching-with-destinations cases).
 const std::pair<const char*, const char*> kDefects[] = {
     {"base", R"(procs 2
 array A f64 [1:8] (BLOCK)
@@ -325,6 +326,7 @@ fill(W[0:0], M[0:2])
   await(M[mypid])
 }
 )"},
+    {"bound-destination-surpluses", testprog::kBoundSurplusText},
 };
 
 /// Sends of W[0] from processor 0, each bound to a random processor or
@@ -397,6 +399,18 @@ std::string buildRecord() {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     il::Program prog = il::parseProgram(matchingMix(seed));
     record(os, "matching " + std::to_string(seed), prog, prog);
+  }
+
+  for (const testprog::LoopCase& c : testprog::kLoopCases) {
+    il::Program prog = il::parseProgram(c.text);
+    record(os, c.name, prog, prog);
+  }
+  for (int procs : {2, 3}) {
+    const std::string p = std::to_string(procs);
+    il::Program halo = il::parseProgram(testprog::haloText(procs, 12, 3));
+    record(os, "serve halo p" + p, halo, halo);
+    il::Program ring = il::parseProgram(testprog::ringText(procs, 8, 5));
+    record(os, "serve ring p" + p, ring, ring);
   }
   return os.str();
 }
