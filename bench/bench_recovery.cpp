@@ -1,8 +1,12 @@
 // E15 — checkpoint/restore cost: what crash tolerance charges the
-// fault-free path and what recovery itself costs. Four figures:
+// fault-free path and what recovery itself costs. Five figures:
 //
 //   * BM_CheckpointedRun — steady-state overhead of auto-checkpointing
 //     the 4-proc jacobi at interval 0 (off) / 64 / 256 statements;
+//   * BM_CheckpointedHalo — the same for the `serve` workload's
+//     checkpointed program (the 2-proc halo relaxation, every 1024
+//     statements), whose interior loop is a pure range-split site that
+//     must stay split under checkpointing;
 //   * BM_SnapshotEncode / BM_SnapshotDecode — wire-format throughput on
 //     the deterministic genesis snapshot (the encode half is the capture
 //     hot path, the decode half is restore admission);
@@ -13,7 +17,8 @@
 //     fault-free digest.
 //
 // The perf trajectory gates the deterministic counters (genesis snapshot
-// bytes/records, recovery count); wall time is never gated.
+// bytes/records, recovery count, the halo's split iterations); wall time
+// is never gated.
 #include <benchmark/benchmark.h>
 
 #include <fstream>
@@ -22,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis_programs.hpp"
 #include "xdp/apps/fft.hpp"
 #include "xdp/apps/programs.hpp"
 #include "xdp/ckpt/io.hpp"
@@ -41,6 +47,12 @@ il::Program loadExample(const char* name) {
 
 const il::Program& jacobi() {
   static const il::Program prog = loadExample("jacobi.xdp");
+  return prog;
+}
+
+const il::Program& serveHalo() {
+  static const il::Program prog =
+      il::parseProgram(testprog::haloText(2, 96, 60));
   return prog;
 }
 
@@ -108,6 +120,26 @@ void BM_CheckpointedRun(benchmark::State& state) {
                                : "every " + std::to_string(interval));
 }
 
+void BM_CheckpointedHalo(benchmark::State& state) {
+  const std::uint64_t interval = static_cast<std::uint64_t>(state.range(0));
+  std::uint64_t snapshots = 0, itersSaved = 0;
+  for (auto _ : state) {
+    interp::Interpreter in(serveHalo(), withPlan(), {});
+    if (interval == 0) {
+      apps::registerFillKernel(in, 42);
+    } else {
+      setupCkpt(in, interval);
+    }
+    in.run();
+    itersSaved = in.totalStats().guardedItersSaved;
+    if (interval != 0) snapshots = in.runtime().ckptStore()->stats().snapshots;
+  }
+  state.counters["snapshots"] = static_cast<double>(snapshots);
+  state.counters["guarded_iters_saved"] = static_cast<double>(itersSaved);
+  state.SetLabel(interval == 0 ? "checkpointing off"
+                               : "every " + std::to_string(interval));
+}
+
 void BM_SnapshotEncode(benchmark::State& state) {
   const ckpt::Snapshot& snap = genesisSnapshot();
   std::size_t bytes = 0;
@@ -170,6 +202,10 @@ BENCHMARK(BM_CheckpointedRun)
     ->Arg(0)
     ->Arg(64)
     ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CheckpointedHalo)
+    ->Arg(0)
+    ->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SnapshotEncode)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SnapshotDecode)->Unit(benchmark::kMicrosecond);

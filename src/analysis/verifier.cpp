@@ -1105,10 +1105,12 @@ class PidExec {
       return;
     }
     const bool trivial = !pendingOverlaps(ss.pending, *sec);
-    if (trivial)
+    if (trivial) {
       awaits_.push_back(AwaitRec{s->sym, *sec, seq_, condDepth_ > 0, s});
-    else
+    } else {
       completePendingOver(symMut(s->sym).pending, *sec);
+      noteCompletingAwait(s.get());
+    }
     ++seq_;
   }
 
@@ -1336,7 +1338,10 @@ class PidExec {
         if (s->empty()) return Value(true);
         if (!ss.owned.covers(*s)) return Value(false);
         const bool trivial = !pendingOverlaps(ss.pending, *s);
-        if (!trivial) completePendingOver(symMut(e->sym).pending, *s);
+        if (!trivial) {
+          completePendingOver(symMut(e->sym).pending, *s);
+          if (curStmt_ && *curStmt_) noteCompletingAwait(curStmt_->get());
+        }
         if (trivial && curStmt_ && *curStmt_)
           awaits_.push_back(
               AwaitRec{e->sym, *s, seq_, condDepth_ > 0, *curStmt_});
@@ -1575,9 +1580,24 @@ class PidExec {
     recvInits_.push_back(RecvInit{symbol, sec, seq_, loc});
   }
 
+  /// A program has few await statements, and each completing instance
+  /// lands here, so a scan beats hashing.
+  void noteCompletingAwait(const Stmt* s) {
+    if (std::find(completingAwaits_.begin(), completingAwaits_.end(), s) ==
+        completingAwaits_.end())
+      completingAwaits_.push_back(s);
+  }
+
+  /// Warns per statement, so a statement that completed a pending
+  /// receive on some instance synchronizes with something and is left
+  /// alone, however many of its other instances were trivial (a ring's
+  /// first await finds the processor's own block).
   void checkAwaitOrdering() {
     for (const AwaitRec& a : awaits_) {
-      if (a.conditional) continue;
+      if (a.conditional ||
+          std::find(completingAwaits_.begin(), completingAwaits_.end(),
+                    a.stmt.get()) != completingAwaits_.end())
+        continue;
       for (const RecvInit& r : recvInits_) {
         if (r.seq <= a.seq || r.sym != a.sym) continue;
         if (!meets(r.sec, a.sec)) continue;
@@ -1607,6 +1627,8 @@ class PidExec {
   const StmtPtr* curStmt_ = nullptr;
   std::vector<RecvInit> recvInits_;
   std::vector<AwaitRec> awaits_;
+  /// Await statements some instance of which completed a pending receive.
+  std::vector<const Stmt*> completingAwaits_;
   std::vector<Region> regions_;
   std::vector<Save<Slot>> slotTrail_;
   std::vector<Save<SymState>> symTrail_;

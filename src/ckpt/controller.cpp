@@ -2,14 +2,27 @@
 
 namespace xdp::ckpt {
 
+namespace {
+
+/// The first multiple of `interval` strictly above `count` (never, with
+/// auto-checkpointing off). Naive code steps the count by one and parks
+/// exactly on a multiple, so this is the old threshold plus one interval;
+/// a range split credits many statements at once and may carry the count
+/// several intervals past the threshold that fired.
+std::uint64_t nextThreshold(std::uint64_t count, std::uint64_t interval) {
+  if (interval == 0) return ~0ULL;
+  return (count / interval + 1) * interval;
+}
+
+}  // namespace
+
 Controller::Controller(int nprocs, CkptOptions opts)
     : nprocs_(nprocs), opts_(std::move(opts)) {
   slots_.reserve(static_cast<std::size_t>(nprocs_));
   for (int i = 0; i < nprocs_; ++i) {
     slots_.push_back(std::make_unique<Slot>());
-    slots_.back()->nextParkAt.store(
-        opts_.intervalSteps == 0 ? ~0ULL : opts_.intervalSteps,
-        std::memory_order_relaxed);
+    slots_.back()->nextParkAt.store(nextThreshold(0, opts_.intervalSteps),
+                                    std::memory_order_relaxed);
   }
 }
 
@@ -31,12 +44,13 @@ void Controller::deliverSignal(int pid, ContImage img) {
 }
 
 void Controller::parkAtBoundary(int pid, ContImage img) {
-  publish(pid, std::move(img));
   Slot& slot = *slots_[static_cast<std::size_t>(pid)];
   // Advance before anything can throw: a failed or interrupted attempt
   // must not re-park at the same boundary.
-  if (opts_.intervalSteps > 0)
-    slot.nextParkAt.fetch_add(opts_.intervalSteps, std::memory_order_relaxed);
+  slot.nextParkAt.store(
+      nextThreshold(img.stats[kContStmtsExecuted], opts_.intervalSteps),
+      std::memory_order_relaxed);
+  publish(pid, std::move(img));
 
   std::unique_lock lk(mu_);
   if (signal_.load(std::memory_order_relaxed) != 0) throwSignal();
@@ -44,12 +58,13 @@ void Controller::parkAtBoundary(int pid, ContImage img) {
     std::lock_guard slk(slot.mu);
     slot.state = ProcState::Parked;
     // Tag the park with the generation it belongs to: only a park for the
-    // capture currently forming counts as pinned (see pinned()). A stale
+    // capture currently forming counts as pinned (see pin()). A stale
     // Parked slot from an earlier generation is a waiter whose wake
     // predicate is already true — logically running.
     slot.parkGen = generation_;
   }
-  cv_.notify_all();  // a waiting capture leader polls slot states
+  events_ += 1;
+  leaderCv_.notify_one();
 
   if (!captureActive_) {
     captureActive_ = true;
@@ -81,14 +96,46 @@ void Controller::parkAtBoundary(int pid, ContImage img) {
 
 void Controller::finish(int pid) {
   Slot& slot = *slots_[static_cast<std::size_t>(pid)];
+  // State and counter move in one critical section of mu_: a leader that
+  // reads the state reads the counter it moved to (see events()).
+  std::lock_guard lk(mu_);
   {
     std::lock_guard slk(slot.mu);
     slot.state = ProcState::Finished;
     slot.img.finished = true;
     slot.img.unsafe = false;
   }
+  events_ += 1;
+  leaderCv_.notify_one();
+}
+
+void Controller::markFailed(int pid) {
+  Slot& slot = *slots_[static_cast<std::size_t>(pid)];
   std::lock_guard lk(mu_);
-  cv_.notify_all();
+  {
+    std::lock_guard slk(slot.mu);
+    slot.state = ProcState::Failed;
+  }
+  events_ += 1;
+  leaderCv_.notify_one();
+}
+
+void Controller::notifyCoordinator() {
+  std::lock_guard lk(mu_);
+  events_ += 1;
+  leaderCv_.notify_one();
+}
+
+std::uint64_t Controller::events() {
+  std::lock_guard lk(mu_);
+  return events_;
+}
+
+void Controller::awaitEvent(std::uint64_t seen) {
+  std::unique_lock lk(mu_);
+  leaderCv_.wait(lk, [&] {
+    return events_ != seen || signal_.load(std::memory_order_relaxed) != 0;
+  });
 }
 
 void Controller::setCaptureFn(std::function<bool()> fn) {
@@ -102,20 +149,22 @@ void Controller::setInterruptFn(std::function<void()> fn) {
 void Controller::requestRollback(int source) {
   rollbackSource_.store(source, std::memory_order_relaxed);
   signal_.store(1, std::memory_order_release);
-  {
-    std::lock_guard lk(mu_);
-    cv_.notify_all();
-  }
-  if (interruptFn_) interruptFn_();
+  wakeForSignal();
 }
 
 void Controller::requestPreempt() {
   // Never downgrade a rollback in flight.
   int expect = 0;
   if (!signal_.compare_exchange_strong(expect, 2)) return;
+  wakeForSignal();
+}
+
+void Controller::wakeForSignal() {
   {
     std::lock_guard lk(mu_);
+    events_ += 1;
     cv_.notify_all();
+    leaderCv_.notify_one();
   }
   if (interruptFn_) interruptFn_();
 }
@@ -135,16 +184,10 @@ void Controller::beginRound(std::vector<ContImage> resume) {
     if (pid < static_cast<int>(resume.size())) {
       slot.resume = std::move(resume[static_cast<std::size_t>(pid)]);
       slot.hasResume = true;
-      base = slot.resume.stats[2];  // InterpStats::stmtsExecuted slot
+      base = slot.resume.stats[kContStmtsExecuted];
     }
-    if (opts_.intervalSteps == 0) {
-      slot.nextParkAt.store(~0ULL, std::memory_order_relaxed);
-    } else {
-      // Next multiple of the interval strictly above the resumed count.
-      const std::uint64_t k = base / opts_.intervalSteps + 1;
-      slot.nextParkAt.store(k * opts_.intervalSteps,
-                            std::memory_order_relaxed);
-    }
+    slot.nextParkAt.store(nextThreshold(base, opts_.intervalSteps),
+                          std::memory_order_relaxed);
   }
 }
 
@@ -173,12 +216,21 @@ ProcState Controller::slotState(int pid) const {
   return slot.state;
 }
 
-bool Controller::pinned(int pid) {
+Controller::Pin Controller::pin(int pid) {
   Slot& slot = *slots_[static_cast<std::size_t>(pid)];
   std::lock_guard lk(mu_);  // generation_ is guarded by mu_
   std::lock_guard slk(slot.mu);
-  if (slot.state == ProcState::Finished) return true;
-  return slot.state == ProcState::Parked && slot.parkGen == generation_;
+  switch (slot.state) {
+    case ProcState::Finished:
+      return Pin::Pinned;
+    case ProcState::Failed:
+      return Pin::Failed;
+    case ProcState::Parked:
+      return slot.parkGen == generation_ ? Pin::Pinned : Pin::Free;
+    case ProcState::Running:
+      break;
+  }
+  return Pin::Free;
 }
 
 }  // namespace xdp::ckpt

@@ -12,8 +12,10 @@
 //     statement count crosses the next multiple of the configured
 //     interval. The first parker of a generation becomes the capture
 //     leader and runs the Runtime-provided capture function, which waits
-//     (bounded) until every processor is parked, finished, or stably
-//     blocked, then exports tables + fabric + slots into a Snapshot.
+//     for events — never for a timer — until every processor is parked,
+//     finished, or blocked, then exports tables + fabric + slots into a
+//     Snapshot. Every transition that can settle or doom the cut bumps a
+//     change counter and wakes the leader (see events()).
 //   * requestRollback()/requestPreempt() raise an asynchronous signal:
 //     running engines observe it at statement boundaries, blocked ones
 //     are woken through the Runtime-provided interrupt hook, and all
@@ -21,7 +23,9 @@
 //     to std::exception handlers).
 //
 // Thread-safety: every member is callable from any node thread; the hot
-// paths (signal(), nextParkAt()) are single relaxed atomic loads.
+// paths (signal(), nextParkAt()) are single relaxed atomic loads. Lock
+// order: a table or barrier lock may be held while calling into the
+// controller (notifyCoordinator), never the other way round.
 #pragma once
 
 #include <atomic>
@@ -36,7 +40,14 @@
 
 namespace xdp::ckpt {
 
-enum class ProcState : std::uint8_t { Running = 0, Parked = 1, Finished = 2 };
+/// Failed: the node program ended by an exception other than a recovery
+/// signal, so the processor can never be pinned again this round.
+enum class ProcState : std::uint8_t {
+  Running = 0,
+  Parked = 1,
+  Finished = 2,
+  Failed = 3,
+};
 
 class Controller {
  public:
@@ -77,6 +88,13 @@ class Controller {
   /// Mark pid's node program complete (its slot becomes a finished
   /// continuation).
   void finish(int pid);
+  /// Mark pid's node program as ended by an exception.
+  void markFailed(int pid);
+  /// Wake the capture leader: some processor stopped running (an await
+  /// parked, a barrier gained an entrant). Called under the table or
+  /// barrier lock that makes the new state observable, so the leader
+  /// either sees the state or sees the counter move.
+  void notifyCoordinator();
 
   // --- runtime side ----------------------------------------------------
   /// Capture function: performs validation + export + store; returns
@@ -105,13 +123,23 @@ class Controller {
   ContImage slotImage(int pid) const;
   ProcState slotState(int pid) const;
 
-  /// True when pid is pinned for the capture currently in progress:
-  /// finished, or parked *for this capture's generation*. A slot can read
-  /// Parked long after its capture ended — the waiter's wake predicate is
-  /// already true, it just hasn't been scheduled yet — and such a
-  /// processor is logically running, so a capture leader must not treat
-  /// it as frozen (it may wake mid-export and mutate tables or fabric).
-  bool pinned(int pid);
+  /// How the capture leader sees pid. Pinned: finished, or parked *for
+  /// this capture's generation*. A slot can read Parked long after its
+  /// capture ended — the waiter's wake predicate is already true, it just
+  /// hasn't been scheduled yet — and such a processor is logically
+  /// running, so it is Free (it may wake mid-export and mutate tables or
+  /// fabric). Failed: see ProcState. Free: running, or blocked in a wait
+  /// the runtime classifies.
+  enum class Pin : std::uint8_t { Free, Pinned, Failed };
+  Pin pin(int pid);
+
+  /// Change counter of the transitions that can settle or doom a capture:
+  /// parks, finishes, failures, coordinator notifies and signals. An
+  /// observation of every processor is a consistent cut when the counter
+  /// reads the same before and after it.
+  std::uint64_t events();
+  /// Block until events() moves past `seen` or a signal is raised.
+  void awaitEvent(std::uint64_t seen);
 
   /// Deterministic counters.
   std::uint64_t captures() const { return captures_.load(); }
@@ -129,6 +157,8 @@ class Controller {
   };
 
   [[noreturn]] void throwSignal();
+  /// Wake parked followers, the leader and blocked waits for a new signal.
+  void wakeForSignal();
 
   const int nprocs_;
   const CkptOptions opts_;
@@ -140,9 +170,11 @@ class Controller {
   std::atomic<std::uint64_t> captureFailures_{0};
 
   std::mutex mu_;  ///< park rendezvous (never held while capturing)
-  std::condition_variable cv_;
+  std::condition_variable cv_;        ///< parked followers
+  std::condition_variable leaderCv_;  ///< the capture leader (events_)
   bool captureActive_ = false;
   std::uint64_t generation_ = 0;
+  std::uint64_t events_ = 0;
 
   std::function<bool()> captureFn_;
   std::function<void()> interruptFn_;

@@ -55,6 +55,9 @@ inline constexpr std::uint32_t kSnapshotVersion = 1;
 /// a continuation image (mirrors interp::InterpStats; the ckpt layer
 /// treats them as an opaque ordered array).
 inline constexpr int kNumContStats = 9;
+/// Position of the executed-statement count in that array: park
+/// thresholds and snapshot capture steps are measured in it.
+inline constexpr int kContStmtsExecuted = 2;
 
 /// Continuation engines. Tag 1 belonged to the retired tree-walker
 /// continuation format; it is never written, and resuming it is an error.
@@ -98,10 +101,6 @@ struct CkptOptions {
   std::string dir;
   /// Crash-recovery budget per run; exhausting it raises CkptError.
   int maxRecoveries = 8;
-  /// Coordinated-capture settle timeout: if the run does not reach a
-  /// capturable state within this budget the attempt is abandoned (the
-  /// run continues; the next interval retries).
-  std::uint64_t captureTimeoutMs = 2000;
 };
 
 }  // namespace xdp::ckpt

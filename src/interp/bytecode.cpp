@@ -1468,10 +1468,11 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
   // Between any two instructions the VM's whole control state is
   // (pc, register file), so a continuation is exact: resuming re-executes
   // from the captured pc against the restored tables/fabric. Boundaries
-  // are observed at statement tops (Step/StepElem/StepRule/ExecFlat), and
-  // a restart point is published before every instruction that can block
-  // (the cold calls into the flat walker). The lease is dropped before
-  // parking so a capture never waits on a held table lock.
+  // are observed at statement tops (Step/StepElem/StepRule/ExecFlat),
+  // except inside a pure split copy, and a restart point is published
+  // before every instruction that can block (the cold calls into the
+  // flat walker). The lease is dropped before parking so a capture never
+  // waits on a held table lock.
   std::size_t pc = 0;
   auto makeImage = [&](bool unsafe) {
     ckpt::ContImage img;
@@ -1492,7 +1493,11 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
     img.payload = w.take();
     return img;
   };
+  // Set while a pure split copy runs: its boundaries wait for the loop
+  // exit (see SplitRun).
+  bool inSplitCopy = false;
   auto boundary = [&] {
+    if (inSplitCopy) return;
     if (ctrl->signal() != 0) {
       dropLease();
       ctrl->deliverSignal(pid, makeImage(false));
@@ -1813,10 +1818,13 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
         regs[in.a] = Slot::ofInt(arith::wrapAdd(asInt(val(in.b)), ipool[in.c]));
         break;
       case Op::SplitEnter: {
-        // Continuations cannot name a point inside a split copy, so a run
-        // with a checkpoint controller always takes the naive loop.
+        // Continuations cannot name a point inside a split copy. A pure
+        // copy cannot block, so under a checkpoint controller it still
+        // runs and its boundaries wait for the loop exit (SplitRun);
+        // other sites take the naive loop.
         const SplitSite& site = m.splits[static_cast<std::size_t>(in.d)];
-        if (ctrl != nullptr || regs[site.lb].i > regs[site.ub].i) {
+        if ((ctrl != nullptr && !site.pure) ||
+            regs[site.lb].i > regs[site.ub].i) {
           pc = static_cast<std::size_t>(site.naivePc);
           continue;
         }
@@ -1841,6 +1849,11 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
           lease.emplace(proc.table());
           leaseOwner = site.bodyPc;
         }
+        // No boundary inside the copy: no park and no signal delivery.
+        // The first boundary after the loop observes them, exactly: the
+        // split credited the loop's logical counters up front, so there
+        // they equal the naive loop's.
+        inSplitCopy = true;
         break;
       }
       case Op::SplitNext: {
@@ -1852,6 +1865,7 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
           continue;
         }
         if (lease && leaseOwner == site.bodyPc) dropLease();
+        inSplitCopy = false;
         regs[site.var] = Slot::ofInt(cur.last);
         pc = static_cast<std::size_t>(site.exitPc);
         continue;

@@ -576,6 +576,9 @@ void Fabric::barrier(int pid) {
     barrierCv_.notify_all();
     return;
   }
+  // Under barrierMu_, which barrierWaiters() reads through: a checkpoint
+  // capture leader either counts this entrant or sees its notify.
+  if (barrierNotify_) barrierNotify_();
   while (barrierGen_ == gen && !aborted_) {
     // May throw a rollback/preempt signal; the leaked entrant count is
     // reset by clearAbort at the start of the next recovery round.
@@ -590,6 +593,10 @@ void Fabric::barrier(int pid) {
 
 void Fabric::setBarrierInterrupt(std::function<void()> check) {
   barrierInterrupt_ = std::move(check);
+}
+
+void Fabric::setBarrierNotify(std::function<void()> fn) {
+  barrierNotify_ = std::move(fn);
 }
 
 void Fabric::notifyBarrierWaiters() {

@@ -53,7 +53,9 @@
 //     injector's mutex and the barrier mutex are taken with no endpoint
 //     or matcher lock held; the barrier *release* path and snapshot()
 //     additionally take endpoint locks (barrier/snapshot -> endpoint,
-//     ascending pid order when more than one is held).
+//     ascending pid order when more than one is held). The barrier entry
+//     hook runs under the barrier mutex and may take the checkpoint
+//     controller's lock (barrier -> controller).
 //   * Completion callbacks run while the destination endpoint's lock is
 //     held and may take the destination symbol table's lock (lock order:
 //     endpoint -> symtab — the pre-shard fabric-state -> symtab order).
@@ -317,6 +319,10 @@ class Fabric {
   /// while no traffic runs. Entrant counts left behind by an unwound
   /// barrier are reset by clearAbort between rounds.
   void setBarrierInterrupt(std::function<void()> check);
+  /// Install a hook run, under the barrier lock, when a processor enters
+  /// a barrier that does not complete on its arrival (the checkpoint
+  /// capture leader wakes on it). Set while no traffic runs.
+  void setBarrierNotify(std::function<void()> fn);
   /// Wake barrier waiters so they re-poll the interrupt hook.
   void notifyBarrierWaiters();
 
@@ -447,8 +453,10 @@ class Fabric {
   /// Crash-recovery hook; same publication discipline as sendHook_.
   CrashHook crashHook_;
 
-  /// Barrier interrupt hook; same publication discipline as sendHook_.
+  /// Barrier interrupt and entry hooks; same publication discipline as
+  /// sendHook_.
   std::function<void()> barrierInterrupt_;
+  std::function<void()> barrierNotify_;
 
   /// Endpoint shards. Sized once in the constructor; never resized, so
   /// the embedded mutexes stay put.

@@ -250,6 +250,10 @@ class ProcTable {
   /// throws; the continuation image for this position was published
   /// before the blocking statement). Set while no node threads run.
   void setWaitInterrupt(std::function<void()> fn);
+  /// Install a hook run, under the table lock, each time an await parks
+  /// (the runtime wakes a waiting checkpoint capture leader with it). Set
+  /// while no node threads run.
+  void setWaitNotify(std::function<void()> fn);
   /// Wake every blocked await so it re-polls the interrupt hook.
   void notifyWaiters();
 
@@ -369,6 +373,7 @@ class ProcTable {
   std::string abortSummary_;
   std::shared_ptr<const std::string> abortReport_;
   std::function<void()> waitInterrupt_;  ///< polled in await's wait loop
+  std::function<void()> waitNotify_;     ///< run when an await parks
 };
 
 }  // namespace xdp::rt

@@ -328,6 +328,9 @@ bool ProcTable::await(int sym, const Section& s, double* arrival) {
     wait_.sym = sym;
     wait_.section = s;
     waitEpoch_.fetch_add(1, std::memory_order_relaxed);
+    // Still under the lock waitState() reads through: a capture leader
+    // either sees this processor blocked or sees its notify.
+    if (waitNotify_) waitNotify_();
     cv_.wait(lk);
     wait_.parked = false;
     waitEpoch_.fetch_add(1, std::memory_order_relaxed);
@@ -769,6 +772,11 @@ std::size_t ProcTable::residentBytes() const {
 void ProcTable::setWaitInterrupt(std::function<void()> fn) {
   std::lock_guard lk(mu_);
   waitInterrupt_ = std::move(fn);
+}
+
+void ProcTable::setWaitNotify(std::function<void()> fn) {
+  std::lock_guard lk(mu_);
+  waitNotify_ = std::move(fn);
 }
 
 void ProcTable::notifyWaiters() {

@@ -157,9 +157,12 @@ void Runtime::run(const std::function<void(Proc&)>& node) {
     restored = false;
     if (ctrl_) {
       // Blocked awaits poll the controller so a rollback/preempt unwinds
-      // them; their restart point was published before they blocked.
-      for (auto& t : tables_)
+      // them; their restart point was published before they blocked. A
+      // parking await wakes the capture leader.
+      for (auto& t : tables_) {
         t->setWaitInterrupt([this] { ctrl_->checkSignal(); });
+        t->setWaitNotify([this] { ctrl_->notifyCoordinator(); });
+      }
       ctrl_->beginRound(std::move(resume));
       resume.clear();
       // Genesis snapshot, taken before any node thread runs: a crash
@@ -307,6 +310,11 @@ bool Runtime::runRound(const std::function<void(Proc&)>& node) {
         // machine back to the last good snapshot.
       } catch (const ckpt::PreemptSignal&) {
         // Preemption unwind: the round loop snapshots and returns.
+      } catch (...) {
+        // This processor can never be pinned again: a capture leader
+        // waiting on it must give up now, not wait for it forever.
+        if (ctrl_) ctrl_->markFailed(pid);
+        throw;
       }
     });
   } catch (...) {
@@ -350,6 +358,7 @@ void Runtime::enableCheckpointing(const ckpt::CkptOptions& opts) {
   });
   fabric_.setCrashHook([this](int src) { ctrl_->requestRollback(src); });
   fabric_.setBarrierInterrupt([this] { ctrl_->checkSignal(); });
+  fabric_.setBarrierNotify([this] { ctrl_->notifyCoordinator(); });
 }
 
 std::vector<ckpt::ContImage> Runtime::applySnapshot(
@@ -416,7 +425,8 @@ ckpt::Snapshot Runtime::buildSnapshot() {
       os << "continuation for p" << p << " is not a clean re-execution point";
       throw ckpt::CkptError(os.str());
     }
-    s.captureStep = std::max(s.captureStep, img.stats[2]);
+    s.captureStep =
+        std::max(s.captureStep, img.stats[ckpt::kContStmtsExecuted]);
     s.conts.push_back(std::move(img));
   }
   for (int p = 0; p < nprocs_; ++p)
@@ -426,54 +436,56 @@ ckpt::Snapshot Runtime::buildSnapshot() {
 }
 
 bool Runtime::captureAttempt() {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(ctrl_->options().captureTimeoutMs);
-  std::vector<ProcTable::WaitState> waits(static_cast<std::size_t>(nprocs_));
+  using Pin = ckpt::Controller::Pin;
   for (;;) {
-    // A capturable state: every processor parked *for this capture*,
-    // finished, or blocked in an await (its restart point was published
-    // before it blocked), and nobody inside a barrier. A Parked slot left
-    // over from a previous generation is NOT a pin — its waiter's wake
-    // predicate is already true and it may start running (and sending)
-    // at any moment, poisoning the export.
-    bool settled = true;
-    std::vector<char> blocked(static_cast<std::size_t>(nprocs_), 0);
-    for (int p = 0; p < nprocs_ && settled; ++p) {
-      if (ctrl_->pinned(p)) continue;
-      waits[static_cast<std::size_t>(p)] =
-          tables_[static_cast<std::size_t>(p)]->waitState();
-      blocked[static_cast<std::size_t>(p)] = 1;
-      if (!waits[static_cast<std::size_t>(p)].blocked) settled = false;
-    }
-    if (settled && fabric_.barrierWaiters() == 0) {
-      // Double-observe: every blocked processor must still be in the same
-      // wait (same epoch). The second look follows the first at once:
-      // waitState() re-derives blockedness from table state under the
-      // table lock, and a parked processor's await, once decided, cannot
-      // become undecided again (only its own thread posts receives), so a
-      // processor seen blocked twice with one epoch was blocked the whole
-      // time in between. Delivery is synchronous, so with every other
-      // processor pinned, finished or blocked no thread can be running
-      // and the export below reads frozen state.
-      bool stable = true;
-      for (int p = 0; p < nprocs_ && stable; ++p) {
-        if (!blocked[static_cast<std::size_t>(p)]) continue;
-        const auto w = tables_[static_cast<std::size_t>(p)]->waitState();
-        if (!w.blocked || w.epoch != waits[static_cast<std::size_t>(p)].epoch)
-          stable = false;
-      }
-      if (stable && fabric_.barrierWaiters() == 0) {
-        try {
-          store_->add(buildSnapshot());
-        } catch (const ckpt::CkptError&) {
-          return false;  // e.g. an unsafe continuation; retry next interval
-        }
-        return true;
+    // Read the change counter before observing anyone. Every transition
+    // into a settled or dooming state moves it, under the lock that makes
+    // the state observable (the table lock for a blocking await, the
+    // barrier lock for an entry, the controller lock for the rest), so if
+    // it reads the same after the observation, nobody moved in between.
+    // A processor can leave a settled state only when a running one wakes
+    // it; that one must itself have settled inside the window to be seen
+    // settled, which would have moved the counter.
+    const std::uint64_t seen = ctrl_->events();
+    if (ctrl_->signal() != 0) return false;
+    int free = 0;
+    bool failed = false;
+    for (int p = 0; p < nprocs_; ++p) {
+      switch (ctrl_->pin(p)) {
+        case Pin::Pinned:
+          break;
+        case Pin::Failed:
+          failed = true;
+          break;
+        case Pin::Free:
+          // Blocked in an await: its restart point was published before
+          // it blocked. waitState() re-derives blockedness from table
+          // state, so a processor with a wake-up pending reads as free.
+          if (!tables_[static_cast<std::size_t>(p)]->waitState().blocked)
+            free += 1;
+          break;
       }
     }
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    // A barrier entrant is free but not running. While this capture holds
+    // its own processor parked the barrier cannot complete.
+    const int inBarrier = fabric_.barrierWaiters();
+    if (free > inBarrier) {
+      ctrl_->awaitEvent(seen);  // someone runs: it will park, block or end
+      continue;
+    }
+    // Nobody runs, so nothing will change: a barrier entrant or a failed
+    // processor can never be pinned, and the cut cannot form.
+    if (failed || inBarrier > 0) return false;
+    if (ctrl_->events() != seen) continue;
+    // Delivery is synchronous (§12), so with every processor pinned,
+    // finished or blocked no message is in flight and the export below
+    // reads frozen state.
+    try {
+      store_->add(buildSnapshot());
+    } catch (const ckpt::CkptError&) {
+      return false;  // e.g. an unsafe continuation; retry next interval
+    }
+    return true;
   }
 }
 

@@ -128,6 +128,49 @@ fill(A[1:8], B[1:8])
   EXPECT_NE(d->message.find("precedes"), std::string::npos) << d->message;
 }
 
+TEST(AnalysisMutations, AwaitOrderingWarnsOnlyWhenNoInstanceSynchronizes) {
+  // The ring's await finds the processor's own block at step 0, a trivial
+  // instance, but the same statement completes the block's re-receive on
+  // every later step: it synchronizes, so the ring is clean.
+  for (const std::string& src :
+       {testprog::ringText(2, 32, 80), testprog::ringText(3, 8, 5)}) {
+    VerifyResult r = verifySrc(src);
+    EXPECT_TRUE(r.clean()) << dump(src, r);
+  }
+  // Every instance trivial: the seeded defect (one instance) and the same
+  // await repeated in a loop both still warn.
+  const char* once = R"(procs 2
+array A f64 [1:8] (BLOCK)
+array B f64 [1:8] (BLOCK)
+
+fill(A[1:8], B[1:8])
+(mypid == 0) : { A[1:4] -> {1} }
+(mypid == 1) : {
+  await(B[5:8])
+  B[5:8] <- A[1:4]
+}
+)";
+  const char* looped = R"(procs 2
+array A f64 [1:8] (BLOCK)
+array B f64 [1:8] (BLOCK)
+
+fill(A[1:8], B[1:8])
+(mypid == 0) : { A[1:4] -> {1} }
+(mypid == 1) : {
+  do k = 1, 3
+    await(B[5:8])
+  enddo
+  B[5:8] <- A[1:4]
+}
+)";
+  for (const char* src : {once, looped}) {
+    VerifyResult r = verifySrc(src);
+    const Diagnostic* d = findKind(r, DiagKind::AwaitMismatch);
+    ASSERT_NE(d, nullptr) << dump(src, r);
+    EXPECT_NE(d->message.find("precedes"), std::string::npos) << d->message;
+  }
+}
+
 TEST(AnalysisMutations, SendOfUnownedSection) {
   const char* src = R"(procs 2
 array A f64 [1:8] (BLOCK)

@@ -19,7 +19,7 @@ using sec::Section;
 using sec::Triplet;
 
 Name name(int sym, Index lb, Index ub) {
-  return Name{sym, Section{Triplet(lb, ub)}};
+  return Name{sym, Section{Triplet(lb, ub)}, {}};
 }
 
 std::vector<std::byte> bytes(std::initializer_list<int> vs) {

@@ -11,7 +11,7 @@ namespace {
 using sec::Section;
 using sec::Triplet;
 
-Name nm(int sym) { return Name{sym, Section{Triplet(1, 1)}}; }
+Name nm(int sym) { return Name{sym, Section{Triplet(1, 1)}, {}}; }
 
 TEST(NetModel, SendCostIsAlphaPlusBetaBytes) {
   CostModel m;

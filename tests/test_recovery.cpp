@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "analysis_programs.hpp"
 #include "xdp/apps/programs.hpp"
 #include "xdp/ckpt/io.hpp"
 #include "xdp/il/parser.hpp"
@@ -32,6 +34,16 @@ il::Program loadExample(const std::string& name) {
   std::stringstream buf;
   buf << in.rdbuf();
   return il::parseProgram(buf.str());
+}
+
+/// The `serve` workload's checkpointed program: the halo relaxation whose
+/// interior loop is a pure range-split site.
+constexpr const char* kServeHalo = "serve-halo";
+
+/// An example program by file name, or the serve halo text.
+il::Program loadProgram(const std::string& name) {
+  if (name == kServeHalo) return il::parseProgram(testprog::haloText(2, 96, 60));
+  return loadExample(name);
 }
 
 /// FNV-1a over every array's final contents in global Fortran order
@@ -124,9 +136,9 @@ RunResult crashRecoverRun(const il::Program& prog,
 
 /// The six logical counters both engines and every recovery path must
 /// reproduce exactly. Fast-path counters (guardCacheHits, rangeSplits,
-/// guardedItersSaved) are excluded by design: the VM never splits under
-/// checkpointing, the walker never splits, and cache hits depend on table
-/// lifetimes.
+/// guardedItersSaved) are excluded by design: the walker never splits,
+/// under checkpointing the VM splits pure sites only, and cache hits
+/// depend on table lifetimes.
 void expectLogicalEq(const RunResult& a, const RunResult& b,
                      const std::string& what) {
   EXPECT_EQ(a.digest, b.digest) << what << ": result digests differ";
@@ -144,7 +156,7 @@ void expectLogicalEq(const RunResult& a, const RunResult& b,
 class RecoveryDifferential : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(RecoveryDifferential, CrashRecoverMatchesFaultFreeTreeWalk) {
-  il::Program prog = loadExample(GetParam());
+  il::Program prog = loadProgram(GetParam());
   RunResult base = baselineRun(prog, Backend::TreeWalk);
   RunResult rec = crashRecoverRun(prog, 0, 32);
   // A program with no communication (vecadd) never trips a send-triggered
@@ -157,7 +169,7 @@ TEST_P(RecoveryDifferential, CrashRecoverMatchesFaultFreeTreeWalk) {
 }
 
 TEST_P(RecoveryDifferential, CrashRecoverMatchesFaultFreeBytecode) {
-  il::Program prog = loadExample(GetParam());
+  il::Program prog = loadProgram(GetParam());
   RunResult base = baselineRun(prog, Backend::Bytecode);
   RunResult rec = crashRecoverRun(prog, 0, 32);
   if (base.net.messagesSent > 0) {
@@ -169,7 +181,7 @@ TEST_P(RecoveryDifferential, CrashRecoverMatchesFaultFreeBytecode) {
 TEST_P(RecoveryDifferential, LateCrashRecoversFromMidRunSnapshot) {
   // A later crash budget lets periodic captures land first, so recovery
   // restores a mid-run snapshot rather than the genesis one.
-  il::Program prog = loadExample(GetParam());
+  il::Program prog = loadProgram(GetParam());
   RunResult base = baselineRun(prog, Backend::TreeWalk);
   RunResult rec = crashRecoverRun(prog, 3, 16);
   if (rec.recoveries == 0) return;  // p1 sent too few messages to die
@@ -180,7 +192,7 @@ TEST_P(RecoveryDifferential, LateCrashRecoversFromMidRunSnapshot) {
 INSTANTIATE_TEST_SUITE_P(Examples, RecoveryDifferential,
                          ::testing::Values("vecadd.xdp", "jacobi.xdp",
                                            "cannon.xdp", "ownership.xdp",
-                                           "taskfarm.xdp"));
+                                           "taskfarm.xdp", kServeHalo));
 
 /// Preemption runs on the VM; the parameter names the engine of the
 /// fault-free baseline (the reference walker, or the VM itself).
@@ -339,15 +351,20 @@ TEST(Recovery, CheckpointingRunWithoutFaultsMatchesPlainRun) {
 /// makespan. The task farm's makespan depends on rendezvous match order,
 /// so it is compared for the other programs only. At interval 1 the
 /// captures follow each other back to back, so a capture that exported a
-/// machine still in motion would show up here as a mismatch.
+/// machine still in motion would show up here as a mismatch. Pure split
+/// sites split under checkpointing too, so on the serve halo, whose only
+/// split site is pure, the split counters match the plain run's as well.
 class CaptureStress : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CaptureStress, CheckpointedRunsMatchPlainRun) {
   constexpr int kReps = 10;
   const std::string name = GetParam();
-  const il::Program prog = loadExample(name);
+  const il::Program prog = loadProgram(name);
   const RunResult base = baselineRun(prog, Backend::Bytecode);
-  for (std::uint64_t interval : {1, 7, 64}) {
+  if (name == kServeHalo) {
+    ASSERT_GT(base.stats.rangeSplits, 0u);
+  }
+  for (std::uint64_t interval : {1, 7, 64, 1024}) {
     for (int rep = 0; rep < kReps; ++rep) {
       Interpreter in(prog);
       ckpt::CkptOptions co;
@@ -372,6 +389,11 @@ TEST_P(CaptureStress, CheckpointedRunsMatchPlainRun) {
       if (name != "taskfarm.xdp") {
         EXPECT_EQ(r.makespan, base.makespan) << what;
       }
+      if (name == kServeHalo) {
+        EXPECT_EQ(r.stats.rangeSplits, base.stats.rangeSplits) << what;
+        EXPECT_EQ(r.stats.guardedItersSaved, base.stats.guardedItersSaved)
+            << what;
+      }
     }
   }
 }
@@ -379,7 +401,92 @@ TEST_P(CaptureStress, CheckpointedRunsMatchPlainRun) {
 INSTANTIATE_TEST_SUITE_P(Examples, CaptureStress,
                          ::testing::Values("vecadd.xdp", "jacobi.xdp",
                                            "cannon.xdp", "ownership.xdp",
-                                           "taskfarm.xdp"));
+                                           "taskfarm.xdp", kServeHalo));
+
+double secondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// A run whose captures can never form must not stall on them: a capture
+// fails as soon as nobody runs and somebody is inside a barrier or has
+// failed. Both programs checkpoint every 5 steps.
+
+TEST(CaptureEvents, BarrierInsideKernelDoesNotStallCapture) {
+  // Only p0 runs `s = 1`, so the two processors reach their park
+  // thresholds at different statements, and one often parks while the
+  // other waits in the kernel's barrier for it.
+  const il::Program prog = il::parseProgram(R"(procs 2
+array A f64 [1:16] (BLOCK)
+fill(A[1:16])
+do t = 1, 12
+  (mypid == 0) : { s = 1 }
+  sync()
+  do i = 1, 16
+    iown(A[i]) : { A[i] = 0.5 * A[i] + t }
+  enddo
+enddo
+)");
+  auto run = [&](std::uint64_t interval) {
+    Interpreter in(prog);
+    if (interval != 0) {
+      ckpt::CkptOptions co;
+      co.intervalSteps = interval;
+      in.runtime().enableCheckpointing(co);
+    }
+    apps::registerFillKernel(in, 42);
+    in.registerKernel("sync",
+                      [](rt::Proc& p, const std::vector<std::pair<int, Section>>&) {
+                        p.barrier();
+                      });
+    in.run();
+    RunResult r = gather(in);
+    if (interval != 0) {
+      EXPECT_GT(in.runtime().ckptController()->captureFailures(), 0u)
+          << "no capture met a barrier entrant";
+    }
+    return r;
+  };
+  const RunResult base = run(0);
+  const auto t0 = std::chrono::steady_clock::now();
+  const RunResult r = run(5);
+  EXPECT_LT(secondsSince(t0), 1.0);
+  EXPECT_GE(r.snapshots, 1u);
+  expectLogicalEq(base, r, "barrier kernel");
+}
+
+TEST(CaptureEvents, FailedProcessorDoesNotStallCapture) {
+  // p1 dies in its kernel call before its first park; p0 runs on alone,
+  // parking every 5 steps, and each of its captures must give up on p1
+  // at once.
+  const il::Program prog = il::parseProgram(R"(procs 2
+array A f64 [1:16] (BLOCK)
+fill(A[1:16])
+do t = 1, 15
+  (t == 2) : { boom() }
+  (mypid == 0) : { s = t }
+enddo
+)");
+  Interpreter in(prog);
+  ckpt::CkptOptions co;
+  co.intervalSteps = 5;
+  in.runtime().enableCheckpointing(co);
+  apps::registerFillKernel(in, 42);
+  in.registerKernel("boom",
+                    [](rt::Proc& p, const std::vector<std::pair<int, Section>>&) {
+                      if (p.mypid() == 1) throw xdp::XdpError("boom on p1");
+                    });
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    in.run();
+    FAIL() << "the kernel's failure was not rethrown";
+  } catch (const xdp::XdpError& e) {
+    EXPECT_NE(std::string(e.what()).find("boom on p1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(secondsSince(t0), 1.0);
+  EXPECT_GT(in.runtime().ckptController()->captureFailures(), 0u);
+}
 
 }  // namespace
 }  // namespace xdp::interp

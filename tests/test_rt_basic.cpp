@@ -122,8 +122,9 @@ TEST(RtBasic, SimpleExampleOwnerComputes) {
     // Verify: A[i] == 11*i on the owner.
     for (Index i = 1; i <= N; ++i) {
       Section si{Triplet(i)};
-      if (p.iown(A, si))
+      if (p.iown(A, si)) {
         EXPECT_DOUBLE_EQ(p.get<double>(A, Point{i}), 11.0 * i);
+      }
     }
   });
   // Matching sends/receives all consumed.
@@ -283,7 +284,9 @@ TEST(RtBasic, FreshTablesEachRun) {
   });
   rt.run([&](Proc& p) {
     // Zero-initialized again.
-    if (p.mypid() == 0) EXPECT_DOUBLE_EQ(p.get<double>(A, Point{1}), 0.0);
+    if (p.mypid() == 0) {
+      EXPECT_DOUBLE_EQ(p.get<double>(A, Point{1}), 0.0);
+    }
   });
 }
 
