@@ -2,7 +2,7 @@
 // session mix (jacobi stencil / cannon ring / vecadd streaming, all 4-proc
 // tenants) pushed through the Server at 64/256/1024 concurrent sessions,
 // clean and with a 5% hostile-session rate (lossy fault plans that force
-// the retry/backoff and watchdog paths). Reported: sessions/s and the
+// the retry/backoff and deadlock paths). Reported: sessions/s and the
 // p50/p99 per-session wall latency — the serving-layer figures the perf
 // trajectory tracks alongside the modeled-time benches.
 #include <benchmark/benchmark.h>
@@ -51,7 +51,6 @@ void BM_Serve(benchmark::State& state) {
   serve::ServerConfig cfg;
   cfg.workers = 8;
   cfg.maxPending = sessions + 1;
-  cfg.session.watchdogMs = 100;  // bounds the cost of a hostile deadlock
   cfg.session.retry.maxAttempts = 3;
   cfg.session.retry.backoffBaseMs = 1;
   cfg.session.retry.backoffCapMs = 4;

@@ -5,7 +5,8 @@
 // compiler chose. This bench measures iown / accessible / mylb / await on
 // a processor whose partition is split into 1..4096 segments, under BLOCK
 // and CYCLIC distributions, plus the cost of the ownership-state update
-// performed by a receive initiation/completion pair.
+// performed by a receive initiation/completion pair, and of a processor
+// with thousands of receives outstanding on one array.
 //
 // These are real single-thread latencies (ns), directly meaningful even
 // on a one-core host.
@@ -99,8 +100,43 @@ void BM_ReceiveStateUpdate(benchmark::State& state) {
   state.counters["elems_moved"] = static_cast<double>(segElems);
 }
 
+void BM_OutstandingReceives(benchmark::State& state) {
+  // p1 posts n single-element receives before it releases p0 with a go
+  // message; p0 then sends the n elements and p1 awaits them all. Each
+  // post, completion and await consults p1's outstanding receives of one
+  // array, so a linear scan per query makes the row quadratic in n.
+  const Index n = state.range(0);
+  for (auto _ : state) {
+    rt::Runtime runtime(2);
+    const Section ga{Triplet(1, 2 * n)};
+    const int A = runtime.declareArray<double>(
+        "A", ga, Distribution(ga, {DimSpec::block(2)}));
+    const Section gg{Triplet(0, 1)};
+    const int GO = runtime.declareArray<double>(
+        "GO", gg, Distribution(gg, {DimSpec::block(2)}));
+    runtime.run([&](rt::Proc& p) {
+      if (p.mypid() == 0) {
+        p.recv(GO, Section{Triplet(0)}, GO, Section{Triplet(1)});
+        p.await(GO, Section{Triplet(0)});
+        for (Index k = 1; k <= n; ++k)
+          p.send(A, Section{Triplet(k)}, std::vector<int>{1});
+      } else {
+        for (Index k = 1; k <= n; ++k)
+          p.recv(A, Section{Triplet(n + k)}, A, Section{Triplet(k)});
+        p.send(GO, Section{Triplet(1)}, std::vector<int>{0});
+        p.await(A, Section{Triplet(n + 1, 2 * n)});
+      }
+    });
+  }
+  state.counters["receives"] = static_cast<double>(n);
+}
+
 }  // namespace
 
+BENCHMARK(BM_OutstandingReceives)
+    ->Arg(2048)
+    ->Arg(16384)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Iown)->ArgsProduct({{1, 16, 256, 4096}, {0, 1}});
 BENCHMARK(BM_Accessible)->Arg(1)->Arg(16)->Arg(256)->Arg(4096);
 BENCHMARK(BM_Mylb)->Arg(1)->Arg(16)->Arg(256)->Arg(4096);

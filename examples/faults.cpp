@@ -1,4 +1,4 @@
-// Fault injection and the hang watchdog, end to end.
+// Fault injection and exact deadlock diagnosis, end to end.
 //
 // Three acts:
 //   1. jacobi, clean — the paper's perfectly reliable machine.
@@ -7,10 +7,10 @@
 //      application: the answer is bit-identical to the reference, and the
 //      injector's counters show how much abuse the run absorbed.
 //   3. a deliberately broken program (a receive nobody answers) under a
-//      lossy plan: instead of hanging, the watchdog diagnoses quiescence
-//      and every blocked wait fails with a DeadlockError whose report
-//      names the blocked processors, the unmatched names and the owning
-//      sections.
+//      lossy plan: instead of hanging, the scheduler sees that no
+//      processor can run and every blocked wait fails at once with a
+//      DeadlockError whose report names the blocked processors, the
+//      unmatched names and the owning sections.
 #include <cstdio>
 
 #include "xdp/apps/jacobi.hpp"
@@ -55,7 +55,6 @@ int main() {
   // Act 3: a hang, diagnosed. Drop every message and wait for one.
   rt::RuntimeOptions opts;
   opts.debugChecks = true;
-  opts.watchdogMs = 200;  // overrides XDP_WATCHDOG_MS / the 10 s default
   net::FaultPlan lossy;
   lossy.dropProb = 1.0;
   opts.faultPlan = lossy;
@@ -75,7 +74,7 @@ int main() {
     std::printf("unexpectedly completed?\n");
     return 1;
   } catch (const DeadlockError& e) {
-    std::printf("\nwatchdog fired: %s\n%s", e.summary().c_str(),
+    std::printf("\ndeadlock diagnosed: %s\n%s", e.summary().c_str(),
                 e.report().c_str());
   }
   return 0;

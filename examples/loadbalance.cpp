@@ -1,6 +1,8 @@
-// Load balancing with XDP, three ways (paper sections 2.6 and 2.7), with
-// *real* work and wall-clock measurement — the simulated processors are
-// real threads, so dynamic schemes really balance:
+// Load balancing with XDP, three ways (paper sections 2.6 and 2.7). A
+// task's work is charged to its processor's virtual clock (Proc::compute)
+// and each scheme reports the modeled makespan. The scheduler always runs
+// the processor with the lowest virtual clock, so the idle worker really
+// is the one that asks for the next job:
 //
 //   1. Static owner-computes: tasks are BLOCK-distributed; each processor
 //      executes the tasks it owns. Skewed costs leave most processors
@@ -20,8 +22,7 @@
 //      program on each processor." A greedy rebalance ships task
 //      ownership once; the unchanged owner-computes loop then runs each
 //      task at its new home.
-#include <chrono>
-#include <thread>
+#include <algorithm>
 #include <cstdio>
 
 #include "xdp/apps/workloads.hpp"
@@ -40,20 +41,11 @@ namespace {
 constexpr int kProcs = 4;
 constexpr int kTasks = 64;
 
-/// Task work for `seconds`. Sleeping (rather than spinning) stands in for
-/// compute: it occupies the simulated processor for the right wall-clock
-/// duration while letting other simulated processors run concurrently even
-/// on a single-core host.
-void spinFor(double seconds) {
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-}
-
+/// Run `node` on `runtime` and return the modeled makespan.
 template <typename Fn>
-double wallTime(Fn&& fn) {
-  auto t0 = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
+double modeledTime(rt::Runtime& runtime, Fn&& node) {
+  runtime.run(node);
+  return runtime.fabric().makespan();
 }
 
 double staticSchedule(const std::vector<double>& costs) {
@@ -62,14 +54,11 @@ double staticSchedule(const std::vector<double>& costs) {
   const int W = runtime.declareArray<double>(
       "W", g, Distribution(g, {DimSpec::block(kProcs)}),
       dist::SegmentShape::of({1}));
-  return wallTime([&] {
-    runtime.run([&](rt::Proc& p) {
-      for (Index t = 1; t <= kTasks; ++t) {
-        Section st{Triplet(t)};
-        if (p.iown(W, st))
-          spinFor(costs[static_cast<std::size_t>(t - 1)]);
-      }
-    });
+  return modeledTime(runtime, [&](rt::Proc& p) {
+    for (Index t = 1; t <= kTasks; ++t) {
+      Section st{Triplet(t)};
+      if (p.iown(W, st)) p.compute(costs[static_cast<std::size_t>(t - 1)]);
+    }
   });
 }
 
@@ -82,32 +71,30 @@ double taskFarm(const std::vector<double>& costs) {
   Section gp{Triplet(0, kProcs - 1)};
   const int M = runtime.declareArray<double>(
       "M", gp, Distribution(gp, {DimSpec::block(kProcs)}));
-  return wallTime([&] {
-    runtime.run([&](rt::Proc& p) {
-      Section w0{Triplet(0)};
-      if (p.mypid() == 0) {
-        // Publish every job as a send of the same name W[0]; then one
-        // poison pill (-1) per worker. Destinations unspecified: the
-        // matchmaker hands each to the first idle receiver (FCFS).
-        for (int t = 0; t < kTasks; ++t) {
-          p.set<double>(W, Point{0}, costs[static_cast<std::size_t>(t)]);
-          p.send(W, w0);
-        }
-        for (int w = 0; w < kProcs; ++w) {
-          p.set<double>(W, Point{0}, -1.0);
-          p.send(W, w0);
-        }
+  return modeledTime(runtime, [&](rt::Proc& p) {
+    Section w0{Triplet(0)};
+    if (p.mypid() == 0) {
+      // Publish every job as a send of the same name W[0]; then one
+      // poison pill (-1) per worker. Destinations unspecified: the
+      // matchmaker hands each to the first idle receiver (FCFS).
+      for (int t = 0; t < kTasks; ++t) {
+        p.set<double>(W, Point{0}, costs[static_cast<std::size_t>(t)]);
+        p.send(W, w0);
       }
-      // Every processor (p0 included) is a worker: pull until poisoned.
-      Section slot{Triplet(p.mypid())};
-      while (true) {
-        p.recv(M, slot, W, w0);
-        if (!p.await(M, slot)) break;
-        double job = p.get<double>(M, Point{p.mypid()});
-        if (job < 0) break;
-        spinFor(job);
+      for (int w = 0; w < kProcs; ++w) {
+        p.set<double>(W, Point{0}, -1.0);
+        p.send(W, w0);
       }
-    });
+    }
+    // Every processor (p0 included) is a worker: pull until poisoned.
+    Section slot{Triplet(p.mypid())};
+    while (true) {
+      p.recv(M, slot, W, w0);
+      if (!p.await(M, slot)) break;
+      double job = p.get<double>(M, Point{p.mypid()});
+      if (job < 0) break;
+      p.compute(job);
+    }
   });
 }
 
@@ -137,25 +124,22 @@ double ownershipMigration(const std::vector<double>& costs) {
     }
   }
   const Index blk = kTasks / kProcs;
-  return wallTime([&] {
-    runtime.run([&](rt::Proc& p) {
-      const int me = p.mypid();
-      for (Index t = 1; t <= kTasks; ++t) {
-        Section st{Triplet(t)};
-        const int from = static_cast<int>((t - 1) / blk);
-        const int to = target[static_cast<std::size_t>(t - 1)];
-        if (from == to) continue;
-        if (me == from) p.sendOwnership(W, st, true, std::vector<int>{to});
-        if (me == to) p.recvOwnership(W, st, true);
-      }
-      // The same owner-computes loop as the static schedule: ownership,
-      // not code, decides who runs what.
-      for (Index t = 1; t <= kTasks; ++t) {
-        Section st{Triplet(t)};
-        if (p.await(W, st))
-          spinFor(costs[static_cast<std::size_t>(t - 1)]);
-      }
-    });
+  return modeledTime(runtime, [&](rt::Proc& p) {
+    const int me = p.mypid();
+    for (Index t = 1; t <= kTasks; ++t) {
+      Section st{Triplet(t)};
+      const int from = static_cast<int>((t - 1) / blk);
+      const int to = target[static_cast<std::size_t>(t - 1)];
+      if (from == to) continue;
+      if (me == from) p.sendOwnership(W, st, true, std::vector<int>{to});
+      if (me == to) p.recvOwnership(W, st, true);
+    }
+    // The same owner-computes loop as the static schedule: ownership,
+    // not code, decides who runs what.
+    for (Index t = 1; t <= kTasks; ++t) {
+      Section st{Triplet(t)};
+      if (p.await(W, st)) p.compute(costs[static_cast<std::size_t>(t - 1)]);
+    }
   });
 }
 
@@ -163,7 +147,7 @@ double ownershipMigration(const std::vector<double>& costs) {
 
 int main() {
   const double cost0 = 4e-4;  // ~26ms total work, ideal ~6.4ms on 4 procs
-  std::printf("%-8s %12s %12s %12s   (wall seconds, lower is better)\n",
+  std::printf("%-8s %12s %12s %12s   (modeled seconds, lower is better)\n",
               "skew", "static", "task farm", "migration");
   for (double skew : {1.0, 1.05, 1.1, 1.2}) {
     auto costs = apps::skewedCosts(kTasks, cost0, skew, 42);

@@ -1,5 +1,7 @@
 #include "xdp/ckpt/controller.hpp"
 
+#include "xdp/support/check.hpp"
+
 namespace xdp::ckpt {
 
 namespace {
@@ -32,15 +34,10 @@ void Controller::publish(int pid, ContImage img) {
   s.img = std::move(img);
 }
 
-void Controller::throwSignal() {
-  if (signal_.load(std::memory_order_relaxed) == 2) throw PreemptSignal{};
-  throw RollbackSignal{rollbackSource_.load(std::memory_order_relaxed)};
-}
-
 void Controller::deliverSignal(int pid, ContImage img) {
   if (signal_.load(std::memory_order_relaxed) == 0) return;
   publish(pid, std::move(img));
-  throwSignal();
+  std::rethrow_exception(signalError());
 }
 
 void Controller::parkAtBoundary(int pid, ContImage img) {
@@ -51,133 +48,97 @@ void Controller::parkAtBoundary(int pid, ContImage img) {
       nextThreshold(img.stats[kContStmtsExecuted], opts_.intervalSteps),
       std::memory_order_relaxed);
   publish(pid, std::move(img));
-
-  std::unique_lock lk(mu_);
-  if (signal_.load(std::memory_order_relaxed) != 0) throwSignal();
+  FiberScheduler* sched = FiberScheduler::current();
+  if (sched == nullptr)
+    throw UsageError("checkpoint park outside net::runSpmd");
+  sched_ = sched;
   {
     std::lock_guard slk(slot.mu);
-    slot.state = ProcState::Parked;
-    // Tag the park with the generation it belongs to: only a park for the
-    // capture currently forming counts as pinned (see pin()). A stale
-    // Parked slot from an earlier generation is a waiter whose wake
-    // predicate is already true — logically running.
-    slot.parkGen = generation_;
+    slot.state = State::Parked;
+    slot.fiber = sched->self();
   }
-  events_ += 1;
-  leaderCv_.notify_one();
-
-  if (!captureActive_) {
-    captureActive_ = true;
-    lk.unlock();
-    bool ok = false;
-    if (captureFn_) ok = captureFn_();
-    (ok ? captures_ : captureFailures_).fetch_add(1);
-    lk.lock();
-    captureActive_ = false;
-    generation_ += 1;
-    {
+  struct Unpark {
+    Slot& slot;
+    ~Unpark() {
       std::lock_guard slk(slot.mu);
-      slot.state = ProcState::Running;
+      slot.state = State::Running;
     }
-    cv_.notify_all();
-  } else {
-    const std::uint64_t gen = generation_;
-    cv_.wait(lk, [&] {
-      return generation_ != gen ||
-             signal_.load(std::memory_order_relaxed) != 0;
-    });
-    {
-      std::lock_guard slk(slot.mu);
-      slot.state = ProcState::Running;
-    }
-  }
-  if (signal_.load(std::memory_order_relaxed) != 0) throwSignal();
+  } unpark{slot};
+  sched->park();  // settle() releases it; a signal cancels it
 }
 
 void Controller::finish(int pid) {
   Slot& slot = *slots_[static_cast<std::size_t>(pid)];
-  // State and counter move in one critical section of mu_: a leader that
-  // reads the state reads the counter it moved to (see events()).
-  std::lock_guard lk(mu_);
-  {
-    std::lock_guard slk(slot.mu);
-    slot.state = ProcState::Finished;
-    slot.img.finished = true;
-    slot.img.unsafe = false;
-  }
-  events_ += 1;
-  leaderCv_.notify_one();
+  std::lock_guard slk(slot.mu);
+  slot.state = State::Finished;
+  slot.img.finished = true;
+  slot.img.unsafe = false;
 }
 
 void Controller::markFailed(int pid) {
   Slot& slot = *slots_[static_cast<std::size_t>(pid)];
-  std::lock_guard lk(mu_);
-  {
-    std::lock_guard slk(slot.mu);
-    slot.state = ProcState::Failed;
+  std::lock_guard slk(slot.mu);
+  slot.state = State::Failed;
+}
+
+bool Controller::settle(int barrierEntrants,
+                        const std::function<bool()>& capture) {
+  bool parked = false;
+  bool failed = false;
+  for (const auto& slot : slots_) {
+    std::lock_guard slk(slot->mu);
+    parked = parked || slot->state == State::Parked;
+    failed = failed || slot->state == State::Failed;
   }
-  events_ += 1;
-  leaderCv_.notify_one();
+  if (!parked) return false;
+  // Nothing runs, so nothing changes until someone is woken: a barrier
+  // entrant or a failed processor can never reach a boundary, so the cut
+  // cannot form; otherwise every processor is parked, blocked in an await
+  // with its restart point published, or finished.
+  const bool ok = !failed && barrierEntrants == 0 && capture();
+  (ok ? captures_ : captureFailures_) += 1;
+  releaseParked();
+  return true;
 }
 
-void Controller::notifyCoordinator() {
-  std::lock_guard lk(mu_);
-  events_ += 1;
-  leaderCv_.notify_one();
-}
-
-std::uint64_t Controller::events() {
-  std::lock_guard lk(mu_);
-  return events_;
-}
-
-void Controller::awaitEvent(std::uint64_t seen) {
-  std::unique_lock lk(mu_);
-  leaderCv_.wait(lk, [&] {
-    return events_ != seen || signal_.load(std::memory_order_relaxed) != 0;
-  });
-}
-
-void Controller::setCaptureFn(std::function<bool()> fn) {
-  captureFn_ = std::move(fn);
-}
-
-void Controller::setInterruptFn(std::function<void()> fn) {
-  interruptFn_ = std::move(fn);
+void Controller::releaseParked() {
+  for (auto& slot : slots_) {
+    std::lock_guard slk(slot->mu);
+    if (slot->state == State::Parked) sched_->wake(slot->fiber);
+  }
 }
 
 void Controller::requestRollback(int source) {
   rollbackSource_.store(source, std::memory_order_relaxed);
   signal_.store(1, std::memory_order_release);
-  wakeForSignal();
 }
 
 void Controller::requestPreempt() {
   // Never downgrade a rollback in flight.
   int expect = 0;
-  if (!signal_.compare_exchange_strong(expect, 2)) return;
-  wakeForSignal();
+  signal_.compare_exchange_strong(expect, 2);
 }
 
-void Controller::wakeForSignal() {
-  {
-    std::lock_guard lk(mu_);
-    events_ += 1;
-    cv_.notify_all();
-    leaderCv_.notify_one();
+std::exception_ptr Controller::signalError() const {
+  switch (signal_.load(std::memory_order_relaxed)) {
+    case 1:
+      return std::make_exception_ptr(
+          RollbackSignal{rollbackSource_.load(std::memory_order_relaxed)});
+    case 2:
+      return std::make_exception_ptr(PreemptSignal{});
+    default:
+      return nullptr;
   }
-  if (interruptFn_) interruptFn_();
 }
 
 void Controller::beginRound(std::vector<ContImage> resume) {
-  std::lock_guard lk(mu_);
   signal_.store(0, std::memory_order_release);
   rollbackSource_.store(-1, std::memory_order_relaxed);
-  captureActive_ = false;
+  sched_ = nullptr;
   for (int pid = 0; pid < nprocs_; ++pid) {
     Slot& slot = *slots_[static_cast<std::size_t>(pid)];
     std::lock_guard slk(slot.mu);
-    slot.state = ProcState::Running;
+    slot.state = State::Running;
     slot.img = ContImage{};
     slot.hasResume = false;
     std::uint64_t base = 0;
@@ -208,29 +169,6 @@ ContImage Controller::slotImage(int pid) const {
   Slot& slot = *slots_[static_cast<std::size_t>(pid)];
   std::lock_guard slk(slot.mu);
   return slot.img;
-}
-
-ProcState Controller::slotState(int pid) const {
-  Slot& slot = *slots_[static_cast<std::size_t>(pid)];
-  std::lock_guard slk(slot.mu);
-  return slot.state;
-}
-
-Controller::Pin Controller::pin(int pid) {
-  Slot& slot = *slots_[static_cast<std::size_t>(pid)];
-  std::lock_guard lk(mu_);  // generation_ is guarded by mu_
-  std::lock_guard slk(slot.mu);
-  switch (slot.state) {
-    case ProcState::Finished:
-      return Pin::Pinned;
-    case ProcState::Failed:
-      return Pin::Failed;
-    case ProcState::Parked:
-      return slot.parkGen == generation_ ? Pin::Pinned : Pin::Free;
-    case ProcState::Running:
-      break;
-  }
-  return Pin::Free;
 }
 
 }  // namespace xdp::ckpt

@@ -8,7 +8,7 @@
 // awaits, kernels, general sections — stays a single cold instruction
 // (EvalFlat / EvalRule / ExecFlat) that walks the flat IL and calls back
 // into the same rt::Proc the reference tree walker uses. Quotas
-// (stepHook), fault injection, the watchdog, and NetStats are therefore
+// (stepHook), fault injection, deadlock detection, and NetStats are therefore
 // untouched, and the logical InterpStats counters are bit-identical to
 // the reference walker's naive guard-per-iteration schedule. Owner-
 // computes loops additionally compile a range-split copy (SplitEnter /

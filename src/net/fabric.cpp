@@ -320,6 +320,8 @@ void Fabric::send(int src, const Name& name, TransferKind kind,
                   std::vector<std::byte> payload, std::optional<int> dest) {
   checkPid(src, "send source");
   if (dest.has_value()) checkPid(*dest, "send destination");
+  // A yield point, before any lock (see file comment).
+  if (FiberScheduler* s = FiberScheduler::current()) s->yieldIfBehind();
   const std::size_t bytes = payload.size();
   // Admission first, with no lock held and no state changed: a rejected
   // send (quota throw) costs the fabric nothing.
@@ -441,6 +443,8 @@ ReceiveId Fabric::postReceiveImpl(int pid, const Name& name,
                                   TransferKind kind, CompletionFn fn,
                                   std::optional<RecvDesc> desc) {
   checkPid(pid, "postReceive");
+  // A yield point, before any lock (see file comment).
+  if (FiberScheduler* s = FiberScheduler::current()) s->yieldIfBehind();
   Endpoint& e = ep(pid);
   const ReceiveId id = nextId_.fetch_add(1, std::memory_order_relaxed);
 
@@ -552,18 +556,9 @@ void Fabric::barrier(int pid) {
     myClock = e.clock;
   }
   std::unique_lock lk(barrierMu_);
-  if (aborted_)
-    throw DeadlockError(abortSummary_ + " [p" + std::to_string(pid) +
-                            " entering barrier]",
-                        abortReport_ ? *abortReport_ : std::string());
-  // Polled before joining so a rollback/preempt unwinds the entrant with
-  // its continuation still pointing at the barrier statement.
-  if (barrierInterrupt_) barrierInterrupt_();
-  barrierMax_ = std::max(barrierMax_, myClock);
-  std::uint64_t gen = barrierGen_;
-  if (++barrierCount_ == nprocs_) {
+  if (barrierCount_ + 1 == nprocs_) {
     barrierCount_ = 0;
-    double release = barrierMax_ + model_.barrierCost;
+    double release = std::max(barrierMax_, myClock) + model_.barrierCost;
     barrierMax_ = 0.0;
     // Lock order barrierMu_ -> endpoint is taken only here; barrier
     // entrants never hold an endpoint lock when acquiring barrierMu_, so
@@ -573,35 +568,27 @@ void Fabric::barrier(int pid) {
       e.clock = std::max(e.clock, release);
     }
     ++barrierGen_;
-    barrierCv_.notify_all();
+    for (int f : barrierFibers_) barrierSched_->wake(f);
+    barrierFibers_.clear();
     return;
   }
-  // Under barrierMu_, which barrierWaiters() reads through: a checkpoint
-  // capture leader either counts this entrant or sees its notify.
-  if (barrierNotify_) barrierNotify_();
-  while (barrierGen_ == gen && !aborted_) {
-    // May throw a rollback/preempt signal; the leaked entrant count is
-    // reset by clearAbort at the start of the next recovery round.
-    if (barrierInterrupt_) barrierInterrupt_();
-    barrierCv_.wait(lk);
+  FiberScheduler* sched = FiberScheduler::current();
+  if (sched == nullptr) {
+    XDP_USAGE_FAIL("barrier on p" + std::to_string(pid) +
+                   " would block outside net::runSpmd");
   }
-  if (barrierGen_ == gen && aborted_)
-    throw DeadlockError(abortSummary_ + " [p" + std::to_string(pid) +
-                            " blocked at barrier]",
-                        abortReport_ ? *abortReport_ : std::string());
-}
-
-void Fabric::setBarrierInterrupt(std::function<void()> check) {
-  barrierInterrupt_ = std::move(check);
-}
-
-void Fabric::setBarrierNotify(std::function<void()> fn) {
-  barrierNotify_ = std::move(fn);
-}
-
-void Fabric::notifyBarrierWaiters() {
-  std::lock_guard lk(barrierMu_);
-  barrierCv_.notify_all();
+  barrierMax_ = std::max(barrierMax_, myClock);
+  barrierCount_ += 1;
+  barrierSched_ = sched;
+  barrierFibers_.push_back(sched->self());
+  const std::uint64_t gen = barrierGen_;
+  while (barrierGen_ == gen) {
+    lk.unlock();
+    // Throws if the scheduler cancels this fiber (a deadlock, a recovery
+    // signal); the entrant count it leaves is dropped by resetBarrier.
+    sched->park();
+    lk.lock();
+  }
 }
 
 NetStats Fabric::stats(int pid) const {
@@ -784,20 +771,6 @@ FabricSnapshot Fabric::snapshot() const {
 int Fabric::barrierWaiters() const {
   std::lock_guard lk(barrierMu_);
   return barrierCount_;
-}
-
-std::uint64_t Fabric::barrierEpoch() const {
-  std::lock_guard lk(barrierMu_);
-  return barrierGen_;
-}
-
-void Fabric::abortBlockedOps(const std::string& summary,
-                             std::shared_ptr<const std::string> report) {
-  std::lock_guard lk(barrierMu_);
-  aborted_ = true;
-  abortSummary_ = summary;
-  abortReport_ = std::move(report);
-  barrierCv_.notify_all();
 }
 
 namespace {
@@ -1028,15 +1001,12 @@ void Fabric::restoreImage(const std::vector<std::byte>& image,
   }
 }
 
-void Fabric::clearAbort() {
+void Fabric::resetBarrier() {
   std::lock_guard lk(barrierMu_);
-  aborted_ = false;
-  abortSummary_.clear();
-  abortReport_.reset();
-  // Threads that threw out of an aborted barrier left their entrant counts
-  // behind; between runs nobody is inside, so reset the incomplete barrier.
   barrierCount_ = 0;
   barrierMax_ = 0.0;
+  barrierFibers_.clear();
+  barrierSched_ = nullptr;
 }
 
 }  // namespace xdp::net

@@ -12,8 +12,8 @@
 //   receiver completion        max(receiver clock, arrival) when the
 //                              receiver synchronizes on the data (await)
 //
-// Benchmarks report both wall-clock time (threads really run) and modeled
-// time (deterministic shape). Units are arbitrary "seconds".
+// Benchmarks report both wall-clock time (the simulator's own cost) and
+// modeled time (deterministic shape). Units are arbitrary "seconds".
 #pragma once
 
 #include <cstddef>

@@ -1,10 +1,11 @@
 // The simulated message-passing machine.
 //
 // A Fabric has P endpoints (one per simulated processor). All operations
-// are non-blocking: XDP's blocking semantics (await, blocked owner-sends)
-// live in the runtime layer, which waits on its symbol table's condition
-// variable; the fabric merely matches messages to posted receives and runs
-// a completion callback when a match happens.
+// but barrier() are non-blocking: XDP's blocking semantics live in the
+// runtime layer; the fabric matches messages to posted receives and runs
+// a completion callback when a match happens. Sends and receive posts are
+// yield points (xdp::FiberScheduler::yieldIfBehind), so the matcher sees
+// rendezvous traffic in virtual-time order.
 //
 // Two delivery routes exist, reflecting the paper's delayed communication
 // binding (section 3.2):
@@ -19,7 +20,7 @@
 //                 receives outstanding for the *same* name, and each
 //                 matching send is handed to the first waiter in line.
 //
-// Delivery is synchronous on both routes: the sending thread itself
+// Delivery is synchronous on both routes: the sending fiber itself
 // delivers the message under the destination endpoint's lock, so send()
 // returns only after the message completed a receive or was parked (as
 // unexpected, or at the matcher). Apart from messages a fault plan holds
@@ -30,11 +31,14 @@
 // Virtual time: a completion never writes another endpoint's clock. The
 // unexpected-message copy is charged through the message's arrival time,
 // which the receiver syncs to when it awaits the data, so every clock
-// moves only on its own processor's thread (and at barrier release) and
-// modeled time does not depend on the host's thread schedule.
+// moves only while its own processor runs (and at barrier release) and
+// modeled time does not depend on the schedule.
 //
 // Locking: the matching state is sharded so that P endpoints do not
-// serialize on one fabric-wide mutex.
+// serialize on one fabric-wide mutex. A machine's processors are fibers
+// of one thread, so these locks order them only against threads that read
+// the fabric from outside (stats, snapshots); no lock is held across a
+// yield or a park.
 //
 //   * Each endpoint owns a mutex guarding its virtual clock, its traffic
 //     counters, its posted-but-unmatched receives and its
@@ -53,9 +57,7 @@
 //     injector's mutex and the barrier mutex are taken with no endpoint
 //     or matcher lock held; the barrier *release* path and snapshot()
 //     additionally take endpoint locks (barrier/snapshot -> endpoint,
-//     ascending pid order when more than one is held). The barrier entry
-//     hook runs under the barrier mutex and may take the checkpoint
-//     controller's lock (barrier -> controller).
+//     ascending pid order when more than one is held).
 //   * Completion callbacks run while the destination endpoint's lock is
 //     held and may take the destination symbol table's lock (lock order:
 //     endpoint -> symtab — the pre-shard fabric-state -> symtab order).
@@ -65,7 +67,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -80,6 +81,7 @@
 #include "xdp/net/cost_model.hpp"
 #include "xdp/net/fault.hpp"
 #include "xdp/net/message.hpp"
+#include "xdp/support/fiber.hpp"
 
 namespace xdp::net {
 
@@ -114,7 +116,7 @@ using SendHook = std::function<void(int src, std::size_t bytes)>;
 
 /// Invoked (with no fabric lock held) when a crash-plan endpoint with
 /// CrashFate::Recover exhausts its send budget, just before the sending
-/// thread unwinds with ckpt::RollbackSignal. The runtime's checkpoint
+/// fiber unwinds with ckpt::RollbackSignal. The runtime's checkpoint
 /// controller hangs its rollback request off this. Must not send.
 using CrashHook = std::function<void(int src)>;
 
@@ -215,8 +217,8 @@ class Fabric {
 
   /// Post a receive for `name` at `pid`. If a matching message is already
   /// queued (directly addressed or waiting at the matcher), `fn` runs
-  /// before this returns. Otherwise `fn` runs later, on the delivering
-  /// thread. Returns an id usable only for diagnostics.
+  /// before this returns. Otherwise `fn` runs later, in the delivering
+  /// send. Returns an id usable only for diagnostics.
   ReceiveId postReceive(int pid, const Name& name, TransferKind kind,
                         CompletionFn fn);
 
@@ -229,7 +231,12 @@ class Fabric {
   /// --- collectives ----------------------------------------------------
 
   /// Rendezvous of all endpoints; clocks advance to max + barrierCost.
+  /// Every entrant but the last parks its fiber; a barrier that would
+  /// park outside net::runSpmd is a UsageError.
   void barrier(int pid);
+  /// Forget the entrants of an incomplete barrier: fibers that a
+  /// deadlock or a recovery signal unwound out of it. Call between runs.
+  void resetBarrier();
 
   /// --- accounting -----------------------------------------------------
   /// Safe to call at any time, including concurrently with traffic: each
@@ -258,10 +265,8 @@ class Fabric {
   /// session left behind, now reclaimed.
   DrainReport drain();
 
-  /// Install (or, with nullptr, remove) the send admission hook. NOT
-  /// thread-safe against in-flight sends: set it while no traffic is
-  /// running (before an SPMD region starts); thread creation publishes it
-  /// to the node threads.
+  /// Install (or, with nullptr, remove) the send admission hook. Set it
+  /// while no traffic is running (before an SPMD region starts).
   void setSendHook(SendHook hook);
 
   /// --- fault injection -------------------------------------------------
@@ -277,8 +282,9 @@ class Fabric {
   bool faultPlanLossy() const;
   FaultStats faultStats() const;
   /// Deliver every message the injector is holding back (reorder faults).
-  /// Returns how many were released. Called at quiescence by the watchdog
-  /// and at the end of an SPMD region.
+  /// Returns how many were released. Called when every processor is
+  /// parked, before a deadlock is declared, and at the end of an SPMD
+  /// region.
   std::size_t flushHeldFaults();
   std::size_t heldFaultCount() const;
 
@@ -313,33 +319,12 @@ class Fabric {
   /// setSendHook (set while no traffic runs).
   void setCrashHook(CrashHook hook);
 
-  /// Install a hook polled by barrier waiters on entry and on every
-  /// wake-up; it may throw (the checkpoint controller's signal check), so
-  /// a rollback/preempt can unwind a processor parked in a barrier. Set
-  /// while no traffic runs. Entrant counts left behind by an unwound
-  /// barrier are reset by clearAbort between rounds.
-  void setBarrierInterrupt(std::function<void()> check);
-  /// Install a hook run, under the barrier lock, when a processor enters
-  /// a barrier that does not complete on its arrival (the checkpoint
-  /// capture leader wakes on it). Set while no traffic runs.
-  void setBarrierNotify(std::function<void()> fn);
-  /// Wake barrier waiters so they re-poll the interrupt hook.
-  void notifyBarrierWaiters();
-
   /// Clear the injector's crash flags after a successful rollback (counts
   /// one absorbed crash). No-op without a plan.
   void disarmCrashes();
   /// Entrants of the current *incomplete* barrier (0 when no barrier is in
   /// progress). Waiters of an already-released barrier do not count.
   int barrierWaiters() const;
-  /// Generation counter; advances when a barrier completes. Stable value +
-  /// stable waiter count across two observations = a genuinely stuck wait.
-  std::uint64_t barrierEpoch() const;
-  /// Fail every current and future barrier wait with a DeadlockError built
-  /// from `summary`/`report` (watchdog teardown). Sticky until clearAbort.
-  void abortBlockedOps(const std::string& summary,
-                       std::shared_ptr<const std::string> report);
-  void clearAbort();
 
  private:
   struct PendingReceive {
@@ -353,8 +338,7 @@ class Fabric {
   /// One simulated processor's mailbox. Everything in it — including the
   /// virtual clock and the stats — is guarded by `mu`, which is the lock
   /// completion callbacks run under. Cache-line-aligned so two endpoints'
-  /// hot state (lock word, clock, counters) never false-share a line
-  /// when P threads hammer adjacent mailboxes.
+  /// hot state (lock word, clock, counters) never shares a line.
   struct alignas(64) Endpoint {
     mutable std::mutex mu;
     std::deque<Message> unexpected;      // arrived before a receive posted
@@ -447,16 +431,11 @@ class Fabric {
   const CostModel model_;
 
   /// Send admission hook; set only while no traffic runs (see
-  /// setSendHook), read by every sending thread.
+  /// setSendHook), read by every send.
   SendHook sendHook_;
 
   /// Crash-recovery hook; same publication discipline as sendHook_.
   CrashHook crashHook_;
-
-  /// Barrier interrupt and entry hooks; same publication discipline as
-  /// sendHook_.
-  std::function<void()> barrierInterrupt_;
-  std::function<void()> barrierNotify_;
 
   /// Endpoint shards. Sized once in the constructor; never resized, so
   /// the embedded mutexes stay put.
@@ -499,17 +478,13 @@ class Fabric {
   std::unique_ptr<FaultInjector> injector_;       // null = no faults
   std::atomic<bool> faultsActive_{false};
 
-  // Reusable barrier.
+  // Reusable barrier. The parked entrants are fibers of barrierSched_.
   mutable std::mutex barrierMu_;
-  std::condition_variable barrierCv_;
   int barrierCount_ = 0;
   std::uint64_t barrierGen_ = 0;
   double barrierMax_ = 0.0;
-
-  // Watchdog teardown (guarded by barrierMu_; sticky until clearAbort).
-  bool aborted_ = false;
-  std::string abortSummary_;
-  std::shared_ptr<const std::string> abortReport_;
+  FiberScheduler* barrierSched_ = nullptr;
+  std::vector<int> barrierFibers_;
 };
 
 }  // namespace xdp::net

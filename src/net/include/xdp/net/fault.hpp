@@ -13,13 +13,13 @@
 // Determinism: decisions are drawn from a counter-based PRNG keyed on
 // (plan seed, source pid, per-source send ordinal). A processor's send
 // sequence is its program order, so the same plan yields the same fault
-// decisions for every message on every run, regardless of how the OS
-// schedules the SPMD threads.
+// decisions for every message on every run, regardless of how the
+// processors are scheduled.
 //
 // Fault semantics:
 //   * drop      — the message is charged to the sender and then discarded.
-//                 Lossy: the matching receive never completes (the hang
-//                 watchdog converts that into a DeadlockError).
+//                 Lossy: the matching receive never completes (deadlock
+//                 detection converts that into a DeadlockError).
 //   * duplicate — the message is delivered twice carrying the same dupId;
 //                 the fabric's dedup layer guarantees exactly-once
 //                 *completion* (the twin is suppressed or purged), so

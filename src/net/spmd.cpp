@@ -2,7 +2,6 @@
 
 #include <exception>
 #include <sstream>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -10,33 +9,11 @@
 
 namespace xdp::net {
 
-void runSpmd(int nprocs, const std::function<void(int pid)>& node) {
+void runSpmd(int nprocs, const std::function<void(int pid)>& node,
+             FiberScheduler::ClockFn clock, FiberScheduler::StallFn stall) {
   XDP_CHECK(nprocs >= 1, "runSpmd needs at least one processor");
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nprocs));
-  threads.reserve(static_cast<std::size_t>(nprocs));
-  // Spawn-failure safety: if creating thread p fails (resource
-  // exhaustion under heavy multi-session load), the failure must be
-  // *collected* like any node failure — never propagated past joinable
-  // threads, where the vector's destructor would std::terminate and race
-  // the teardown of peers that may already have crashed. Unspawned nodes
-  // record the spawn error; everything that did start is always joined.
-  for (int p = 0; p < nprocs; ++p) {
-    try {
-      threads.emplace_back([&, p] {
-        try {
-          node(p);
-        } catch (...) {
-          errors[static_cast<std::size_t>(p)] = std::current_exception();
-        }
-      });
-    } catch (...) {
-      for (int q = p; q < nprocs; ++q)
-        errors[static_cast<std::size_t>(q)] = std::current_exception();
-      break;
-    }
-  }
-  for (auto& t : threads) t.join();
+  const std::vector<std::exception_ptr> errors =
+      FiberScheduler::run(nprocs, node, std::move(clock), std::move(stall));
 
   std::vector<std::pair<int, std::exception_ptr>> fails;
   for (int p = 0; p < nprocs; ++p) {
@@ -48,8 +25,8 @@ void runSpmd(int nprocs, const std::function<void(int pid)>& node) {
 
   // Several nodes failed. Aggregate every failure into one error so no
   // diagnostic is lost, and keep the most specific common type: a
-  // watchdog-diagnosed deadlock dominates (its report travels along),
-  // otherwise uniform usage errors stay usage errors.
+  // diagnosed deadlock dominates (its report travels along), otherwise
+  // uniform usage errors stay usage errors.
   std::ostringstream os;
   os << fails.size() << " of " << nprocs << " SPMD nodes failed:";
   bool sawDeadlock = false;

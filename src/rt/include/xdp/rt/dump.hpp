@@ -25,9 +25,10 @@ std::string dumpOwnerGrid(const SymbolDecl& decl);
 /// per segment, '.' for elements owned by other processors.
 std::string dumpSegmentGrid(const SymbolDecl& decl, int pid);
 
-/// Everything the watchdog learned when it diagnosed a hang. Gathered by
-/// Runtime's monitor thread, rendered by dumpDeadlock, and carried (as the
-/// rendered report) inside the DeadlockError that fails the blocked waits.
+/// Everything the runtime learned when it diagnosed a hang. Gathered when
+/// the scheduler finds no processor runnable, rendered by dumpDeadlock,
+/// and carried (as the rendered report) inside the DeadlockError that
+/// fails the blocked waits.
 struct DeadlockDiagnostics {
   enum class ProcStatus { Finished, BlockedAwait, AtBarrier };
   struct ProcState {

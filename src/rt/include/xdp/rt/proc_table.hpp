@@ -30,24 +30,24 @@
 // exclusive lock and bump the entry epoch before returning. Cache hits are
 // lock-free with respect to mu_ (see stateCached). Fabric completion
 // callbacks call back into beginReceive/completeReceive; the lock order is
-// always fabric -> table (see Fabric docs).
+// always fabric -> table (see Fabric docs). The machine's processors are
+// fibers of one thread (xdp::FiberScheduler), so the locks only order
+// them against threads that query a table from outside.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstring>
 #include <deque>
-#include <functional>
-#include <memory>
+#include <map>
 #include <mutex>
 #include <shared_mutex>
-#include <string>
 #include <vector>
 
 #include "xdp/rt/symbol.hpp"
 #include "xdp/sections/region_list.hpp"
+#include "xdp/support/fiber.hpp"
 
 namespace xdp::rt {
 
@@ -72,9 +72,11 @@ class ProcTable {
   // --- intrinsics (paper Figure 1) ------------------------------------
   bool iown(int sym, const Section& s) const;
   bool accessible(int sym, const Section& s) const;
-  /// Returns false immediately if `s` is unowned; otherwise blocks until
-  /// accessible and returns true. If `arrival` is non-null it receives the
-  /// max virtual arrival time over the segments covering `s`.
+  /// Returns false immediately if `s` is unowned; otherwise parks the
+  /// calling fiber until accessible and returns true. If `arrival` is
+  /// non-null it receives the max virtual arrival time over the segments
+  /// covering `s`. Parking needs a fiber (net::runSpmd): a transitional
+  /// await anywhere else is a UsageError, since nothing could complete it.
   bool await(int sym, const Section& s, double* arrival = nullptr);
   Index mylb(int sym, const Section& s, int d) const;
   Index myub(int sym, const Section& s, int d) const;
@@ -210,26 +212,14 @@ class ProcTable {
   };
   CacheStats cacheStats() const;
 
-  // --- hang diagnostics (used by the runtime watchdog) ------------------
-  /// What this processor's thread is blocked on, if anything. `blocked` is
-  /// true only when the thread is parked in await() AND the awaited
-  /// section is still transitional *right now* (re-checked under the
-  /// table lock), so a woken-but-not-yet-scheduled thread never reads as
-  /// blocked. `epoch` increments on every park/unpark; two observations
-  /// with equal epochs and blocked=true mean the thread never moved.
+  // --- hang diagnostics --------------------------------------------------
+  /// What this processor's fiber is parked on in await(), if anything.
   struct WaitState {
     bool blocked = false;
     int sym = -1;
     Section section;
-    std::uint64_t epoch = 0;
   };
   WaitState waitState() const;
-
-  /// Fail the current await (and every later one on this table) with a
-  /// DeadlockError carrying `summary` and `report`. Called by the
-  /// watchdog once a deadlock is certain; sticky for this table's life.
-  void abortWaits(std::string summary,
-                  std::shared_ptr<const std::string> report);
 
   // --- checkpoint image (DESIGN.md §11) ---------------------------------
   /// Serialize this table's run-time contents: per symbol, the segment
@@ -243,19 +233,6 @@ class ProcTable {
   /// stale epoch-validated cache entry can survive the rollback), and
   /// waiters woken. Throws CkptError on a malformed image.
   void restoreImage(const std::vector<std::byte>& image);
-
-  /// Install a hook polled by blocked awaits on every wake-up, before the
-  /// state re-check. The runtime points it at the checkpoint controller so
-  /// a rollback/preempt signal can unwind a blocked processor (the hook
-  /// throws; the continuation image for this position was published
-  /// before the blocking statement). Set while no node threads run.
-  void setWaitInterrupt(std::function<void()> fn);
-  /// Install a hook run, under the table lock, each time an await parks
-  /// (the runtime wakes a waiting checkpoint capture leader with it). Set
-  /// while no node threads run.
-  void setWaitNotify(std::function<void()> fn);
-  /// Wake every blocked await so it re-polls the interrupt hook.
-  void notifyWaiters();
 
  private:
   struct Pool {
@@ -277,13 +254,35 @@ class ProcTable {
     bool valid = false;
     bool hasArrival = false;      // arrival fold was computed for this fill
   };
+  /// Outstanding (initiated, uncompleted) receive sections of one symbol:
+  /// a section is transitional iff it intersects one of them (exact
+  /// per-section state), and several may name one section (paper section
+  /// 2.7). Keyed by dim-0 lower bound; none reaches more than `widest_`
+  /// past its key, so an overlap query scans only keys in
+  /// [lb - widest, ub], and a post or a completion costs O(log n).
+  class PendingRecvs {
+   public:
+    bool empty() const { return byLb_.empty(); }
+    const std::multimap<Index, Section>& all() const { return byLb_; }
+    void add(const Section& s);
+    void remove(const Section& s);  ///< retire one receive of exactly `s`
+    /// Call `fn` on the outstanding sections that intersect `s` until it
+    /// returns false; true iff there was one.
+    template <typename Fn>
+    bool forEachOverlapping(const Section& s, Fn&& fn) const;
+    bool overlaps(const Section& s) const;
+
+   private:
+    static Index key(const Section& s) {
+      return s.rank() == 0 ? 0 : s.dim(0).lb();
+    }
+    std::multimap<Index, Section> byLb_;
+    Index widest_ = 0;  ///< max dim-0 ub - lb since the index last emptied
+  };
+
   struct Entry {
     std::vector<SegmentDesc> segs;
-    /// Outstanding (initiated, uncompleted) receive sections. A section of
-    /// the symbol is transitional iff it intersects one of these — exact
-    /// per-section state, so disjoint concurrent receives do not shadow
-    /// each other the way coarse per-segment flags would.
-    std::vector<Section> pendingRecvs;
+    PendingRecvs pendingRecvs;
     Pool pool;
 
     // --- ownership fast path ------------------------------------------
@@ -331,9 +330,6 @@ class ProcTable {
   /// mu_ exclusively.
   static void rebuildIndexLocked(Entry& e);
 
-  /// True iff an outstanding receive overlaps `s`. Caller holds mu_.
-  static bool pendingOverlapsLocked(const Entry& e, const Section& s);
-
   bool cacheLookup(const Entry& e, const Section& s, bool wantArrival,
                    int* state, double* arrival) const;
   void cacheStore(const Entry& e, const Section& s, std::uint64_t epoch,
@@ -350,10 +346,7 @@ class ProcTable {
   const bool debugChecks_;
   std::vector<SymbolDecl> decls_;
 
-  [[noreturn]] void throwAbortLocked(const char* where) const;
-
   mutable std::shared_mutex mu_;
-  std::condition_variable_any cv_;
   /// Deque: entries hold atomics/mutexes (immovable) and references must
   /// stay stable for the lock-free cache-hit path.
   std::deque<Entry> entries_;
@@ -361,19 +354,16 @@ class ProcTable {
   mutable std::atomic<std::uint64_t> cacheHits_{0};
   mutable std::atomic<std::uint64_t> cacheMisses_{0};
 
-  // Watchdog state (wait_ guarded by mu_; epoch also readable lock-free).
+  // The await parked on this table (guarded by mu_): only the table's own
+  // processor awaits on it.
   struct CurrentWait {
     bool parked = false;
     int sym = -1;
     Section section;
+    FiberScheduler* sched = nullptr;
+    int fiber = -1;
   };
   CurrentWait wait_;
-  std::atomic<std::uint64_t> waitEpoch_{0};
-  std::atomic<bool> aborted_{false};
-  std::string abortSummary_;
-  std::shared_ptr<const std::string> abortReport_;
-  std::function<void()> waitInterrupt_;  ///< polled in await's wait loop
-  std::function<void()> waitNotify_;     ///< run when an await parks
 };
 
 }  // namespace xdp::rt

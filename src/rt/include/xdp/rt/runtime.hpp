@@ -37,37 +37,10 @@ struct RuntimeOptions {
   /// belt-and-braces configuration used by our tests.
   bool debugChecks = false;
   net::CostModel costModel{};
-  /// Hang watchdog window in wall-clock milliseconds. Within this window a
-  /// run in which every processor is blocked (await / blocked owner-send /
-  /// barrier) with no deliverable message is aborted: blocked waits fail
-  /// with a DeadlockError carrying a full diagnostic dump instead of the
-  /// process hanging forever. 0 disables the watchdog (set it — or
-  /// XDP_WATCHDOG_MS=0 — for debugger runs, where a paused process looks
-  /// quiescent only because nothing is scheduled); -1 (default) reads the
-  /// XDP_WATCHDOG_MS environment variable, falling back to 10000.
-  /// Detection is based on quiescence (every processor provably parked),
-  /// not elapsed time, so sanitizer slowdown cannot cause false
-  /// positives; under heavy slowdown raise the window only to reduce
-  /// polling overhead.
-  int watchdogMs = -1;
-  /// Watchdog poll period in milliseconds. -1 (default) reads
-  /// XDP_WATCHDOG_POLL_MS, falling back to watchdogMs/8 clamped to
-  /// [1, 200] — raise it when polling itself is too intrusive (e.g.
-  /// hundreds of concurrent session runtimes under TSan).
-  int watchdogPollMs = -1;
   /// Fault plan to install on the fabric at construction (fault injection
   /// can also be enabled for unmodified drivers via net::FaultScope).
   std::optional<net::FaultPlan> faultPlan;
 };
-
-/// The effective watchdog window: `configured` if >= 0, else
-/// XDP_WATCHDOG_MS from the environment, else 10000 ms.
-int resolveWatchdogMs(int configured);
-
-/// The effective watchdog poll period: `configured` if > 0, else
-/// XDP_WATCHDOG_POLL_MS from the environment, else watchdogMs/8 clamped
-/// to [1, 200] ms.
-int resolveWatchdogPollMs(int configured, int watchdogMs);
 
 class Proc;
 
@@ -83,13 +56,6 @@ class Runtime {
   net::Fabric& fabric() { return fabric_; }
   const RuntimeOptions& options() const { return opts_; }
 
-  /// Programmatic watchdog knob: override the construction-time window
-  /// for subsequent run() calls (same semantics as
-  /// RuntimeOptions::watchdogMs; 0 disables, -1 re-reads the
-  /// environment). Call between runs, not during one.
-  void setWatchdogMs(int ms) { watchdogMsOverride_ = ms; }
-  int effectiveWatchdogMs() const;
-
   /// Declare an exclusively-owned distributed array. Must be called before
   /// run(). Returns the symtab index.
   int declareArray(std::string name, ElemType type, Section global,
@@ -104,12 +70,14 @@ class Runtime {
 
   const std::vector<SymbolDecl>& decls() const { return decls_; }
 
-  /// Run the node program on every simulated processor; joins before
-  /// returning. Node failures are rethrown (aggregated across nodes, see
-  /// net::runSpmd); a diagnosed hang surfaces as a DeadlockError. Match
-  /// state is cleared at region entry, and under debugChecks the region
-  /// must end with no undelivered message and no unmatched receive
-  /// (waived when a lossy fault plan is installed).
+  /// Run the node program on every simulated processor, each as a fiber
+  /// on the calling thread; returns when all have finished. Node failures
+  /// are rethrown (aggregated across nodes, see net::runSpmd); when no
+  /// processor can run before all have finished, every blocked wait fails
+  /// at once with a DeadlockError. Match state is cleared at region
+  /// entry, and under debugChecks the region must end with no undelivered
+  /// message and no unmatched receive (waived when a lossy fault plan is
+  /// installed).
   void run(const std::function<void(Proc&)>& node);
 
   /// The per-processor table of the most recent/current run (valid during
@@ -136,8 +104,8 @@ class Runtime {
   }
 
   /// Build a snapshot of the current machine state (tables + fabric +
-  /// continuation slots). Valid between runs or from the capture leader;
-  /// requires checkpointing enabled and materialized tables.
+  /// continuation slots). Valid between runs or at a capture; requires
+  /// checkpointing enabled and materialized tables.
   ckpt::Snapshot checkpoint();
   /// Seed the next run() to resume from `snap` instead of starting fresh
   /// (also stores it, so an immediate crash can roll back to it). Throws
@@ -146,7 +114,8 @@ class Runtime {
 
   /// Ask the current run to stop at the next statement boundaries and
   /// return with preempted() == true and a resumable snapshot pending in
-  /// takePreemptSnapshot(). Callable from any thread.
+  /// takePreemptSnapshot(). Called from the machine's own fibers (e.g. a
+  /// step hook).
   void requestPreempt();
   bool preempted() const { return preempted_; }
   /// The snapshot captured when a preempted run unwound (consume once).
@@ -156,17 +125,17 @@ class Runtime {
   std::uint64_t recoveries() const { return recoveries_; }
 
  private:
-  /// One watchdog-supervised SPMD execution over the current tables.
-  /// Returns true when every node ran to completion (no failure); recovery
-  /// signals are absorbed (read ctrl_->signal() afterwards).
-  bool runRound(const std::function<void(Proc&)>& node);
+  /// One SPMD execution over the current tables; recovery signals are
+  /// absorbed (read ctrl_->signal() afterwards).
+  void runRound(const std::function<void(Proc&)>& node);
+  /// The scheduler found every unfinished processor parked: deliver
+  /// held-back messages, apply the capture rule, or report the deadlock.
+  void onStall(FiberScheduler& sched);
   std::vector<ckpt::ContImage> applySnapshot(const ckpt::Snapshot& snap);
   ckpt::Snapshot buildSnapshot();
-  bool captureAttempt();
 
   const int nprocs_;
   const RuntimeOptions opts_;
-  std::optional<int> watchdogMsOverride_;
   net::Fabric fabric_;
   std::vector<SymbolDecl> decls_;
   std::vector<std::unique_ptr<ProcTable>> tables_;

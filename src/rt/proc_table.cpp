@@ -173,12 +173,47 @@ ProcTable::Entry& ProcTable::entry(int sym) {
   return entries_[static_cast<std::size_t>(sym)];
 }
 
-bool ProcTable::pendingOverlapsLocked(const Entry& e, const Section& s) {
-  for (const Section& p : e.pendingRecvs) {
-    if (p.rank() != s.rank()) continue;
-    if (!Section::intersect(p, s).empty()) return true;
+void ProcTable::PendingRecvs::add(const Section& s) {
+  if (byLb_.empty()) widest_ = 0;
+  Index extent = 0;  // negative for an empty dim 0
+  if (s.rank() > 0 &&
+      __builtin_sub_overflow(s.dim(0).ub(), s.dim(0).lb(), &extent))
+    extent = kMaxInt;
+  widest_ = std::max(widest_, extent);
+  byLb_.emplace(key(s), s);
+}
+
+void ProcTable::PendingRecvs::remove(const Section& s) {
+  for (auto [it, end] = byLb_.equal_range(key(s)); it != end; ++it) {
+    if (it->second == s) {
+      byLb_.erase(it);
+      return;
+    }
   }
-  return false;
+}
+
+template <typename Fn>
+bool ProcTable::PendingRecvs::forEachOverlapping(const Section& s,
+                                                 Fn&& fn) const {
+  if (byLb_.empty() || s.empty()) return false;
+  Index lo = 0;
+  if (s.rank() > 0 && __builtin_sub_overflow(s.dim(0).lb(), widest_, &lo))
+    lo = kMinInt;
+  const Index hi = s.rank() > 0 ? s.dim(0).ub() : 0;
+  bool found = false;
+  for (auto it = byLb_.lower_bound(lo); it != byLb_.end() && it->first <= hi;
+       ++it) {
+    if (it->second.rank() == s.rank() &&
+        !Section::intersect(it->second, s).empty()) {
+      found = true;
+      if (!fn(it->second)) break;
+    }
+  }
+  return found;
+}
+
+bool ProcTable::PendingRecvs::overlaps(const Section& s) const {
+  return forEachOverlapping(s, [](const Section&) { return false; });
 }
 
 int ProcTable::stateOfLocked(int sym, const Section& s,
@@ -200,7 +235,7 @@ int ProcTable::stateOfLocked(int sym, const Section& s,
   if (covered != s.count()) return -1;
   if (arrival != nullptr) *arrival = maxArrival;
   if (e.pendingRecvs.empty()) return 1;  // common case: nothing in flight
-  return pendingOverlapsLocked(e, s) ? 0 : 1;
+  return e.pendingRecvs.overlaps(s) ? 0 : 1;
 }
 
 bool ProcTable::cacheLookup(const Entry& e, const Section& s,
@@ -284,9 +319,10 @@ sec::RegionList ProcTable::ownedRanges(int sym, const Section& s,
   // too — RegionList can adopt them without re-diffing.
   sec::RegionList out(std::move(pieces));
   if (excludeTransitional && !out.empty()) {
-    for (const Section& p : e.pendingRecvs) {
-      if (p.rank() == s.rank()) out.subtract(p);
-    }
+    e.pendingRecvs.forEachOverlapping(s, [&](const Section& p) {
+      out.subtract(p);
+      return true;
+    });
   }
   return out;
 }
@@ -294,23 +330,13 @@ sec::RegionList ProcTable::ownedRanges(int sym, const Section& s,
 bool ProcTable::await(int sym, const Section& s, double* arrival) {
   // Fast path: an epoch-valid memo of a decided state needs no lock and
   // no park bookkeeping. A transitional memo falls through to the slow
-  // path, as does any abort (so the throw happens under the lock with the
-  // abort fields stable).
-  if (!aborted_.load(std::memory_order_acquire)) {
-    const Entry& e = entry(sym);
-    int st = 0;
-    if (cacheLookup(e, s, arrival != nullptr, &st, arrival) && st != 0) {
-      return st == 1;
-    }
-  }
-  std::unique_lock lk(mu_);
+  // path.
   Entry& e = entry(sym);
+  int cached = 0;
+  if (cacheLookup(e, s, arrival != nullptr, &cached, arrival) && cached != 0)
+    return cached == 1;
+  std::unique_lock lk(mu_);
   while (true) {
-    if (aborted_.load(std::memory_order_relaxed))
-      throwAbortLocked("blocked in await");
-    // Checkpoint rollback/preempt: the hook throws out of the blocked
-    // await (the restart point was published before this statement).
-    if (waitInterrupt_) waitInterrupt_();
     double arr = 0.0;
     int st = stateOfLocked(sym, s, arrival != nullptr ? &arr : nullptr);
     if (arrival != nullptr) *arrival = arr;
@@ -319,52 +345,35 @@ bool ProcTable::await(int sym, const Section& s, double* arrival) {
                  arrival != nullptr, arr);
       return st == 1;  // unowned: await returns false (Fig. 1)
     }
-    // Park. Publish what we wait on so the watchdog can tell a genuinely
-    // blocked processor from a running one. No unlock separates the state
-    // check from cv_.wait, and a completing delivery takes mu_ to decide
-    // the section and notify, so it either lands before the check above
-    // or its notify finds us parked — no wake-up is lost.
-    wait_.parked = true;
-    wait_.sym = sym;
-    wait_.section = s;
-    waitEpoch_.fetch_add(1, std::memory_order_relaxed);
-    // Still under the lock waitState() reads through: a capture leader
-    // either sees this processor blocked or sees its notify.
-    if (waitNotify_) waitNotify_();
-    cv_.wait(lk);
-    wait_.parked = false;
-    waitEpoch_.fetch_add(1, std::memory_order_relaxed);
+    FiberScheduler* sched = FiberScheduler::current();
+    if (sched == nullptr) {
+      std::ostringstream os;
+      os << "await of transitional section " << s.str() << " of '"
+         << decl(sym).name << "' on p" << pid_
+         << " would block outside net::runSpmd";
+      XDP_USAGE_FAIL(os.str());
+    }
+    // Park. Only fibers of this thread complete receives, and none runs
+    // between the check above and the park, so no wake-up is lost. The
+    // completion that decides the section wakes us (completeReceive).
+    wait_ = CurrentWait{true, sym, s, sched, sched->self()};
+    lk.unlock();
+    struct Unpark {
+      ProcTable& t;
+      std::unique_lock<std::shared_mutex>& lk;
+      ~Unpark() {
+        if (!lk.owns_lock()) lk.lock();
+        t.wait_.parked = false;
+      }
+    } unpark{*this, lk};
+    sched->park();  // throws if the scheduler cancels this fiber
   }
 }
 
 ProcTable::WaitState ProcTable::waitState() const {
   std::shared_lock lk(mu_);
-  WaitState w;
-  w.epoch = waitEpoch_.load(std::memory_order_relaxed);
-  if (!wait_.parked) return w;
-  // Re-derive blockedness from the actual table state: if the awaited
-  // section has become accessible (or unowned), the thread has a wake-up
-  // pending and is not stuck, however long the OS takes to schedule it.
-  if (stateOfLocked(wait_.sym, wait_.section, nullptr) != 0) return w;
-  w.blocked = true;
-  w.sym = wait_.sym;
-  w.section = wait_.section;
-  return w;
-}
-
-void ProcTable::abortWaits(std::string summary,
-                           std::shared_ptr<const std::string> report) {
-  std::lock_guard lk(mu_);
-  abortSummary_ = std::move(summary);
-  abortReport_ = std::move(report);
-  aborted_.store(true, std::memory_order_release);
-  cv_.notify_all();
-}
-
-void ProcTable::throwAbortLocked(const char* where) const {
-  throw DeadlockError(
-      abortSummary_ + " [p" + std::to_string(pid_) + " " + where + "]",
-      abortReport_ ? *abortReport_ : std::string());
+  return wait_.parked ? WaitState{true, wait_.sym, wait_.section}
+                      : WaitState{};
 }
 
 ProcTable::CacheStats ProcTable::cacheStats() const {
@@ -401,7 +410,7 @@ Index ProcTable::myub(int sym, const Section& s, int d) const {
 void ProcTable::readElemsLocked(const Entry& e, int sym, const Section& s,
                                 std::byte* out) const {
   const std::size_t sz = e.pool.elemSz;
-  if (debugChecks_ && pendingOverlapsLocked(e, s)) {
+  if (debugChecks_ && e.pendingRecvs.overlaps(s)) {
     std::ostringstream os;
     os << "read of transitional section " << s.str() << " of symbol '"
        << decl(sym).name << "' on p" << pid_
@@ -577,7 +586,7 @@ void ProcTable::writeElems(int sym, const Section& s, const std::byte* in) {
   std::lock_guard lk(mu_);
   Entry& e = entry(sym);
   const std::size_t sz = e.pool.elemSz;
-  if (debugChecks_ && pendingOverlapsLocked(e, s)) {
+  if (debugChecks_ && e.pendingRecvs.overlaps(s)) {
     std::ostringstream os;
     os << "write to transitional section " << s.str() << " of '"
        << decl(sym).name << "' on p" << pid_;
@@ -616,7 +625,7 @@ void ProcTable::beginReceive(int sym, const Section& s) {
       XDP_USAGE_FAIL(os.str());
     }
   }
-  e.pendingRecvs.push_back(s);
+  e.pendingRecvs.add(s);
   e.epoch.fetch_add(1, std::memory_order_release);
 }
 
@@ -642,14 +651,13 @@ void ProcTable::completeReceive(int sym, const Section& s,
   });
   // Retire exactly one outstanding receive for this section (several may
   // legally target the same name, per paper section 2.7).
-  for (auto it = e.pendingRecvs.begin(); it != e.pendingRecvs.end(); ++it) {
-    if (*it == s) {
-      e.pendingRecvs.erase(it);
-      break;
-    }
-  }
+  e.pendingRecvs.remove(s);
   e.epoch.fetch_add(1, std::memory_order_release);
-  cv_.notify_all();
+  // Only a completion can decide a transitional await, and only once no
+  // outstanding receive overlaps the awaited section any more.
+  if (wait_.parked && wait_.sym == sym &&
+      !e.pendingRecvs.overlaps(wait_.section))
+    wait_.sched->wake(wait_.fiber);
 }
 
 std::vector<std::byte> ProcTable::takeOwnershipOut(int sym, const Section& s,
@@ -675,7 +683,7 @@ std::vector<std::byte> ProcTable::takeOwnershipOut(int sym, const Section& s,
   // Split/remove segments. New descriptors for remainder pieces get fresh
   // storage; the transferred elements' storage is released — this is the
   // paper's storage-reuse benefit (section 2.6).
-  XDP_CHECK(!pendingOverlapsLocked(e, s),
+  XDP_CHECK(!e.pendingRecvs.overlaps(s),
             "ownership transfer of a transitional section (missing await)");
   std::vector<SegmentDesc> kept;
   std::vector<SegmentDesc> added;
@@ -708,7 +716,6 @@ std::vector<std::byte> ProcTable::takeOwnershipOut(int sym, const Section& s,
                 std::make_move_iterator(added.end()));
   rebuildIndexLocked(e);
   e.epoch.fetch_add(1, std::memory_order_release);
-  cv_.notify_all();
   return payload;
 }
 
@@ -731,7 +738,7 @@ void ProcTable::beginOwnershipReceive(int sym, const Section& s) {
   seg.bounds = s;
   seg.elemOffset = e.pool.allocate(static_cast<std::size_t>(s.count()));
   e.segs.push_back(std::move(seg));
-  e.pendingRecvs.push_back(s);
+  e.pendingRecvs.add(s);
   rebuildIndexLocked(e);
   e.epoch.fetch_add(1, std::memory_order_release);
 }
@@ -743,9 +750,8 @@ std::vector<SegmentDesc> ProcTable::segments(int sym) const {
   // Statuses are snapshots: a segment is transitional iff an uncompleted
   // receive overlaps it (Figure 1's per-section state, segment-projected).
   for (SegmentDesc& seg : out)
-    seg.status = pendingOverlapsLocked(e, seg.bounds)
-                     ? SegState::Transitional
-                     : SegState::Accessible;
+    seg.status = e.pendingRecvs.overlaps(seg.bounds) ? SegState::Transitional
+                                                     : SegState::Accessible;
   return out;
 }
 
@@ -769,21 +775,6 @@ std::size_t ProcTable::residentBytes() const {
   return n;
 }
 
-void ProcTable::setWaitInterrupt(std::function<void()> fn) {
-  std::lock_guard lk(mu_);
-  waitInterrupt_ = std::move(fn);
-}
-
-void ProcTable::setWaitNotify(std::function<void()> fn) {
-  std::lock_guard lk(mu_);
-  waitNotify_ = std::move(fn);
-}
-
-void ProcTable::notifyWaiters() {
-  std::lock_guard lk(mu_);
-  cv_.notify_all();
-}
-
 std::vector<std::byte> ProcTable::exportImage() const {
   std::shared_lock lk(mu_);
   ckpt::Writer w;
@@ -798,8 +789,8 @@ std::vector<std::byte> ProcTable::exportImage() const {
       w.bytes(e.pool.bytes.data() + seg.elemOffset * sz,
               static_cast<std::size_t>(seg.count()) * sz);
     }
-    w.u32(static_cast<std::uint32_t>(e.pendingRecvs.size()));
-    for (const Section& s : e.pendingRecvs) net::wire::putSection(w, s);
+    w.u32(static_cast<std::uint32_t>(e.pendingRecvs.all().size()));
+    for (const auto& [lb, s] : e.pendingRecvs.all()) net::wire::putSection(w, s);
     w.u64(e.epoch.load(std::memory_order_relaxed));
   }
   return w.take();
@@ -862,7 +853,8 @@ void ProcTable::restoreImage(const std::vector<std::byte>& image) {
                   si.payload.data(), si.payload.size());
       e.segs.push_back(std::move(seg));
     }
-    e.pendingRecvs = std::move(img.pendingRecvs);
+    e.pendingRecvs = PendingRecvs{};
+    for (const Section& p : img.pendingRecvs) e.pendingRecvs.add(p);
     rebuildIndexLocked(e);
     e.segHint.store(-1, std::memory_order_relaxed);
     // The epoch keeps running FORWARD across a rollback (never restored):
@@ -876,7 +868,6 @@ void ProcTable::restoreImage(const std::vector<std::byte>& image) {
       for (CacheSlot& slot : e.cache) slot.valid = false;
     }
   }
-  cv_.notify_all();
 }
 
 }  // namespace xdp::rt

@@ -10,15 +10,14 @@
 //     is the session's own, reseeded per attempt so retries see fresh
 //     fault decisions (a deterministic plan would otherwise replay the
 //     exact same drops and make retry pointless);
-//   * a per-session hang watchdog window: a deadlocked session surfaces
-//     as a session-level DeadlockError, never a hung server;
+//   * exact deadlock detection: a deadlocked session surfaces at once as
+//     a session-level DeadlockError, never a hung server;
 //   * enforced quotas (logical steps, resident ProcTable bytes, fabric
 //     messages/bytes, wall-time budget) hooked into the interpreter's
 //     statement loop and the fabric's send path. The first breach
 //     cancels the whole session: running processors throw QuotaExceeded
-//     at their next statement, parked processors are woken out of
-//     await/barrier (the watchdog's abort mechanism, reused as a
-//     cancellation point).
+//     at their next statement, parked processors are cancelled out of
+//     await/barrier by the machine's scheduler.
 //
 // Transient fabric faults (drop/delay/reorder/stall) are absorbed at the
 // session boundary by bounded retry with exponential backoff; crash
@@ -131,7 +130,7 @@ enum class SessionOutcome {
   RejectedAnalysis,  ///< static verifier found errors; never executed
   QuotaExceeded,     ///< a quota breach cancelled the session
   Crashed,           ///< a crash fault killed an endpoint mid-run
-  Deadlocked,        ///< watchdog-diagnosed deadlock (retries exhausted)
+  Deadlocked,        ///< diagnosed deadlock (retries exhausted)
   Preempted,         ///< checkpointed and unwound; resumable from spill
   Failed,            ///< any other error
 };
@@ -190,9 +189,6 @@ struct SessionReport {
 /// envelope rides in SessionRequest). Sessions always run the bytecode VM.
 struct SessionOptions {
   bool debugChecks = true;
-  /// Per-session watchdog window; sessions, not the server, own hangs.
-  int watchdogMs = 1000;
-  int watchdogPollMs = -1;
   net::CostModel costModel{};
   RetryPolicy retry{};
   /// Directory for preemption spill files. Empty: a preempted session

@@ -15,6 +15,7 @@
 #include "xdp/opt/passes.hpp"
 #include "xdp/rt/runtime.hpp"
 #include "xdp/support/check.hpp"
+#include "xdp/support/fiber.hpp"
 
 namespace xdp::serve {
 
@@ -45,17 +46,18 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// The containment boundary of one execution attempt (see the header
-/// comment). Shared by every processor thread of the attempt: the step
-/// hook and the fabric send hook call into it concurrently.
+/// comment). Shared by every processor fiber of the attempt: the step
+/// hook and the fabric send hook call into it.
 ///
-/// Breach protocol: the first thread to detect any breach wins a CAS,
-/// records which quota fell, wakes every parked peer out of await/barrier
-/// (the watchdog's abort mechanism, reused as a cancellation point), and
-/// throws QuotaExceeded. Every other thread sees the breached flag at its
+/// Breach protocol: the first processor to detect any breach records
+/// which quota fell, cancels every parked peer out of its
+/// await/barrier/boundary (FiberScheduler::cancelParked), and throws
+/// QuotaExceeded. Every other processor sees the breached flag at its
 /// next statement (or send) and throws too, so the whole session unwinds
-/// within one statement per processor. Parked peers surface as
-/// DeadlockError — which is why the session classifies its outcome by
-/// breached(), not by which exception type won the SPMD aggregation.
+/// within one statement per processor. A peer that parks after the
+/// breach surfaces as a DeadlockError once nothing can run — which is why
+/// the session classifies its outcome by breached(), not by which
+/// exception type won the SPMD aggregation.
 class SessionScope {
  public:
   SessionScope(const Quotas& q, Clock::time_point sessionStart,
@@ -65,8 +67,8 @@ class SessionScope {
       deadline_ = sessionStart + std::chrono::milliseconds(q.wallBudgetMs);
   }
 
-  /// Bind the attempt's interpreter so a breach can reach its runtime to
-  /// cancel parked peers. Must be called before run().
+  /// Bind the attempt's interpreter so preemption pressure can reach its
+  /// runtime. Must be called before run().
   void attach(interp::Interpreter* in) { interp_ = in; }
 
   void onStep(rt::Proc& proc) {
@@ -132,14 +134,9 @@ class SessionScope {
     if (breached_.compare_exchange_strong(expected, true,
                                           std::memory_order_acq_rel)) {
       resource_.store(resource, std::memory_order_release);
-      if (interp_) {
-        auto& rt = interp_->runtime();
-        std::string summary =
-            "session quota exceeded [" + std::string(resource) + "]";
-        auto report = std::make_shared<const std::string>(detail);
-        for (int p = 0; p < rt.nprocs(); ++p)
-          rt.table(p).abortWaits(summary, report);
-        rt.fabric().abortBlockedOps(summary, report);
+      if (FiberScheduler* sched = FiberScheduler::current()) {
+        sched->cancelParked(std::make_exception_ptr(QuotaExceeded(
+            resource, "session cancelled after quota breach")));
       }
     }
     throw QuotaExceeded(resource, std::move(detail));
@@ -310,8 +307,6 @@ SessionReport runSession(const SessionRequest& req, const SessionOptions& opts,
     rt::RuntimeOptions ropts;
     ropts.debugChecks = opts.debugChecks;
     ropts.costModel = opts.costModel;
-    ropts.watchdogMs = opts.watchdogMs;
-    ropts.watchdogPollMs = opts.watchdogPollMs;
     if (req.faultPlan.has_value()) {
       ropts.faultPlan = *req.faultPlan;
       // A deterministic plan replays the exact same faults, which would

@@ -38,9 +38,9 @@ class UsageError : public XdpError {
   explicit UsageError(std::string what) : XdpError(std::move(what)) {}
 };
 
-/// Error thrown out of blocked awaits / barrier waits when the runtime's
-/// hang watchdog has diagnosed a deadlock: every processor is blocked and
-/// no message in the fabric can complete any posted receive. Carries a
+/// Error thrown out of blocked awaits / barrier waits when the runtime has
+/// diagnosed a deadlock: every processor is blocked or finished and no
+/// message in the fabric can complete any posted receive. Carries a
 /// structured multi-line report (one line per fact: blocked processors,
 /// pending receives, undelivered messages, section ownership states).
 class DeadlockError : public XdpError {

@@ -1,8 +1,9 @@
 // Modeled time and traffic counters are functions of the program alone:
-// running the same program again, on either engine and under whatever
-// thread schedule the host picks, must report one makespan and one set of
-// NetStats. The programs are owner-computes rank-1 updates of the shape
-// the end-to-end `compile` workload runs, after the standard pipeline.
+// running the same program again, on either engine, must report one
+// makespan and one set of NetStats. The programs are owner-computes
+// rank-1 updates of the shape the end-to-end `compile` workload runs,
+// after the standard pipeline, and the §2.7 task farm, raw and pipelined,
+// whose rendezvous pairing follows the scheduler's virtual-time order.
 //
 // Regression: a completion used to charge the unexpected-message copy to
 // the receiver's clock on whichever thread completed the receive. When
@@ -11,6 +12,8 @@
 // and moved its later post clocks, unexpected verdicts and syncs.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,10 +41,20 @@ Observed runOnce(const il::Program& prog, Backend be) {
                   in.runtime().fabric().totalStats()};
 }
 
-il::Program lowered(const std::string& text) {
-  il::Program prog = il::parseProgram(text);
+il::Program pipelined(il::Program prog) {
   for (const opt::Pass& pass : opt::standardPipeline()) prog = pass.fn(prog);
   return prog;
+}
+
+il::Program lowered(const std::string& text) {
+  return pipelined(il::parseProgram(text));
+}
+
+il::Program loadExample(const std::string& name) {
+  std::ifstream in(std::string(XDP_PROGRAMS_DIR) + "/" + name);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return il::parseProgram(ss.str());
 }
 
 void expectSame(const Observed& want, const Observed& got,
@@ -70,17 +83,23 @@ TEST(Determinism, RepeatedRunsReportOneMakespanAndOneNetStats) {
       {256, 2, {"CYCLIC(2)", "BLOCK", "CYCLIC(8)", "CYCLIC"}},
       {160, 4, {"CYCLIC(16)", "CYCLIC(4)", "BLOCK", "CYCLIC(2)", "CYCLIC"}},
   };
+  std::vector<std::pair<std::string, il::Program>> progs;
   for (const UpdateCase& c : cases) {
-    const il::Program prog =
-        lowered(testprog::rank1UpdateText(c.n, c.nprocs, c.dists));
+    progs.emplace_back(
+        "n=" + std::to_string(c.n) + " P=" + std::to_string(c.nprocs),
+        lowered(testprog::rank1UpdateText(c.n, c.nprocs, c.dists)));
+  }
+  const il::Program farm = loadExample("taskfarm.xdp");
+  progs.emplace_back("taskfarm", farm);
+  progs.emplace_back("taskfarm (pipeline)", pipelined(farm));
+  for (const auto& [name, prog] : progs) {
     const Observed want = runOnce(prog, Backend::TreeWalk);
     EXPECT_GT(want.net.messagesSent, 0u);
     for (Backend be : {Backend::TreeWalk, Backend::Bytecode}) {
       for (int r = 0; r < kRuns; ++r) {
-        const std::string what =
-            "n=" + std::to_string(c.n) + " P=" + std::to_string(c.nprocs) +
-            (be == Backend::TreeWalk ? " tree" : " vm") + " run " +
-            std::to_string(r);
+        const std::string what = name +
+                                 (be == Backend::TreeWalk ? " tree" : " vm") +
+                                 " run " + std::to_string(r);
         expectSame(want, runOnce(prog, be), what);
       }
     }

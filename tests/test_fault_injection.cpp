@@ -447,10 +447,9 @@ TEST(FaultInjection, NestedScopeFabricKeepsItsPlanWhenScopesUnwind) {
 TEST(FaultInjection, CrashWhilePeerIsParkedInAwait) {
   // p1 parks in await on a message only p0 can send; p0's endpoint dies
   // on its first send. The crash surfaces (aggregated under the peer's
-  // watchdog-diagnosed deadlock), and teardown leaves no match state.
+  // diagnosed deadlock), and teardown leaves no match state.
   rt::RuntimeOptions o;
   o.debugChecks = true;
-  o.watchdogMs = 100;
   FaultPlan plan;
   plan.crashPids = {0};
   plan.crashAfterSends = 0;

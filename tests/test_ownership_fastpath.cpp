@@ -7,6 +7,7 @@
 // naive schedule.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <random>
@@ -17,7 +18,9 @@
 #include "xdp/apps/programs.hpp"
 #include "xdp/il/parser.hpp"
 #include "xdp/interp/interpreter.hpp"
+#include "xdp/net/spmd.hpp"
 #include "xdp/rt/proc_table.hpp"
+#include "xdp/support/fiber.hpp"
 
 namespace xdp::rt {
 namespace {
@@ -240,6 +243,76 @@ TEST(OwnershipFastPath, RandomHistory2D) {
   }
 }
 
+TEST(OwnershipFastPath, OutstandingReceivesMatchLinearScan) {
+  // The outstanding receives of a symbol are an index on dim-0 lower
+  // bounds that must answer exactly as a linear scan of the multiset of
+  // posted sections: duplicates of one section retire one at a time,
+  // overlapping posts are allowed at the table level, and one wide post
+  // widens every later window until the index empties.
+  for (unsigned seed : {5u, 6u, 7u}) {
+    std::mt19937 rng(seed);
+    const Section g{Triplet(0, 511)};
+    ProcTable t(0, oneArray(g, Distribution(g, {DimSpec::block(1)})),
+                /*debugChecks=*/false);
+    Shadow sh;
+    for (Index i = 0; i <= 511; ++i) sh.owned.insert({i});
+    auto randSec = [&](Index maxLen) {
+      std::uniform_int_distribution<Index> lbD(0, 511), lenD(0, maxLen),
+          strideD(1, 4);
+      const Index lb = lbD(rng);
+      return Section{
+          Triplet(lb, std::min<Index>(511, lb + lenD(rng)), strideD(rng))};
+    };
+    for (int step = 0; step < 1500; ++step) {
+      const unsigned op = rng() % 8;
+      if (op < 3) {
+        // Post: mostly short sections, sometimes a wide one, sometimes a
+        // duplicate of an outstanding one.
+        Section s = (op == 2 && !sh.pending.empty())
+                        ? sh.pending[rng() % sh.pending.size()]
+                        : randSec(rng() % 16 == 0 ? 300 : 6);
+        t.beginReceive(0, s);
+        sh.pending.push_back(s);
+      } else if (op < 5 && !sh.pending.empty()) {
+        const std::size_t k = rng() % sh.pending.size();
+        const Section s = sh.pending[k];
+        t.completeReceive(0, s, nullptr, 1.0);
+        sh.pending.erase(sh.pending.begin() + static_cast<std::ptrdiff_t>(k));
+      } else {
+        const Section q = randSec(rng() % 4 == 0 ? 200 : 10);
+        const bool wantAcc = !sh.pendingOverlaps(q);
+        EXPECT_EQ(t.accessible(0, q), wantAcc) << q.str();
+        EXPECT_TRUE(t.iown(0, q)) << q.str();
+        if (wantAcc) {
+          EXPECT_TRUE(t.await(0, q)) << q.str();
+        }
+        std::set<std::vector<Index>> want;
+        q.forEach([&](const Point& p) {
+          if (!sh.pendingContains(p)) want.insert(Shadow::key(p));
+        });
+        std::set<std::vector<Index>> got;
+        const sec::RegionList accessible = t.ownedRanges(0, q, true);
+        for (const Section& r : accessible.sections())
+          r.forEach([&](const Point& p) { got.insert(Shadow::key(p)); });
+        EXPECT_EQ(got, want) << q.str();
+      }
+      if (step % 100 == 0) {
+        for (const rt::SegmentDesc& seg : t.segments(0)) {
+          EXPECT_EQ(seg.status == rt::SegState::Transitional,
+                    sh.pendingOverlaps(seg.bounds))
+              << seg.bounds.str();
+        }
+      }
+    }
+    // Drain: after the last completion nothing is transitional.
+    while (!sh.pending.empty()) {
+      t.completeReceive(0, sh.pending.back(), nullptr, 2.0);
+      sh.pending.pop_back();
+      EXPECT_EQ(t.accessible(0, g), sh.pending.empty());
+    }
+  }
+}
+
 TEST(OwnershipFastPath, ManySegmentsUseTheIndex) {
   // Fragment ownership into dozens of single-element segments so queries
   // exercise the binary-search path (> linear-scan threshold), then check
@@ -280,8 +353,9 @@ TEST(OwnershipFastPath, EpochInvalidatesCache) {
 }
 
 TEST(OwnershipFastPath, ConcurrentReadersAndCompletions) {
-  // TSan target: lock-free cache hits and shared-locked reads racing
-  // receive initiation/completion and an await park/notify cycle.
+  // TSan target: lock-free cache hits and shared-locked reads on reader
+  // threads racing receive initiation/completion and an await park/wake
+  // cycle, which run as two fibers of one runSpmd.
   const Section g{Triplet(0, 255)};
   ProcTable t(0, oneArray(g, Distribution(g, {DimSpec::block(1)})),
               /*debugChecks=*/false);
@@ -290,16 +364,6 @@ TEST(OwnershipFastPath, ConcurrentReadersAndCompletions) {
   const Section foreign{Triplet(200, 255)};
   t.takeOwnershipOut(0, foreign, false);   // awaits on it must return false
   std::atomic<bool> done{false};
-
-  std::thread writer([&] {
-    std::vector<std::byte> payload(
-        static_cast<std::size_t>(churn.count()) * sizeof(double));
-    for (int i = 0; i < 400; ++i) {
-      t.beginReceive(0, churn);
-      t.completeReceive(0, churn, payload.data(), 1.0 + i);
-    }
-    done.store(true);
-  });
 
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
@@ -320,16 +384,42 @@ TEST(OwnershipFastPath, ConcurrentReadersAndCompletions) {
     });
   }
 
-  std::thread awaiter([&] {
-    for (int i = 0; i < 50; ++i) {
-      double arrival = 0.0;
-      EXPECT_TRUE(t.await(0, churn, &arrival));
-      EXPECT_FALSE(t.await(0, foreign, nullptr));
-    }
-  });
-
-  writer.join();
-  awaiter.join();
+  // Fiber 0 awaits, fiber 1 writes; each step moves the fiber's clock
+  // (two for an await, one for a begin or a completion) and hands over to
+  // the other once it is behind, so the awaiter finds a receive
+  // outstanding and parks until its completion.
+  std::array<double, 2> steps{};
+  int parksSeen = 0;
+  net::runSpmd(
+      2,
+      [&](int pid) {
+        FiberScheduler& sched = *FiberScheduler::current();
+        auto step = [&] {
+          steps[static_cast<std::size_t>(pid)] += pid == 0 ? 2 : 1;
+          sched.yieldIfBehind();
+        };
+        if (pid == 0) {
+          for (int i = 0; i < 50; ++i) {
+            const bool pending = !t.accessible(0, churn);
+            double arrival = 0.0;
+            EXPECT_TRUE(t.await(0, churn, &arrival));
+            EXPECT_FALSE(t.await(0, foreign, nullptr));
+            parksSeen += pending ? 1 : 0;
+            step();
+          }
+        } else {
+          std::vector<std::byte> payload(
+              static_cast<std::size_t>(churn.count()) * sizeof(double));
+          for (int i = 0; i < 400; ++i) {
+            t.beginReceive(0, churn);
+            step();
+            t.completeReceive(0, churn, payload.data(), 1.0 + i);
+            step();
+          }
+        }
+      },
+      [&](int pid) { return steps[static_cast<std::size_t>(pid)]; });
+  EXPECT_GT(parksSeen, 0);
   done.store(true);
   for (auto& th : readers) th.join();
   EXPECT_TRUE(t.accessible(0, churn));

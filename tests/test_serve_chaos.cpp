@@ -86,8 +86,6 @@ enddo
 
 serve::SessionOptions chaosOptions() {
   serve::SessionOptions o;
-  o.watchdogMs = 200;       // fast deadlock diagnosis (quiescence-based,
-                            // so sanitizer slowdown cannot false-positive)
   o.retry.maxAttempts = 2;  // bounded retry; keeps drop-all sessions quick
   o.retry.backoffBaseMs = 1;
   o.retry.backoffCapMs = 4;
@@ -606,6 +604,6 @@ TEST(ServeChaos, StopLatchInterruptsRetryBackoff) {
   EXPECT_EQ(r.outcome, SessionOutcome::Deadlocked) << r.error;
   EXPECT_EQ(r.attempts, 3);
   // Two backoffs of nominally 60 s each collapsed through the latch; the
-  // bound is generous (watchdog windows dominate) but far under one sleep.
+  // bound is generous but far under one sleep.
   EXPECT_LT(elapsed.count(), 30000) << "backoff ignored the stop latch";
 }

@@ -1,21 +1,15 @@
 // Differential testing of the bytecode VM against the reference tree
 // walker (the oracle). Both engines must produce bit-identical results
 // (FNV-1a digest over every array's final contents), identical logical
-// InterpStats, and identical deterministic NetStats on every example
-// program and every pipeline stage.
+// InterpStats, identical deterministic NetStats and the same makespan on
+// every example program and every pipeline stage. The task farm's
+// makespan is compared too: the scheduler runs the lowest virtual clock
+// first, so which worker draws which job is a function of the program.
 //
 // Deliberately NOT compared:
-//   * unexpectedMessages / rendezvousSends — the rendezvous-vs-unexpected
-//     split of the same messages depends on the wall-clock race between
-//     message arrival and receive posting, and varies run-to-run on a
-//     single backend;
 //   * guardCacheHits / rangeSplits / guardedItersSaved — non-logical
 //     fast-path counters; only the VM range-splits (SplitParity pins its
 //     split counts on the example programs).
-//   * makespan, for programs that use the FCFS matchmaker (taskfarm) —
-//     which worker draws which job depends on real-time arrival order, so
-//     the virtual-time critical path is not comparable across two
-//     independent runs (the data outcome and traffic counters still are).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -112,8 +106,7 @@ RunResult runWith(const il::Program& prog, Backend be,
 }
 
 void expectBackendsAgree(const il::Program& prog, const std::string& what,
-                         std::uint64_t seed = 42,
-                         bool compareMakespan = true) {
+                         std::uint64_t seed = 42) {
   RunResult t = runWith(prog, Backend::TreeWalk, seed);
   RunResult v = runWith(prog, Backend::Bytecode, seed);
   EXPECT_EQ(t.digest, v.digest) << what << ": result digests differ";
@@ -126,22 +119,13 @@ void expectBackendsAgree(const il::Program& prog, const std::string& what,
   EXPECT_EQ(t.messagesSent, v.messagesSent) << what;
   EXPECT_EQ(t.bytesSent, v.bytesSent) << what;
   EXPECT_EQ(t.ownershipTransfers, v.ownershipTransfers) << what;
-  if (compareMakespan) {
-    EXPECT_DOUBLE_EQ(t.makespan, v.makespan) << what;
-  }
+  EXPECT_DOUBLE_EQ(t.makespan, v.makespan) << what;
 }
 
 class VmExampleDifferential : public ::testing::TestWithParam<const char*> {};
 
-/// Matchmaker-paired job assignment makes the virtual critical path
-/// run-dependent (see file comment).
-bool makespanComparable(const std::string& name) {
-  return name != "taskfarm.xdp";
-}
-
 TEST_P(VmExampleDifferential, RawProgramMatchesOracle) {
-  expectBackendsAgree(loadExample(GetParam()), GetParam(), 42,
-                      makespanComparable(GetParam()));
+  expectBackendsAgree(loadExample(GetParam()), GetParam(), 42);
 }
 
 TEST_P(VmExampleDifferential, PipelinedProgramMatchesOracle) {
@@ -149,7 +133,7 @@ TEST_P(VmExampleDifferential, PipelinedProgramMatchesOracle) {
   opt::PassManager pm;
   for (const auto& p : opt::standardPipeline()) pm.add(p.name, p.fn);
   expectBackendsAgree(pm.run(prog), std::string(GetParam()) + " (pipeline)",
-                      42, makespanComparable(GetParam()));
+                      42);
 }
 
 INSTANTIATE_TEST_SUITE_P(Examples, VmExampleDifferential,

@@ -163,7 +163,9 @@ TEST(XdpServeDriver, UsageErrorsExitTwo) {
   for (const char* bad :
        {" --workers x", " --workers 0", " --checkpoint-steps -1",
         " --sessions 99999999999", " --seed abc", " --drop 1.5",
-        " --drop nan", " --crash -1", " --max-steps 5k"}) {
+        " --drop nan", " --crash -1", " --max-steps 5k",
+        // Deadlocks are reported at once; the window flag is gone.
+        " --watchdog-ms 5"}) {
     const RunResult r = runTool(XDP_SERVE_PATH, prog + bad);
     EXPECT_EQ(r.exitCode, 2) << bad << "\n" << r.output;
   }

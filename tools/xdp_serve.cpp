@@ -47,7 +47,6 @@ int usage(const char* argv0) {
                "  --no-analyze       skip the static --analyze gate\n"
                "  --seed N           fill-kernel seed (default 42)\n"
                "  --retries N        max attempts per session (default 3)\n"
-               "  --watchdog-ms N    per-session watchdog window\n"
                "  --max-steps N      per-session logical step quota\n"
                "  --max-bytes N      per-processor resident-byte quota\n"
                "  --max-msgs N       per-session message quota\n"
@@ -115,8 +114,6 @@ int main(int argc, char** argv) {
     else if (arg == "--no-analyze") proto.analyze = false;
     else if (arg == "--seed") proto.fillSeed = num(i, kU0, kU64);
     else if (arg == "--retries") cfg.session.retry.maxAttempts = num(i, 0, kInt);
-    else if (arg == "--watchdog-ms")
-      cfg.session.watchdogMs = num(i, -kInt - 1, kInt);
     else if (arg == "--max-steps") proto.quotas.maxSteps = num(i, kU0, kU64);
     else if (arg == "--max-bytes")
       proto.quotas.maxResidentBytes = num(i, kU0, kU64);
