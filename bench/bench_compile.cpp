@@ -12,9 +12,18 @@
 //                     engines on the same program (deterministic)
 //   logical_ops_per_s engine throughput on those ops (rate) — the
 //                     reference vs VM rows are the speedup measurement
+//
+// BM_PointRoundTrip/{direct,rendezvous} sends one element per loop
+// iteration from p0 to p1 (bound to {1}, or unbound through the
+// matcher), which receives and awaits it, through the compiled program:
+//   ns_per_msg        wall time per round trip (rate, inverted)
+//   msgs / modeled_s  messages sent and modeled makespan (deterministic)
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "xdp/il/flat.hpp"
+#include "xdp/il/parser.hpp"
 #include "xdp/il/program.hpp"
 #include "xdp/interp/bytecode.hpp"
 #include "xdp/interp/interpreter.hpp"
@@ -188,13 +197,55 @@ void BM_GuardedStencilExec(benchmark::State& state) {
   runExec(state, buildGuardedStencil(state.range(1)));
 }
 
+constexpr int kRoundTrips = 4096;
+
+std::string pointRoundTripText(bool direct) {
+  return "procs 2\n"
+         "array A f64 [0:1] (BLOCK)\n"
+         "array B f64 [0:1] (BLOCK)\n"
+         "do t = 1, " +
+         std::to_string(kRoundTrips) +
+         "\n"
+         "  (mypid == 0) : {\n"
+         "    A[0] = t\n"
+         "    A[0] -> " +
+         std::string(direct ? "{1}" : "") +
+         "\n  }\n"
+         "  (mypid == 1) : {\n"
+         "    B[1] <- A[0]\n"
+         "    await(B[1])\n"
+         "  }\n"
+         "enddo\n";
+}
+
+void BM_PointRoundTrip(benchmark::State& state, bool direct) {
+  const il::Program prog = il::parseProgram(pointRoundTripText(direct));
+  double msgs = 0.0, modeled = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    interp::Interpreter in(prog);
+    state.ResumeTiming();
+    in.run();
+    msgs = static_cast<double>(
+        in.runtime().fabric().totalStats().messagesSent);
+    modeled = in.runtime().fabric().makespan();
+  }
+  state.counters["ns_per_msg"] = benchmark::Counter(
+      kRoundTrips * 1e-9, benchmark::Counter::kIsIterationInvariantRate |
+                              benchmark::Counter::kInvert);
+  state.counters["msgs"] = msgs;
+  state.counters["modeled_s"] = modeled;
+}
+
 }  // namespace
 
+BENCHMARK_CAPTURE(BM_PointRoundTrip, direct, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PointRoundTrip, rendezvous, false)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FlattenCompile)->Arg(64)->Arg(1024);
-// Process CPU time: the SPMD runtime executes on worker threads, so the
-// calling thread's CPU misses the interpreter work and wall time is
-// mostly thread orchestration on small runs. Process CPU counts the
-// interpreter itself, and the rate counters divide by it.
+// Process CPU time, as these rows have always been measured (the SPMD
+// runtime now runs on the calling thread, so it equals that thread's).
 BENCHMARK(BM_StencilExec)
     ->ArgsProduct({{0, 1}, {256, 4096}})
     ->Unit(benchmark::kMicrosecond)

@@ -1,19 +1,14 @@
-// Fabric lock contention under real multi-threaded traffic.
+// Fabric traffic at P processors (fibers of one thread; the fabric takes
+// no lock).
 //
-// The pre-shard fabric serialized every operation — sends, receives,
-// clock ticks, stats — on one mutex, so P threads measured lock handoff
-// latency, not the XDP cost model. With per-endpoint mailbox locks plus a
-// separate rendezvous-matcher lock, disjoint direct traffic should scale
-// with the thread count; the Mixed variant prices the one shared matcher
-// critical section against that baseline.
-//
-// Each benchmark runs P OS threads (Args: P = 4/16/64/256). Every thread
+// Each benchmark runs P processors (Args: P = 4/16/64/256). Every one
 // posts a receive for its own name and sends to its partner's (pid ^ 1),
 // so traffic is balanced per endpoint and, delivery being synchronous,
 // everything drains inside the iteration — msgs_per_sec means completed
-// deliveries. The `delivered` counter is the deterministic per-iteration
-// completion count that PERF_TRAJECTORY.json tracks; never gate on the
-// wall-clock rate.
+// deliveries. The Mixed variant routes every fourth send through the
+// rendezvous matcher. The `delivered` counter is the deterministic
+// per-iteration completion count that PERF_TRAJECTORY.json tracks; never
+// gate on the wall-clock rate.
 #include <benchmark/benchmark.h>
 
 #include <optional>
@@ -25,6 +20,7 @@
 using namespace xdp;
 using net::Fabric;
 using net::Message;
+using net::RecvDesc;
 using net::Name;
 using net::TransferKind;
 using sec::Section;
@@ -42,13 +38,14 @@ void runTrafficLoop(benchmark::State& state, int rendezvousEvery) {
   const int nprocs = static_cast<int>(state.range(0));
   Fabric f(nprocs);
   const std::vector<std::byte> payload(64);
+  f.setCompletion([](int, const RecvDesc&, const Message&) {});
   for (auto _ : state) {
     net::runSpmd(nprocs, [&](int pid) {
       const int partner = nprocs > 1 ? (pid ^ 1) : 0;
       const Name mine = threadName(pid);
       const Name theirs = threadName(partner);
       for (int i = 0; i < kMsgsPerThread; ++i) {
-        f.postReceive(pid, mine, TransferKind::Data, [](const Message&) {});
+        f.postReceive(pid, mine, TransferKind::Data, RecvDesc{});
         const bool rendezvous =
             rendezvousEvery > 0 && i % rendezvousEvery == rendezvousEvery - 1;
         f.send(pid, theirs, TransferKind::Data, payload,
@@ -70,14 +67,13 @@ void runTrafficLoop(benchmark::State& state, int rendezvousEvery) {
       static_cast<double>(state.iterations()));
 }
 
-// Disjoint pairwise direct traffic: touches only the two endpoint locks
-// involved, so throughput should rise with P until cores run out.
+// Disjoint pairwise direct traffic.
 void BM_FabricContention_Direct(benchmark::State& state) {
   runTrafficLoop(state, 0);
 }
 
 // Mixed 3:1 direct:rendezvous — every fourth send goes through the
-// matchmaker, putting the shared matcher critical section on the hot path.
+// matchmaker, putting its FCFS interest scan on the hot path.
 void BM_FabricContention_Mixed(benchmark::State& state) {
   runTrafficLoop(state, 4);
 }

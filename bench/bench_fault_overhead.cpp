@@ -14,6 +14,7 @@ using namespace xdp;
 using net::Fabric;
 using net::FaultPlan;
 using net::Message;
+using net::RecvDesc;
 using net::Name;
 using net::TransferKind;
 using sec::Section;
@@ -27,9 +28,10 @@ void runSendRecvLoop(benchmark::State& state, const FaultPlan* plan) {
   const Name n{1, Section{Triplet(1, 8)}, {}};
   const std::vector<std::byte> payload(64);
   std::uint64_t completions = 0;
+  f.setCompletion(
+      [&](int, const RecvDesc&, const Message&) { ++completions; });
   for (auto _ : state) {
-    f.postReceive(1, n, TransferKind::Data,
-                  [&](const Message&) { ++completions; });
+    f.postReceive(1, n, TransferKind::Data, RecvDesc{});
     f.send(0, n, TransferKind::Data, payload, 1);
   }
   f.flushHeldFaults();

@@ -19,76 +19,61 @@ std::uint64_t nextThreshold(std::uint64_t count, std::uint64_t interval) {
 }  // namespace
 
 Controller::Controller(int nprocs, CkptOptions opts)
-    : nprocs_(nprocs), opts_(std::move(opts)) {
-  slots_.reserve(static_cast<std::size_t>(nprocs_));
-  for (int i = 0; i < nprocs_; ++i) {
-    slots_.push_back(std::make_unique<Slot>());
-    slots_.back()->nextParkAt.store(nextThreshold(0, opts_.intervalSteps),
-                                    std::memory_order_relaxed);
-  }
+    : nprocs_(nprocs),
+      opts_(std::move(opts)),
+      slots_(static_cast<std::size_t>(nprocs)) {
+  for (Slot& slot : slots_)
+    slot.nextParkAt = nextThreshold(0, opts_.intervalSteps);
 }
 
 void Controller::publish(int pid, ContImage img) {
-  Slot& s = *slots_[static_cast<std::size_t>(pid)];
-  std::lock_guard lk(s.mu);
-  s.img = std::move(img);
+  slots_[static_cast<std::size_t>(pid)].img = std::move(img);
 }
 
 void Controller::deliverSignal(int pid, ContImage img) {
-  if (signal_.load(std::memory_order_relaxed) == 0) return;
+  if (signal_ == 0) return;
   publish(pid, std::move(img));
   std::rethrow_exception(signalError());
 }
 
 void Controller::parkAtBoundary(int pid, ContImage img) {
-  Slot& slot = *slots_[static_cast<std::size_t>(pid)];
+  Slot& slot = slots_[static_cast<std::size_t>(pid)];
   // Advance before anything can throw: a failed or interrupted attempt
   // must not re-park at the same boundary.
-  slot.nextParkAt.store(
-      nextThreshold(img.stats[kContStmtsExecuted], opts_.intervalSteps),
-      std::memory_order_relaxed);
+  slot.nextParkAt =
+      nextThreshold(img.stats[kContStmtsExecuted], opts_.intervalSteps);
   publish(pid, std::move(img));
   FiberScheduler* sched = FiberScheduler::current();
   if (sched == nullptr)
     throw UsageError("checkpoint park outside net::runSpmd");
   sched_ = sched;
-  {
-    std::lock_guard slk(slot.mu);
-    slot.state = State::Parked;
-    slot.fiber = sched->self();
-  }
+  slot.state = State::Parked;
+  slot.fiber = sched->self();
   struct Unpark {
     Slot& slot;
-    ~Unpark() {
-      std::lock_guard slk(slot.mu);
-      slot.state = State::Running;
-    }
+    ~Unpark() { slot.state = State::Running; }
   } unpark{slot};
   sched->park();  // settle() releases it; a signal cancels it
 }
 
 void Controller::finish(int pid) {
-  Slot& slot = *slots_[static_cast<std::size_t>(pid)];
-  std::lock_guard slk(slot.mu);
+  Slot& slot = slots_[static_cast<std::size_t>(pid)];
   slot.state = State::Finished;
   slot.img.finished = true;
   slot.img.unsafe = false;
 }
 
 void Controller::markFailed(int pid) {
-  Slot& slot = *slots_[static_cast<std::size_t>(pid)];
-  std::lock_guard slk(slot.mu);
-  slot.state = State::Failed;
+  slots_[static_cast<std::size_t>(pid)].state = State::Failed;
 }
 
 bool Controller::settle(int barrierEntrants,
                         const std::function<bool()>& capture) {
   bool parked = false;
   bool failed = false;
-  for (const auto& slot : slots_) {
-    std::lock_guard slk(slot->mu);
-    parked = parked || slot->state == State::Parked;
-    failed = failed || slot->state == State::Failed;
+  for (const Slot& slot : slots_) {
+    parked = parked || slot.state == State::Parked;
+    failed = failed || slot.state == State::Failed;
   }
   if (!parked) return false;
   // Nothing runs, so nothing changes until someone is woken: a barrier
@@ -102,28 +87,23 @@ bool Controller::settle(int barrierEntrants,
 }
 
 void Controller::releaseParked() {
-  for (auto& slot : slots_) {
-    std::lock_guard slk(slot->mu);
-    if (slot->state == State::Parked) sched_->wake(slot->fiber);
-  }
+  for (const Slot& slot : slots_)
+    if (slot.state == State::Parked) sched_->wake(slot.fiber);
 }
 
 void Controller::requestRollback(int source) {
-  rollbackSource_.store(source, std::memory_order_relaxed);
-  signal_.store(1, std::memory_order_release);
+  rollbackSource_ = source;
+  signal_ = 1;
 }
 
 void Controller::requestPreempt() {
-  // Never downgrade a rollback in flight.
-  int expect = 0;
-  signal_.compare_exchange_strong(expect, 2);
+  if (signal_ == 0) signal_ = 2;  // never downgrade a rollback in flight
 }
 
 std::exception_ptr Controller::signalError() const {
-  switch (signal_.load(std::memory_order_relaxed)) {
+  switch (signal_) {
     case 1:
-      return std::make_exception_ptr(
-          RollbackSignal{rollbackSource_.load(std::memory_order_relaxed)});
+      return std::make_exception_ptr(RollbackSignal{rollbackSource_});
     case 2:
       return std::make_exception_ptr(PreemptSignal{});
     default:
@@ -132,12 +112,11 @@ std::exception_ptr Controller::signalError() const {
 }
 
 void Controller::beginRound(std::vector<ContImage> resume) {
-  signal_.store(0, std::memory_order_release);
-  rollbackSource_.store(-1, std::memory_order_relaxed);
+  signal_ = 0;
+  rollbackSource_ = -1;
   sched_ = nullptr;
   for (int pid = 0; pid < nprocs_; ++pid) {
-    Slot& slot = *slots_[static_cast<std::size_t>(pid)];
-    std::lock_guard slk(slot.mu);
+    Slot& slot = slots_[static_cast<std::size_t>(pid)];
     slot.state = State::Running;
     slot.img = ContImage{};
     slot.hasResume = false;
@@ -147,28 +126,22 @@ void Controller::beginRound(std::vector<ContImage> resume) {
       slot.hasResume = true;
       base = slot.resume.stats[kContStmtsExecuted];
     }
-    slot.nextParkAt.store(nextThreshold(base, opts_.intervalSteps),
-                          std::memory_order_relaxed);
+    slot.nextParkAt = nextThreshold(base, opts_.intervalSteps);
   }
 }
 
 bool Controller::hasResume(int pid) const {
-  Slot& slot = *slots_[static_cast<std::size_t>(pid)];
-  std::lock_guard slk(slot.mu);
-  return slot.hasResume;
+  return slots_[static_cast<std::size_t>(pid)].hasResume;
 }
 
 ContImage Controller::takeResume(int pid) {
-  Slot& slot = *slots_[static_cast<std::size_t>(pid)];
-  std::lock_guard slk(slot.mu);
+  Slot& slot = slots_[static_cast<std::size_t>(pid)];
   slot.hasResume = false;
   return std::move(slot.resume);
 }
 
 ContImage Controller::slotImage(int pid) const {
-  Slot& slot = *slots_[static_cast<std::size_t>(pid)];
-  std::lock_guard slk(slot.mu);
-  return slot.img;
+  return slots_[static_cast<std::size_t>(pid)].img;
 }
 
 }  // namespace xdp::ckpt

@@ -18,17 +18,14 @@
 //     unwind with RollbackSignal/PreemptSignal (plain structs, invisible
 //     to std::exception handlers).
 //
-// Every member runs on the machine's own thread (its fibers, or the
-// scheduler's stall handler); the hot paths (signal(), nextParkAt()) are
-// single relaxed atomic loads.
+// Like the Runtime that owns it, a controller is used by one thread at a
+// time: the machine's fibers, or the scheduler's stall handler. The hot
+// paths (signal(), nextParkAt()) are single loads.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "xdp/ckpt/image.hpp"
@@ -44,10 +41,9 @@ class Controller {
 
   // --- engine hot path -------------------------------------------------
   /// 0 none / 1 rollback / 2 preempt.
-  int signal() const { return signal_.load(std::memory_order_relaxed); }
+  int signal() const { return signal_; }
   std::uint64_t nextParkAt(int pid) const {
-    return slots_[static_cast<std::size_t>(pid)]->nextParkAt.load(
-        std::memory_order_relaxed);
+    return slots_[static_cast<std::size_t>(pid)].nextParkAt;
   }
 
   /// Record `img` as pid's restart point (called before any possibly-
@@ -108,11 +104,10 @@ class Controller {
   /// recovery signal, so the processor never reaches a boundary again.
   enum class State : std::uint8_t { Running, Parked, Finished, Failed };
   struct Slot {
-    mutable std::mutex mu;
     ContImage img;
     State state = State::Running;
     int fiber = -1;  ///< the parked fiber, while state == Parked
-    std::atomic<std::uint64_t> nextParkAt{0};
+    std::uint64_t nextParkAt = 0;
     bool hasResume = false;
     ContImage resume;
   };
@@ -122,10 +117,10 @@ class Controller {
 
   const int nprocs_;
   const CkptOptions opts_;
-  std::vector<std::unique_ptr<Slot>> slots_;
+  std::vector<Slot> slots_;
 
-  std::atomic<int> signal_{0};
-  std::atomic<int> rollbackSource_{-1};
+  int signal_ = 0;
+  int rollbackSource_ = -1;
   std::uint64_t captures_ = 0;
   std::uint64_t captureFailures_ = 0;
   /// The scheduler of the processors parked at boundaries.

@@ -365,15 +365,17 @@ class FlatEval {
     const flat::Sec& se = fp_[sr];
     switch (se.kind) {
       case SecExprKind::Literal: {
-        std::vector<Triplet> dims;
+        std::array<Triplet, sec::kMaxRank> dims{};
         for (std::uint32_t k = 0; k < se.dimsLen; ++k) {
           const flat::TripletRef& t = fp_.triplets[se.dimsOff + k];
           Index lb = asInt(evalValue(t.lb));
           Index ub = t.ub.valid() ? asInt(evalValue(t.ub)) : lb;
           Index stride = t.stride.valid() ? asInt(evalValue(t.stride)) : 1;
-          dims.emplace_back(lb, ub, stride);
+          const Triplet tr(lb, ub, stride);
+          if (k < dims.size()) dims[k] = tr;
         }
-        return Section(dims);
+        XDP_CHECK(se.dimsLen <= dims.size(), "section rank exceeds kMaxRank");
+        return Section(static_cast<int>(se.dimsLen), dims);
       }
       case SecExprKind::LocalPart:
         return partOf(se.sym >= 0 ? se.sym : sym, proc_.mypid(), se.dist);
@@ -404,30 +406,21 @@ class FlatEval {
     return part.sections()[0];
   }
 
-  /// The one point of a single-point section, without materializing the
-  /// point list.
-  static Point onlyPointOf(const Section& pt) {
-    std::array<sec::Index, sec::kMaxRank> idx{};
-    for (int d = 0; d < pt.rank(); ++d)
-      idx[static_cast<std::size_t>(d)] = pt.dim(d).lb();
-    return Point(pt.rank(), idx);
-  }
-
+  // Point element access: readElems/writeElems resolve a one-element
+  // section through the table's point path. Reads start from zero, so an
+  // unowned element reads as 0 with debug checks off (readElems fills
+  // only what is owned).
   double readReal(int sym, const Section& pt) {
     const auto type = proc_.table().decl(sym).type;
     if (type == rt::ElemType::F64) {
       double v = 0.0;
-      if (proc_.table().tryReadElemAt(sym, onlyPointOf(pt),
-                                      reinterpret_cast<std::byte*>(&v)))
-        return v;
-      return proc_.read<double>(sym, pt)[0];
+      proc_.table().readElems(sym, pt, reinterpret_cast<std::byte*>(&v));
+      return v;
     }
     if (type == rt::ElemType::I64) {
       std::int64_t v = 0;
-      if (proc_.table().tryReadElemAt(sym, onlyPointOf(pt),
-                                      reinterpret_cast<std::byte*>(&v)))
-        return static_cast<double>(v);
-      return static_cast<double>(proc_.read<std::int64_t>(sym, pt)[0]);
+      proc_.table().readElems(sym, pt, reinterpret_cast<std::byte*>(&v));
+      return static_cast<double>(v);
     }
     XDP_CHECK(false, "IL element access supports f64/i64 (use kernels for "
                      "complex data)");
@@ -437,18 +430,14 @@ class FlatEval {
   void writeReal(int sym, const Section& pt, double v) {
     const auto type = proc_.table().decl(sym).type;
     if (type == rt::ElemType::F64) {
-      if (proc_.table().tryWriteElemAt(
-              sym, onlyPointOf(pt), reinterpret_cast<const std::byte*>(&v)))
-        return;
-      proc_.set<double>(sym, pt.points()[0], v);
+      proc_.table().writeElems(sym, pt,
+                               reinterpret_cast<const std::byte*>(&v));
       return;
     }
     if (type == rt::ElemType::I64) {
       const std::int64_t w = static_cast<std::int64_t>(std::llround(v));
-      if (proc_.table().tryWriteElemAt(
-              sym, onlyPointOf(pt), reinterpret_cast<const std::byte*>(&w)))
-        return;
-      proc_.set<std::int64_t>(sym, pt.points()[0], w);
+      proc_.table().writeElems(sym, pt,
+                               reinterpret_cast<const std::byte*>(&w));
       return;
     }
     XDP_CHECK(false, "IL element access supports f64/i64");
@@ -621,6 +610,49 @@ class Compiler {
         return hotExpr(e.lhs, allowElem);
       case ExprKind::Elem:
         return allowElem && elemTypeOk(e.sym) && hotPoint(e.section);
+      case ExprKind::Iown:
+      case ExprKind::Accessible:
+      case ExprKind::Await:
+        return hotSec1(e.section, allowElem);
+      default:
+        return false;
+    }
+  }
+
+  /// Rank-1 literal section whose bound expressions compile hot.
+  bool hotSec1(SecRef sr, bool allowElem) const {
+    if (!sr.valid()) return false;
+    const flat::Sec& s = fp()[sr];
+    if (s.kind != SecExprKind::Literal || s.dimsLen != 1) return false;
+    const flat::TripletRef& t = fp().triplets[s.dimsOff];
+    return hotExpr(t.lb, allowElem) &&
+           (!t.ub.valid() || hotExpr(t.ub, allowElem)) &&
+           (!t.stride.valid() || hotExpr(t.stride, allowElem));
+  }
+
+  /// A transfer statement whose sections and destination compile hot.
+  bool hotXfer(const flat::Stmt& s) const {
+    switch (s.kind) {
+      case StmtKind::SendData:
+      case StmtKind::SendOwn:
+        if (!hotSec1(s.lhs, true)) return false;
+        switch (s.destKind) {
+          case flat::DestKind::None:
+            return true;
+          case flat::DestKind::Pids:
+            for (std::uint32_t k = 0; k < s.destPidsLen; ++k)
+              if (!hotExpr(fp().exprKids[s.destPidsOff + k], true))
+                return false;
+            return true;
+          case flat::DestKind::OwnerOf:
+            return hotSec1(s.destSection, true);
+        }
+        return false;
+      case StmtKind::RecvData:
+        return hotSec1(s.lhs, true) && hotSec1(s.sec2, true);
+      case StmtKind::RecvOwn:
+      case StmtKind::Await:
+        return hotSec1(s.lhs, true);
       default:
         return false;
     }
@@ -690,10 +722,80 @@ class Compiler {
       }
       case ExprKind::Bin:
         return compileBin(e);
+      case ExprKind::Iown:
+      case ExprKind::Accessible:
+      case ExprKind::Await: {
+        XferSite x;
+        x.query = e.kind;
+        x.sym = e.sym;
+        x.sec = compileSec1(e.section);
+        const auto t = allocTemp();
+        emit({Op::XQuery, 0, t, 0, 0, addXfer(std::move(x))});
+        return t;
+      }
       default:
         XDP_CHECK(false, "compileExpr on non-hot expression");
         return 0;
     }
+  }
+
+  std::int32_t addXfer(XferSite x) {
+    m_.xfers.push_back(std::move(x));
+    return static_cast<std::int32_t>(m_.xfers.size() - 1);
+  }
+
+  /// Index registers of a hotSec1 section, in the walker's order: lb, ub,
+  /// stride, each converted like asInt, and the stride checked where the
+  /// walker's Triplet constructor checks it.
+  SecRegs compileSec1(SecRef sr) {
+    const flat::TripletRef& t = fp().triplets[fp()[sr].dimsOff];
+    SecRegs r;
+    r.lb = toIndexTemp(compileExpr(t.lb));
+    if (t.ub.valid()) {
+      r.ub = toIndexTemp(compileExpr(t.ub));
+      r.hasUb = true;
+    }
+    if (t.stride.valid()) {
+      r.stride = toIndexTemp(compileExpr(t.stride));
+      r.hasStride = true;
+      const flat::Expr& st = fp()[t.stride];
+      if (st.kind != ExprKind::IntConst || st.intVal < 1)
+        emit({Op::CheckStride, 0, r.stride, 0, 0, 0});
+    }
+    return r;
+  }
+
+  /// StepXfer; <sections>; [XferSkip; <destination>;] Xfer — the cold
+  /// ExecFlat's schedule: its prologue, then the walker's evaluation
+  /// order, destination pids after the empty-section check.
+  void compileXfer(const flat::Stmt& s) {
+    const auto d = addXfer(XferSite{});
+    emit({Op::StepXfer, 0, 0, 0, 0, d});
+    m_.hotStmts += 1;
+    XferSite x;
+    x.stmt = s.kind;
+    x.sym = s.sym;
+    x.sym2 = s.sym2;
+    x.withValue = s.withValue;
+    x.sec = compileSec1(s.lhs);
+    if (s.kind == StmtKind::RecvData) x.sec2 = compileSec1(s.sec2);
+    if (s.kind == StmtKind::SendData || s.kind == StmtKind::SendOwn)
+      x.dest = s.destKind;
+    if (x.dest != flat::DestKind::None) {
+      emit({Op::XferSkip, 0, 0, 0, 0, d});
+      if (x.dest == flat::DestKind::Pids) {
+        for (std::uint32_t k = 0; k < s.destPidsLen; ++k)
+          x.pids.push_back(
+              toIndexTemp(compileExpr(fp().exprKids[s.destPidsOff + k])));
+      } else {
+        x.destSym = s.destSym;
+        x.destDist = s.destDist;
+        x.destSec = compileSec1(s.destSection);
+      }
+    }
+    emit({Op::Xfer, 0, 0, 0, 0, d});
+    x.endPc = static_cast<std::int32_t>(m_.code.size());
+    m_.xfers[static_cast<std::size_t>(d)] = std::move(x);
   }
 
   std::uint16_t compileBin(const flat::Expr& e) {
@@ -921,6 +1023,16 @@ class Compiler {
             static_cast<std::int32_t>(m_.code.size());
         break;
       }
+      case StmtKind::SendData:
+      case StmtKind::SendOwn:
+      case StmtKind::RecvData:
+      case StmtKind::RecvOwn:
+      case StmtKind::Await:
+        if (hotXfer(s))
+          compileXfer(s);
+        else
+          cold(sr);
+        break;
       case StmtKind::ComputeCost: {
         if (!hotExpr(s.value, /*allowElem=*/true)) {
           cold(sr);
@@ -948,7 +1060,11 @@ class Compiler {
         case Op::EvalFlat:
         case Op::EvalRule:
         case Op::ExecFlat:
-        case Op::SplitRun:  // takes the table lock for ownedRanges
+        case Op::SplitRun:  // an ownedRanges query per loop entry
+        case Op::StepXfer:
+        case Op::XferSkip:
+        case Op::Xfer:
+        case Op::XQuery:
         case Op::Halt:
           return false;
         default:
@@ -1355,6 +1471,99 @@ struct SplitCursor {
   return true;
 }
 
+/// The section `r` names. Its registers hold Ints: ToIndex wrote them.
+Section sectionOf(const SecRegs& r, const Slot* regs) {
+  const Index lb = regs[r.lb].i;
+  std::array<Triplet, sec::kMaxRank> dims{};
+  if (!r.hasUb && !r.hasStride)
+    dims[0] = Triplet(lb);
+  else
+    dims[0] = Triplet(lb, r.hasUb ? regs[r.ub].i : lb,
+                      r.hasStride ? regs[r.stride].i : 1);
+  return Section(1, dims);
+}
+
+/// The walker's empty check of a transfer statement: true when it does
+/// nothing.
+bool xferSkips(const XferSite& x, const Slot* regs) {
+  const bool empty = sectionOf(x.sec, regs).empty();
+  if (x.stmt == StmtKind::RecvData)
+    return empty && sectionOf(x.sec2, regs).empty();
+  return empty;
+}
+
+/// The one owner of a bound destination section, found as the walker's
+/// resolveDest finds it.
+int ownerOfDest(const Module& m, const XferSite& x, const Slot* regs,
+                rt::Proc& proc) {
+  const Section sect = sectionOf(x.destSec, regs);
+  XDP_CHECK(!sect.empty(), "owner-of an empty section");
+  const dist::Distribution& dd =
+      x.destDist >= 0 ? m.fp.dists[static_cast<std::size_t>(x.destDist)]
+                      : proc.table().decl(x.destSym).dist;
+  const Triplet& t = sect.dim(0);
+  int owner = -1;
+  bool unique = true;
+  for (Index k = 0; k < t.count(); ++k) {
+    std::array<Index, sec::kMaxRank> idx{};
+    idx[0] = t.at(k);
+    const int o = dd.ownerOf(Point(1, idx));
+    if (owner < 0)
+      owner = o;
+    else if (o != owner)
+      unique = false;
+  }
+  XDP_CHECK(unique, "bound destination section spans processors");
+  return owner;
+}
+
+/// Xfer's work, out of line so the dispatch loop stays small: the
+/// walker's statement case from its empty check on. `pids` is scratch
+/// reused across statements, so a send allocates no destination list.
+[[gnu::noinline]] void runXfer(const Module& m, const XferSite& x,
+                               const Slot* regs, rt::Proc& proc,
+                               std::vector<int>& pids) {
+  const Section s = sectionOf(x.sec, regs);
+  switch (x.stmt) {
+    case StmtKind::SendData:
+    case StmtKind::SendOwn: {
+      if (x.dest == flat::DestKind::None && s.empty()) return;
+      rt::Dests dests;
+      int owner = -1;
+      if (x.dest == flat::DestKind::Pids) {
+        pids.clear();
+        for (std::uint16_t r : x.pids)
+          pids.push_back(static_cast<int>(regs[r].i));
+        dests = rt::Dests(std::span<const int>(pids));
+      } else if (x.dest == flat::DestKind::OwnerOf) {
+        owner = ownerOfDest(m, x, regs, proc);
+        dests = rt::Dests(std::span<const int>(&owner, 1));
+      }
+      if (x.stmt == StmtKind::SendData)
+        proc.send(x.sym, s, dests);
+      else
+        proc.sendOwnership(x.sym, s, x.withValue, dests);
+      return;
+    }
+    case StmtKind::RecvData: {
+      const Section name = sectionOf(x.sec2, regs);
+      if (s.empty() && name.empty()) return;
+      proc.recv(x.sym, s, x.sym2, name);
+      return;
+    }
+    case StmtKind::RecvOwn:
+      if (s.empty()) return;
+      proc.recvOwnership(x.sym, s, x.withValue);
+      return;
+    case StmtKind::Await:
+      if (s.empty()) return;
+      proc.await(x.sym, s);
+      return;
+    default:
+      XDP_CHECK(false, "Xfer on a non-transfer statement");
+  }
+}
+
 [[noreturn]] void undefinedReg(const Module& m, std::uint16_t r) {
   if (r < m.fp.scalarNames.size()) {
     XDP_USAGE_FAIL("use of undefined universal scalar: " +
@@ -1390,18 +1599,17 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
 
   // Pure-loop element lease (see ProcTable::ElemLease): taken at the
   // outermost pure ForEnter, dropped when that loop exits or on the
-  // first access the lease cannot serve. A step hook may run arbitrary
-  // code per statement, so leasing is disabled under one.
+  // first access the lease cannot serve. A step hook may read the table
+  // meanwhile but must not change it (see StepHook).
   std::optional<rt::ProcTable::ElemLease> lease;
   std::int32_t leaseOwner = -1;
-  const bool canLease = !iopts.stepHook;
   auto dropLease = [&] {
     lease.reset();
     leaseOwner = -1;
   };
 
-  // Three-tier element access shared by LoadElem/LoadElem1/StoreElem:
-  // held lease → per-point locked fast path → generic Section path.
+  // Element access shared by LoadElem/LoadElem1/StoreElem: the held
+  // lease, else the table's point path.
   auto loadAt = [&](int rank, const std::array<sec::Index, sec::kMaxRank>& idx,
                     std::int32_t sym) -> Slot {
     const Point p(rank, idx);
@@ -1418,11 +1626,9 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
     if (lease) {
       done = lease->tryRead(static_cast<int>(sym), p, bytes);
       // A leased loop that touches an unowned or transitional point
-      // needs the generic semantics; drop to the per-element path
-      // (same mutex — must release before the fallback).
+      // needs the generic semantics; drop to the per-element path.
       if (!done) dropLease();
     }
-    if (!done) done = proc.table().tryReadElemAt(static_cast<int>(sym), p, bytes);
     if (!done) {
       std::array<Triplet, sec::kMaxRank> dims{};
       for (int k = 0; k < rank; ++k)
@@ -1450,8 +1656,6 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
       done = lease->tryWrite(static_cast<int>(sym), p, bytes);
       if (!done) dropLease();
     }
-    if (!done)
-      done = proc.table().tryWriteElemAt(static_cast<int>(sym), p, bytes);
     if (!done) {
       std::array<Triplet, sec::kMaxRank> dims{};
       for (int k = 0; k < rank; ++k)
@@ -1463,16 +1667,18 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
   };
 
   std::vector<SplitCursor> cursors(m.splits.size());
+  std::vector<int> pidBuf;  // Xfer's destination scratch
 
   // --- checkpoint continuations (DESIGN.md §11) --------------------------
   // Between any two instructions the VM's whole control state is
   // (pc, register file), so a continuation is exact: resuming re-executes
   // from the captured pc against the restored tables/fabric. Boundaries
-  // are observed at statement tops (Step/StepElem/StepRule/ExecFlat),
-  // except inside a pure split copy, and a restart point is published
-  // before every instruction that can block (the cold calls into the
-  // flat walker). The lease is dropped before parking so a capture never
-  // waits on a held table lock.
+  // are observed at statement tops (Step/StepElem/StepRule/StepXfer/
+  // ExecFlat), except inside a pure split copy, and a restart point is
+  // published before every instruction that can block (the cold calls
+  // into the flat walker, StepXfer for its statement, an awaiting
+  // XQuery). The lease is dropped before parking: the table may change
+  // while this fiber is parked.
   std::size_t pc = 0;
   auto makeImage = [&](bool unsafe) {
     ckpt::ContImage img;
@@ -1681,7 +1887,7 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
           pc = static_cast<std::size_t>(in.d);
           continue;
         }
-        if (in.rank != 0 && canLease && !lease) {
+        if (in.rank != 0 && !lease) {
           lease.emplace(proc.table());
           leaseOwner = static_cast<std::int32_t>(pc) + 1;
         }
@@ -1845,7 +2051,7 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
           continue;
         }
         regs[site.var] = Slot::ofInt(cur.at);
-        if (site.pure && canLease && !lease) {
+        if (site.pure && !lease) {
           lease.emplace(proc.table());
           leaseOwner = site.bodyPc;
         }
@@ -1870,6 +2076,47 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
         pc = static_cast<std::size_t>(site.exitPc);
         continue;
       }
+      case Op::StepXfer:
+        // ExecFlat's prologue: the statement restarts here.
+        if (ctrl != nullptr) {
+          boundary();
+          ctrl->publish(pid, makeImage(false));
+        }
+        if (iopts.stepHook) iopts.stepHook(proc);
+        stats.stmtsExecuted += 1;
+        break;
+      case Op::CheckStride:
+        XDP_CHECK(regs[in.a].i >= 1,
+                  "triplet stride must be >= 1 (use descending())");
+        break;
+      case Op::XferSkip: {
+        const XferSite& x = m.xfers[static_cast<std::size_t>(in.d)];
+        if (xferSkips(x, regs.data())) {
+          pc = static_cast<std::size_t>(x.endPc);
+          continue;
+        }
+        break;
+      }
+      case Op::Xfer:
+        runXfer(m, m.xfers[static_cast<std::size_t>(in.d)], regs.data(), proc,
+                pidBuf);
+        break;
+      case Op::XQuery: {
+        const XferSite& x = m.xfers[static_cast<std::size_t>(in.d)];
+        const Section sect = sectionOf(x.sec, regs.data());
+        bool r;
+        if (x.query == ExprKind::Await) {
+          // Publish-before-block: resuming re-runs this await.
+          if (ctrl != nullptr) ctrl->publish(pid, makeImage(false));
+          r = proc.await(x.sym, sect);
+        } else if (x.query == ExprKind::Iown) {
+          r = proc.iown(x.sym, sect);
+        } else {
+          r = proc.accessible(x.sym, sect);
+        }
+        regs[in.a] = Slot::ofBool(r);
+        break;
+      }
     }
     ++pc;
   }
@@ -1887,7 +2134,8 @@ std::string disassemble(const Module& m) {
       "CountElemAssign", "LoadElem", "StoreElem", "Cost",
       "EvalFlat", "EvalRule", "ExecFlat",
       "ForIter", "StepElem", "StepRule", "LoadElem1", "IdxAff",
-      "SplitEnter", "SplitRun", "SplitNext",
+      "SplitEnter", "SplitRun", "SplitNext", "StepXfer", "CheckStride",
+      "XferSkip", "Xfer", "XQuery",
   };
   std::ostringstream os;
   os << "regs=" << m.numRegs << " scalars=" << m.fp.numScalars()

@@ -4,10 +4,11 @@
 // compile() lowers a flat::FlatProgram (xdp/il/flat.hpp) into one dense
 // instruction stream per program: scalar arithmetic, For loops, guards,
 // and single-point element access become register ops over a tagged-slot
-// register file; everything stateful — ownership queries, sends/receives,
-// awaits, kernels, general sections — stays a single cold instruction
-// (EvalFlat / EvalRule / ExecFlat) that walks the flat IL and calls back
-// into the same rt::Proc the reference tree walker uses. Quotas
+// register file; transfers and ownership intrinsics on rank-1 literal
+// sections become register code plus one op (XferSite); everything else
+// stateful — kernels, general sections — stays a single cold instruction
+// (EvalFlat / EvalRule / ExecFlat) that walks the flat IL. Both call the
+// same rt::Proc the reference tree walker uses. Quotas
 // (stepHook), fault injection, deadlock detection, and NetStats are therefore
 // untouched, and the logical InterpStats counters are bit-identical to
 // the reference walker's naive guard-per-iteration schedule. Owner-
@@ -89,6 +90,18 @@ enum class Op : std::uint8_t {
                ///< bodyPc, or pc = naivePc when the split preconditions fail
   SplitNext,   ///< next owned iteration (pc = bodyPc) or leave the loop
                ///< scalar at the last iteration and pc = exitPc
+  // Rank-1 transfers and intrinsics (DESIGN.md §9.2); d is the XferSite
+  // index. A statement compiles to StepXfer; <section code>; [XferSkip;
+  // <destination code>;] Xfer — ExecFlat's schedule, with the sections in
+  // registers.
+  StepXfer,    ///< ExecFlat's prologue: boundary, publish (restart here),
+               ///< step hook, stmtsExecuted
+  CheckStride, ///< a literal section's stride must be >= 1 (as Triplet)
+  XferSkip,    ///< the statement's empty check, before its destination
+               ///< code (a site with a destination): pc = endPc if it skips
+  Xfer,        ///< the transfer (with the empty check, unless XferSkip ran)
+  XQuery,      ///< a = iown/accessible/await of the site's section; an
+               ///< await publishes (restart here) before it may block
 };
 
 /// One fixed-size instruction. `a`/`b`/`c` are register indices, `rank`
@@ -122,6 +135,30 @@ struct SplitSite {
   std::vector<std::pair<std::uint16_t, std::uint16_t>> dims;
 };
 
+/// A rank-1 literal section whose bounds live in index registers; without
+/// `hasUb` the section is the point lb, without `hasStride` the stride 1.
+struct SecRegs {
+  std::uint16_t lb = 0, ub = 0, stride = 0;
+  bool hasUb = false, hasStride = false;
+};
+
+/// One hot transfer statement (StepXfer/XferSkip/Xfer) or intrinsic
+/// (XQuery): what the walker's statement or expression case would
+/// evaluate, with every section and destination pid in registers.
+struct XferSite {
+  il::StmtKind stmt = il::StmtKind::SendData;  ///< Xfer: statement kind
+  il::ExprKind query = il::ExprKind::Iown;     ///< XQuery: intrinsic
+  std::int32_t sym = -1, sym2 = -1;
+  bool withValue = false;
+  SecRegs sec;   ///< the statement's (or intrinsic's) section
+  SecRegs sec2;  ///< RecvData: the name section
+  il::flat::DestKind dest = il::flat::DestKind::None;
+  std::vector<std::uint16_t> pids;  ///< Pids: one index register each
+  std::int32_t destSym = -1, destDist = -1;
+  SecRegs destSec;                  ///< OwnerOf: the owner section
+  std::int32_t endPc = 0;           ///< past the Xfer op
+};
+
 /// A compiled program: the flat IL it was lowered from (the cold path
 /// walks it), the instruction stream, constant pools, and per-symbol
 /// element types resolved at compile time.
@@ -132,6 +169,7 @@ struct Module {
   std::vector<double> rpool;
   std::vector<rt::ElemType> elemTypes;  ///< by symbol index
   std::vector<SplitSite> splits;        ///< by SplitEnter/Run/Next.d
+  std::vector<XferSite> xfers;          ///< by StepXfer/XferSkip/Xfer/XQuery.d
   std::uint16_t numRegs = 0;            ///< scalars + consts + temporaries
   std::uint32_t hotStmts = 0;           ///< statements fully compiled
   std::uint32_t coldStmts = 0;          ///< statements left to ExecFlat

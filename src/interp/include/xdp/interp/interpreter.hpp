@@ -58,7 +58,9 @@ struct InterpStats {
 /// the interpreter's step-accounting and cancellation points. Throwing
 /// aborts that processor's node program (the exception propagates out of
 /// Interpreter::run via the SPMD failure aggregation); xdp::serve hangs
-/// per-session step/memory/wall-time quota enforcement off it.
+/// per-session step/memory/wall-time quota enforcement off it. A hook
+/// may read the processor's table but must not change it, nor yield or
+/// park: compiled pure loops keep element windows across it.
 using StepHook = std::function<void(rt::Proc&)>;
 
 /// Which execution engine runs the node programs. The VM is the engine;

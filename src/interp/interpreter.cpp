@@ -382,30 +382,21 @@ class Exec {
 
   // --- typed element access ----------------------------------------------
 
-  /// The one point of a single-point section, without materializing the
-  /// point list.
-  static Point onlyPointOf(const Section& pt) {
-    std::array<sec::Index, sec::kMaxRank> idx{};
-    for (int d = 0; d < pt.rank(); ++d)
-      idx[static_cast<std::size_t>(d)] = pt.dim(d).lb();
-    return Point(pt.rank(), idx);
-  }
-
+  // Point element access: readElems/writeElems resolve a one-element
+  // section through the table's point path. Reads start from zero, so an
+  // unowned element reads as 0 with debug checks off (readElems fills
+  // only what is owned).
   double readReal(int sym, const Section& pt) {
     const auto type = proc_.table().decl(sym).type;
     if (type == rt::ElemType::F64) {
       double v = 0.0;
-      if (proc_.table().tryReadElemAt(sym, onlyPointOf(pt),
-                                      reinterpret_cast<std::byte*>(&v)))
-        return v;
-      return proc_.read<double>(sym, pt)[0];
+      proc_.table().readElems(sym, pt, reinterpret_cast<std::byte*>(&v));
+      return v;
     }
     if (type == rt::ElemType::I64) {
       std::int64_t v = 0;
-      if (proc_.table().tryReadElemAt(sym, onlyPointOf(pt),
-                                      reinterpret_cast<std::byte*>(&v)))
-        return static_cast<double>(v);
-      return static_cast<double>(proc_.read<std::int64_t>(sym, pt)[0]);
+      proc_.table().readElems(sym, pt, reinterpret_cast<std::byte*>(&v));
+      return static_cast<double>(v);
     }
     XDP_CHECK(false, "IL element access supports f64/i64 (use kernels for "
                      "complex data)");
@@ -415,18 +406,14 @@ class Exec {
   void writeReal(int sym, const Section& pt, double v) {
     const auto type = proc_.table().decl(sym).type;
     if (type == rt::ElemType::F64) {
-      if (proc_.table().tryWriteElemAt(
-              sym, onlyPointOf(pt), reinterpret_cast<const std::byte*>(&v)))
-        return;
-      proc_.set<double>(sym, pt.points()[0], v);
+      proc_.table().writeElems(sym, pt,
+                               reinterpret_cast<const std::byte*>(&v));
       return;
     }
     if (type == rt::ElemType::I64) {
       const std::int64_t w = static_cast<std::int64_t>(std::llround(v));
-      if (proc_.table().tryWriteElemAt(
-              sym, onlyPointOf(pt), reinterpret_cast<const std::byte*>(&w)))
-        return;
-      proc_.set<std::int64_t>(sym, pt.points()[0], w);
+      proc_.table().writeElems(sym, pt,
+                               reinterpret_cast<const std::byte*>(&w));
       return;
     }
     XDP_CHECK(false, "IL element access supports f64/i64");

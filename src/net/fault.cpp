@@ -23,8 +23,6 @@ double unitReal(std::uint64_t x) {
   return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
 
-constexpr auto kRelaxed = std::memory_order_relaxed;
-
 }  // namespace
 
 FaultInjector::FaultInjector(FaultPlan plan, int nprocs)
@@ -44,19 +42,6 @@ FaultInjector::FaultInjector(FaultPlan plan, int nprocs)
   markPids(plan_.crashPids, nprocs, crashy_, "crashPids");
 }
 
-FaultStats FaultInjector::stats() const {
-  FaultStats s;
-  s.dropped = stats_.dropped.load(kRelaxed);
-  s.duplicated = stats_.duplicated.load(kRelaxed);
-  s.suppressedDuplicates = stats_.suppressedDuplicates.load(kRelaxed);
-  s.delayed = stats_.delayed.load(kRelaxed);
-  s.reordered = stats_.reordered.load(kRelaxed);
-  s.stalled = stats_.stalled.load(kRelaxed);
-  s.crashed = stats_.crashed.load(kRelaxed);
-  s.recovered = stats_.recovered.load(kRelaxed);
-  return s;
-}
-
 FaultInjector::Outcome FaultInjector::classify(int src) {
   SrcState& st = src_[idx(src)];
   const std::uint64_t ordinal = st.seq++;
@@ -74,18 +59,18 @@ FaultInjector::Outcome FaultInjector::classify(int src) {
   Outcome o;
   o.drop = uDrop < plan_.dropProb;
   if (o.drop) {
-    stats_.dropped.fetch_add(1, kRelaxed);
+    stats_.dropped += 1;
     return o;
   }
   o.duplicate = uDup < plan_.dupProb;
-  if (o.duplicate) stats_.duplicated.fetch_add(1, kRelaxed);
+  if (o.duplicate) stats_.duplicated += 1;
   if (uDelay < plan_.delayProb) {
     o.extraDelay += uDelayAmt * plan_.maxDelay;
-    stats_.delayed.fetch_add(1, kRelaxed);
+    stats_.delayed += 1;
   }
   if (stalled_[idx(src)]) {
     o.extraDelay += plan_.stallDelay;
-    stats_.stalled.fetch_add(1, kRelaxed);
+    stats_.stalled += 1;
   }
   o.hold = uReorder < plan_.reorderProb;
   return o;
@@ -97,7 +82,7 @@ bool FaultInjector::crashNow(int src) {
   st.sendCount += 1;
   if (st.sendCount <= plan_.crashAfterSends) return false;
   if (st.sendCount == plan_.crashAfterSends + 1)
-    stats_.crashed.fetch_add(1, kRelaxed);
+    stats_.crashed += 1;
   return true;
 }
 
@@ -106,33 +91,25 @@ void FaultInjector::disarmCrashes() {
   // The crash that triggered this recovery was counted by crashNow and
   // then rewound by restoreState (the snapshot predates it) — re-record
   // it here so stats stay truthful across the rollback.
-  stats_.crashed.fetch_add(1, kRelaxed);
-  stats_.recovered.fetch_add(1, kRelaxed);
+  stats_.crashed += 1;
+  stats_.recovered += 1;
 }
 
 void FaultInjector::exportState(ckpt::Writer& w) const {
   w.u32(static_cast<std::uint32_t>(src_.size()));
-  for (const SrcState& st : src_) {
-    std::lock_guard lk(st.mu);
-    w.u64(st.seq);
-  }
-  for (const SrcState& st : src_) {
-    std::lock_guard lk(st.mu);
-    w.u64(st.sendCount);
-  }
-  w.u64(nextDupId_.load(kRelaxed));
-  const FaultStats s = stats();
-  w.u64(s.dropped);
-  w.u64(s.duplicated);
-  w.u64(s.suppressedDuplicates);
-  w.u64(s.delayed);
-  w.u64(s.reordered);
-  w.u64(s.stalled);
-  w.u64(s.crashed);
-  w.u64(s.recovered);
+  for (const SrcState& st : src_) w.u64(st.seq);
+  for (const SrcState& st : src_) w.u64(st.sendCount);
+  w.u64(nextDupId_);
+  w.u64(stats_.dropped);
+  w.u64(stats_.duplicated);
+  w.u64(stats_.suppressedDuplicates);
+  w.u64(stats_.delayed);
+  w.u64(stats_.reordered);
+  w.u64(stats_.stalled);
+  w.u64(stats_.crashed);
+  w.u64(stats_.recovered);
   w.u32(static_cast<std::uint32_t>(src_.size()));
   for (const SrcState& st : src_) {
-    std::lock_guard lk(st.mu);
     w.boolean(st.held.has_value());
     if (!st.held.has_value()) continue;
     wire::putMessage(w, st.held->msg);
@@ -145,29 +122,22 @@ void FaultInjector::restoreState(ckpt::Reader& r) {
   const std::uint32_t n = r.u32();
   if (n != src_.size())
     throw ckpt::CkptError("fault image endpoint count mismatch");
-  for (SrcState& st : src_) {
-    std::lock_guard lk(st.mu);
-    st.seq = r.u64();
-  }
-  for (SrcState& st : src_) {
-    std::lock_guard lk(st.mu);
-    st.sendCount = r.u64();
-  }
-  nextDupId_.store(r.u64(), kRelaxed);
-  stats_.dropped.store(r.u64(), kRelaxed);
-  stats_.duplicated.store(r.u64(), kRelaxed);
-  stats_.suppressedDuplicates.store(r.u64(), kRelaxed);
-  stats_.delayed.store(r.u64(), kRelaxed);
-  stats_.reordered.store(r.u64(), kRelaxed);
-  stats_.stalled.store(r.u64(), kRelaxed);
-  stats_.crashed.store(r.u64(), kRelaxed);
-  stats_.recovered.store(r.u64(), kRelaxed);
+  for (SrcState& st : src_) st.seq = r.u64();
+  for (SrcState& st : src_) st.sendCount = r.u64();
+  nextDupId_ = r.u64();
+  stats_.dropped = r.u64();
+  stats_.duplicated = r.u64();
+  stats_.suppressedDuplicates = r.u64();
+  stats_.delayed = r.u64();
+  stats_.reordered = r.u64();
+  stats_.stalled = r.u64();
+  stats_.crashed = r.u64();
+  stats_.recovered = r.u64();
   const std::uint32_t hn = r.u32();
   if (hn != src_.size())
     throw ckpt::CkptError("fault image held-slot count mismatch");
   std::size_t count = 0;
   for (SrcState& st : src_) {
-    std::lock_guard lk(st.mu);
     st.held.reset();
     if (!r.boolean()) continue;
     Held h;
@@ -176,7 +146,7 @@ void FaultInjector::restoreState(ckpt::Reader& r) {
     st.held = std::move(h);
     count += 1;
   }
-  heldCount_.store(count, kRelaxed);
+  heldCount_ = count;
 }
 
 bool FaultInjector::hasHeld(int src) const {
@@ -193,8 +163,8 @@ void FaultInjector::hold(int src, Message msg, std::optional<int> dest) {
   auto& slot = src_[idx(src)].held;
   XDP_CHECK(!slot.has_value(), "hold: source already has a held message");
   slot = Held{std::move(msg), dest};
-  heldCount_.fetch_add(1, kRelaxed);
-  stats_.reordered.fetch_add(1, kRelaxed);
+  heldCount_ += 1;
+  stats_.reordered += 1;
 }
 
 FaultInjector::Held FaultInjector::takeHeld(int src) {
@@ -202,19 +172,18 @@ FaultInjector::Held FaultInjector::takeHeld(int src) {
   XDP_CHECK(slot.has_value(), "takeHeld: no held message for this source");
   Held h = std::move(*slot);
   slot.reset();
-  heldCount_.fetch_sub(1, kRelaxed);
+  heldCount_ -= 1;
   return h;
 }
 
 std::vector<FaultInjector::Held> FaultInjector::takeAllHeld() {
   std::vector<Held> out;
   for (SrcState& st : src_) {
-    std::lock_guard lk(st.mu);
     if (!st.held.has_value()) continue;
     out.push_back(std::move(*st.held));
     st.held.reset();
-    heldCount_.fetch_sub(1, kRelaxed);
   }
+  heldCount_ = 0;
   return out;
 }
 

@@ -21,12 +21,12 @@
 //                 matching send is handed to the first waiter in line.
 //
 // Delivery is synchronous on both routes: the sending fiber itself
-// delivers the message under the destination endpoint's lock, so send()
-// returns only after the message completed a receive or was parked (as
-// unexpected, or at the matcher). Apart from messages a fault plan holds
-// back (see flushHeldFaults), nothing is ever in flight between
-// endpoints: when every processor is blocked, parked or finished, no
-// message can still arrive and wake one of them.
+// delivers the message, so send() returns only after the message
+// completed a receive or was parked (as unexpected, or at the matcher).
+// Apart from messages a fault plan holds back (see flushHeldFaults),
+// nothing is ever in flight between endpoints: when every processor is
+// blocked, parked or finished, no message can still arrive and wake one
+// of them.
 //
 // Virtual time: a completion never writes another endpoint's clock. The
 // unexpected-message copy is charged through the message's arrival time,
@@ -34,46 +34,24 @@
 // moves only while its own processor runs (and at barrier release) and
 // modeled time does not depend on the schedule.
 //
-// Locking: the matching state is sharded so that P endpoints do not
-// serialize on one fabric-wide mutex. A machine's processors are fibers
-// of one thread, so these locks order them only against threads that read
-// the fabric from outside (stats, snapshots); no lock is held across a
-// yield or a park.
+// One thread per machine: a Fabric is used by one thread at a time, the
+// one running its machine's fibers (DESIGN.md §5), so it takes no lock. A
+// receive post and its pairing decision run with no yield between them,
+// so no interest entry can go stale: a receive completed by a direct send
+// drops its rendezvous interest at once.
 //
-//   * Each endpoint owns a mutex guarding its virtual clock, its traffic
-//     counters, its posted-but-unmatched receives and its
-//     unexpected-message queue. A direct send touches two endpoint
-//     locks, one at a time: the sender's (accounting) and then the
-//     receiver's (delivery).
-//   * The rendezvous matcher (parked unspecified sends + registered
-//     receive interest) has its own mutex. An endpoint lock and the
-//     matcher lock are NEVER held together; cross-domain matching is a
-//     publish-then-complete protocol (see fabric.cpp, "Rendezvous
-//     protocol") that retries stale interest entries instead of taking
-//     both locks.
-//   * Leaf locks, each taken with at most one endpoint lock held and
-//     never while holding each other: the duplicate-suppression set
-//     (exactly-once bookkeeping for fault-injected duplicates). The fault
-//     injector's mutex and the barrier mutex are taken with no endpoint
-//     or matcher lock held; the barrier *release* path and snapshot()
-//     additionally take endpoint locks (barrier/snapshot -> endpoint,
-//     ascending pid order when more than one is held).
-//   * Completion callbacks run while the destination endpoint's lock is
-//     held and may take the destination symbol table's lock (lock order:
-//     endpoint -> symtab — the pre-shard fabric-state -> symtab order).
-//     Callers must never invoke fabric operations while holding a symbol
-//     table lock, and completion callbacks must never re-enter the
-//     fabric.
+// A posted receive is plain data (RecvDesc); the fabric completes every
+// matched receive through the one routine installed with setCompletion,
+// which must copy the payload out and must not call back into the
+// fabric. Queues are threaded through slabs of recycled slots, so a
+// steady stream of point messages allocates nothing.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -85,11 +63,7 @@
 
 namespace xdp::net {
 
-/// Traffic counters, kept per endpoint. `read()`-style accessors
-/// (`Fabric::stats`, `Fabric::totalStats`) copy a whole endpoint's
-/// counters under that endpoint's lock, so they are safe — and internally
-/// consistent per endpoint — at any time, including mid-run from a
-/// monitoring thread.
+/// Traffic counters, kept per endpoint.
 struct NetStats {
   std::uint64_t messagesSent = 0;
   std::uint64_t bytesSent = 0;
@@ -103,10 +77,22 @@ struct NetStats {
   NetStats& operator+=(const NetStats& o);
 };
 
-/// Invoked (under the destination endpoint's lock) when a posted receive
-/// is matched. The callback must copy the payload out and update runtime
-/// state; it must not call back into the fabric.
-using CompletionFn = std::function<void(const Message&)>;
+/// A posted receive, as plain data: scatter the payload into `dst` (then
+/// `rest`, in payload order) of symbol `dstSym` (data receives), or
+/// complete those transitional sections (ownership receives, `withValue`
+/// deciding whether the payload carries element values). Checkpoint
+/// images store it as is, so a restored receive completes like a live one.
+struct RecvDesc {
+  int dstSym = -1;
+  sec::Section dst;                ///< first destination section
+  std::vector<sec::Section> rest;  ///< further ones (aggregated receives)
+  bool withValue = false;          ///< ownership receives: scatter payload
+};
+
+/// Completes a matched receive posted at `pid`. Must copy the payload out
+/// and update runtime state; must not call back into the fabric.
+using CompletionFn =
+    std::function<void(int pid, const RecvDesc& desc, const Message& msg)>;
 
 /// Invoked at the top of every send (before any accounting or fault
 /// decision) with the source pid and payload size. Throwing aborts the
@@ -114,28 +100,11 @@ using CompletionFn = std::function<void(const Message&)>;
 /// quotas hang off (see xdp::serve). Must not call back into the fabric.
 using SendHook = std::function<void(int src, std::size_t bytes)>;
 
-/// Invoked (with no fabric lock held) when a crash-plan endpoint with
-/// CrashFate::Recover exhausts its send budget, just before the sending
-/// fiber unwinds with ckpt::RollbackSignal. The runtime's checkpoint
-/// controller hangs its rollback request off this. Must not send.
+/// Invoked when a crash-plan endpoint with CrashFate::Recover exhausts
+/// its send budget, just before the sending fiber unwinds with
+/// ckpt::RollbackSignal. The runtime's checkpoint controller hangs its
+/// rollback request off this. Must not send.
 using CrashHook = std::function<void(int src)>;
-
-/// Rebuild recipe for a posted receive's completion callback. Closures do
-/// not serialize, so every receive posted by the runtime carries the data
-/// needed to re-create its `fn` when a checkpoint image is restored:
-/// scatter the payload into `dsts` of `dstSym` (data receives), or
-/// complete the transitional segments (ownership receives, `withValue`
-/// deciding whether the payload carries element values).
-struct RecvDesc {
-  int dstSym = -1;
-  std::vector<sec::Section> dsts;  ///< destination sections, payload order
-  bool withValue = false;          ///< ownership receives: scatter payload
-};
-
-/// Builds a CompletionFn back from its RecvDesc during image restore.
-/// `name`/`kind` are the receive's match criteria, as originally posted.
-using CompletionFactory = std::function<CompletionFn(
-    int pid, const RecvDesc& desc, const Name& name, TransferKind kind)>;
 
 /// What a drain (session/region teardown) actually reclaimed, for
 /// hygiene reporting: nonzero counts after a *clean* run indicate leaked
@@ -154,7 +123,7 @@ struct DrainReport {
   }
 };
 
-/// Identifies a posted receive, for cancellation of rendezvous interest.
+/// Identifies a posted receive (diagnostics only).
 using ReceiveId = std::uint64_t;
 
 /// Point-in-time picture of the fabric's matching state, for failure
@@ -190,15 +159,13 @@ class Fabric {
 
   /// --- virtual time ---------------------------------------------------
   /// All clock operations validate `pid` and throw UsageError on an
-  /// out-of-range value; they take only that endpoint's lock.
+  /// out-of-range value.
   double clock(int pid) const;
   void advance(int pid, double dt);
   /// clock(pid) = max(clock(pid), t) — used when a processor synchronizes
   /// on a message that arrived at virtual time t.
   void syncClock(int pid, double t);
-  /// Max clock over all endpoints (the modeled makespan). Endpoint locks
-  /// are taken one at a time; call after the region joined for an exact
-  /// figure.
+  /// Max clock over all endpoints (the modeled makespan).
   double makespan() const;
   void resetClocks();
 
@@ -207,26 +174,24 @@ class Fabric {
   /// Send `payload` under `name`. If `dest` is set, route directly;
   /// otherwise go through the rendezvous matcher. Advances the sender's
   /// clock by the send overhead. Non-blocking.
-  void send(int src, const Name& name, TransferKind kind,
-            std::vector<std::byte> payload, std::optional<int> dest);
+  void send(int src, const Name& name, TransferKind kind, Payload payload,
+            std::optional<int> dest);
 
-  /// Broadcast/multicast form "E -> S": one message per destination.
+  /// Broadcast/multicast form "E -> S": one message per destination; the
+  /// last destination's message takes `payload` itself.
   void sendToSet(int src, const Name& name, TransferKind kind,
-                 const std::vector<std::byte>& payload,
-                 const std::vector<int>& dests);
+                 Payload payload, std::span<const int> dests);
+
+  /// Install the routine that completes matched receives. Set it while
+  /// no traffic runs.
+  void setCompletion(CompletionFn fn);
 
   /// Post a receive for `name` at `pid`. If a matching message is already
-  /// queued (directly addressed or waiting at the matcher), `fn` runs
-  /// before this returns. Otherwise `fn` runs later, in the delivering
+  /// queued (directly addressed or waiting at the matcher), the receive
+  /// completes before this returns; otherwise later, in the delivering
   /// send. Returns an id usable only for diagnostics.
   ReceiveId postReceive(int pid, const Name& name, TransferKind kind,
-                        CompletionFn fn);
-
-  /// postReceive carrying the rebuild recipe for checkpoint images. The
-  /// runtime's Proc layer always uses this form so every pending receive
-  /// in a snapshot can be re-posted on restore.
-  ReceiveId postReceive(int pid, const Name& name, TransferKind kind,
-                        CompletionFn fn, RecvDesc desc);
+                        RecvDesc desc);
 
   /// --- collectives ----------------------------------------------------
 
@@ -239,9 +204,6 @@ class Fabric {
   void resetBarrier();
 
   /// --- accounting -----------------------------------------------------
-  /// Safe to call at any time, including concurrently with traffic: each
-  /// endpoint's counters are copied under its own lock, so a mid-run read
-  /// never observes a torn per-endpoint snapshot.
   NetStats stats(int pid) const;
   NetStats totalStats() const;
   void resetStats();
@@ -276,7 +238,7 @@ class Fabric {
   void setFaultPlan(const FaultPlan& plan);
   /// Remove the plan, releasing any held-back messages first.
   void clearFaultPlan();
-  bool hasFaultPlan() const;
+  bool hasFaultPlan() const { return injector_ != nullptr; }
   /// True iff a plan is installed and it can lose messages (see
   /// FaultPlan::lossy) — the runtime waives end-of-run usage checks then.
   bool faultPlanLossy() const;
@@ -290,10 +252,8 @@ class Fabric {
 
   /// --- hang diagnostics ------------------------------------------------
 
-  /// Takes every endpoint lock simultaneously, in ascending pid order,
-  /// so the per-endpoint picture (pending receives + unexpected queues)
-  /// is one consistent cut; matcher, injector and barrier state are read
-  /// immediately after under their own locks.
+  /// The per-endpoint picture (pending receives + unexpected queues),
+  /// matcher, injector and barrier state.
   FabricSnapshot snapshot() const;
 
   /// --- checkpoint image ------------------------------------------------
@@ -301,19 +261,16 @@ class Fabric {
   /// Serialize the in-flight state: per-endpoint clocks, stats,
   /// unexpected queues and pending receives (with their RecvDescs),
   /// matcher-parked messages and FCFS interest order, duplicate
-  /// bookkeeping, and the fault injector's dynamic state. Endpoint locks
-  /// are taken in ascending order for one consistent cut — callers invoke
-  /// this only at a capture point (no traffic in flight). Receives posted
-  /// without a RecvDesc make the export fail with CkptError (the image
-  /// could not be restored faithfully).
+  /// bookkeeping, and the fault injector's dynamic state. Callers invoke
+  /// this only at a capture point (no traffic in flight). O(size).
   std::vector<std::byte> exportImage() const;
 
   /// Inverse of exportImage: drop all current match state, then rebuild
-  /// from `image`, re-creating each pending receive's completion callback
-  /// via `factory` (fresh ReceiveIds are assigned; FCFS matcher order is
-  /// preserved). Throws CkptError on a malformed or mismatched image.
-  void restoreImage(const std::vector<std::byte>& image,
-                    const CompletionFactory& factory);
+  /// from `image` (fresh ReceiveIds are assigned; FCFS matcher order is
+  /// preserved). Restored receives complete through the installed
+  /// routine, like live ones. Throws CkptError on a malformed or
+  /// mismatched image.
+  void restoreImage(const std::vector<std::byte>& image);
 
   /// Install (or clear) the crash-recovery hook; same discipline as
   /// setSendHook (set while no traffic runs).
@@ -324,42 +281,43 @@ class Fabric {
   void disarmCrashes();
   /// Entrants of the current *incomplete* barrier (0 when no barrier is in
   /// progress). Waiters of an already-released barrier do not count.
-  int barrierWaiters() const;
+  int barrierWaiters() const { return barrierCount_; }
 
  private:
-  struct PendingReceive {
-    ReceiveId id;
-    Name name;
-    TransferKind kind;
-    CompletionFn fn;
-    double postClock = 0.0;  ///< receiver's virtual clock at post time
-    std::optional<RecvDesc> desc;  ///< rebuild recipe (checkpoint images)
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  /// Links of a slot on one FIFO (slot indices; kNil ends a list).
+  struct Link {
+    std::uint32_t prev = kNil, next = kNil;
   };
-  /// One simulated processor's mailbox. Everything in it — including the
-  /// virtual clock and the stats — is guarded by `mu`, which is the lock
-  /// completion callbacks run under. Cache-line-aligned so two endpoints'
-  /// hot state (lock word, clock, counters) never shares a line.
-  struct alignas(64) Endpoint {
-    mutable std::mutex mu;
-    std::deque<Message> unexpected;      // arrived before a receive posted
-    std::deque<PendingReceive> pending;  // posted, not yet matched
+  /// A FIFO threaded through the Link fields of slab slots.
+  struct Fifo {
+    std::uint32_t head = kNil, tail = kNil;
+    std::size_t size = 0;
+  };
+  /// A posted receive. It sits on its endpoint's pending FIFO and, until
+  /// completed, on the matcher's FCFS interest FIFO.
+  struct PendingReceive {
+    ReceiveId id = 0;
+    int pid = -1;
+    Name name;
+    TransferKind kind = TransferKind::Data;
+    double postClock = 0.0;  ///< receiver's virtual clock at post time
+    RecvDesc desc;
+    Link atEp, atMatcher;
+    bool interest = false;    ///< on the matcher's interest FIFO
+    std::uint32_t pos = 0;    ///< position on atEp (exportImage scratch)
+  };
+  /// A message parked as unexpected at an endpoint or at the matcher.
+  struct Parked {
+    Message msg;
+    Link link;
+  };
+  /// One simulated processor's mailbox.
+  struct Endpoint {
+    Fifo unexpected;  // Parked slots: arrived before a receive posted
+    Fifo pending;     // PendingReceive slots: posted, not yet matched
     NetStats stats;
     double clock = 0.0;
-  };
-  struct MatcherEntry {  // receive interest registered for unspecified sends
-    ReceiveId id;
-    int pid;
-    Name name;
-    TransferKind kind;
-  };
-
-  /// Work a delivery must not do while it holds an endpoint lock
-  /// (matcher-interest cancellations, duplicate purges); collected under
-  /// the lock and applied by applyEffects() after it is released, so the
-  /// endpoint/matcher-never-held-together rule holds.
-  struct DeliveryEffects {
-    std::vector<ReceiveId> cancels;
-    std::vector<std::uint64_t> purges;
   };
 
   Endpoint& ep(int pid) { return eps_[static_cast<std::size_t>(pid)]; }
@@ -369,117 +327,99 @@ class Fabric {
   /// Throws UsageError unless 0 <= pid < nprocs.
   void checkPid(int pid, const char* what) const;
 
+  // --- slabs ---------------------------------------------------------------
+  /// Append slot i of `slab` to FIFO q, through the slot's `link` member.
+  template <class T>
+  static void linkBack(std::vector<T>& slab, Link T::*link, Fifo& q,
+                       std::uint32_t i);
+  /// Remove slot i of `slab` from FIFO q.
+  template <class T>
+  static void unlink(std::vector<T>& slab, Link T::*link, Fifo& q,
+                     std::uint32_t i);
+  std::uint32_t newReceive();
+  void freeReceive(std::uint32_t r);
+  /// Unlink a receive from its endpoint and, if still there, from the
+  /// matcher's interest FIFO, and recycle its slot.
+  void retireReceive(std::uint32_t r);
+  void park(Fifo& q, Message msg);
+  Message unpark(Fifo& q, std::uint32_t m);
+  /// Append a receive (its desc already set) to pid's pending FIFO and
+  /// the matcher's interest FIFO: the live post and restore share this.
+  std::uint32_t addPending(int pid, const Name& name, TransferKind kind,
+                           double postClock, RecvDesc desc, bool interest);
+  /// Drop every queued message and receive.
+  void clearQueues();
+
   /// Route a message: deliver directly or via the rendezvous matcher.
-  /// No locks held on entry.
   void route(Message msg, std::optional<int> dest);
 
-  /// Deliver msg at dst: take the dst endpoint lock, then complete a
-  /// matching pending receive or park the message as unexpected.
+  /// Deliver msg at dst: complete the first matching pending receive or
+  /// park the message as unexpected.
   void deliverDirect(int dst, Message msg);
 
-  /// Delivery of one message at dst; caller holds e.mu. Cancels / purges
-  /// are deferred into `fx` (applied after the lock drops).
-  void deliverLocked(Endpoint& e, Message msg, DeliveryEffects& fx);
-
-  /// Apply deferred cancels/purges. No locks held on entry.
-  void applyEffects(DeliveryEffects& fx);
-
-  /// Retire a completed receive's matcher interest, if it registered any
-  /// (O(1): erase from the live-id set; the FCFS deque entry goes stale
-  /// and is skipped/compacted lazily).
-  void cancelMatcherInterest(ReceiveId id);
-
   /// Rendezvous half of route(): hand the message to the first registered
-  /// receive interest with a matching name, retrying entries whose
-  /// receive was concurrently completed by a direct send, or park it at
-  /// the matcher. Never holds an endpoint lock and the matcher lock
-  /// together.
+  /// receive interest with a matching name, or park it at the matcher.
   void routeRendezvous(Message msg);
 
-  /// Complete `pr` with `msg` under ep.mu (held by the caller), applying
-  /// the unexpected-message penalty when the message's (virtual) arrival
-  /// precedes the receive's (virtual) post time — a deterministic
-  /// criterion independent of real thread scheduling. The penalty delays
-  /// the message's arrival; it never touches a clock. Returns false —
-  /// completing nothing and consuming neither `pr` nor `msg` — iff `msg`
-  /// is a duplicate whose twin already completed (exactly-once).
-  bool tryCompleteLocked(Endpoint& e, const PendingReceive& pr, Message msg);
+  /// Complete the receive (pid, postClock, desc) with `msg`: count it,
+  /// apply the unexpected-message penalty when the message's (virtual)
+  /// arrival precedes the receive's (virtual) post time — it delays the
+  /// message's arrival and never touches a clock — and run the completion
+  /// routine. The caller retires the receive and purges a duplicate's
+  /// twin. Returns false — completing nothing — iff `msg` is a duplicate
+  /// whose twin already completed (exactly-once).
+  bool deliver(int pid, double postClock, const RecvDesc& desc,
+               Message& msg);
 
   /// True iff this message is a fault-injected duplicate whose twin has
-  /// already completed a receive; counts the suppression. Any-lock-safe
-  /// (takes only dupMu_).
+  /// already completed a receive; counts the suppression.
   bool dupSuppressed(const Message& msg);
 
   /// Remove the not-yet-completed twin of a completed duplicate from
-  /// every parking queue. No locks held on entry; takes the matcher lock
-  /// and endpoint locks one at a time.
+  /// every parking queue.
   void purgeDuplicate(std::uint64_t dupId);
 
   /// The fault-injected send path: crash, drop, duplicate, delay, hold.
-  /// Decides fates under the injector's per-source lock (holding faultMu_
-  /// shared for injector-pointer stability), then routes with no lock
-  /// held.
   void faultSend(int src, Message msg, std::optional<int> dest);
 
-  ReceiveId postReceiveImpl(int pid, const Name& name, TransferKind kind,
-                            CompletionFn fn, std::optional<RecvDesc> desc);
-
   static bool matches(const Name& a, TransferKind ka, const Name& b,
-                      TransferKind kb);
+                      TransferKind kb) {
+    return ka == kb && a == b;
+  }
 
   const int nprocs_;
   const CostModel model_;
 
-  /// Send admission hook; set only while no traffic runs (see
-  /// setSendHook), read by every send.
+  /// Send admission hook; set only while no traffic runs.
   SendHook sendHook_;
-
-  /// Crash-recovery hook; same publication discipline as sendHook_.
+  /// Crash-recovery hook; same discipline as sendHook_.
   CrashHook crashHook_;
+  /// Receive completion routine; same discipline.
+  CompletionFn complete_;
 
-  /// Endpoint shards. Sized once in the constructor; never resized, so
-  /// the embedded mutexes stay put.
   std::vector<Endpoint> eps_;
 
-  /// Rendezvous matcher: guards matcherMsgs_, matcherRecvs_ and the
-  /// live-interest index. Retiring a completed receive's interest is
-  /// O(1): erase its id from matcherLive_; its deque entry becomes dead
-  /// weight that pairing scans skip and compactMatcherLocked() reclaims
-  /// once dead entries outnumber live ones (amortized O(1) per cancel).
-  /// Scanning the FCFS deque on every direct completion instead is
-  /// quadratic under oversubscription (the seed bench collapsed from 482k
-  /// msgs/s at P=16 to 147k at P=64).
-  mutable std::mutex matcherMu_;
-  std::deque<Message> matcherMsgs_;        // unspecified sends, unmatched
-  std::deque<MatcherEntry> matcherRecvs_;  // receive interest, FCFS
-  std::unordered_set<ReceiveId> matcherLive_;  // ids with a live entry
-  std::size_t matcherDead_ = 0;  // dead entries still in matcherRecvs_
+  /// Slabs: a freed slot goes on its free list and is reused by the next
+  /// post or park, so steady-state traffic allocates nothing.
+  std::vector<PendingReceive> recvs_;
+  std::vector<std::uint32_t> freeRecvs_;
+  std::vector<Parked> parked_;
+  std::vector<std::uint32_t> freeParked_;
 
-  /// Reclaim dead FCFS entries. Caller holds matcherMu_.
-  void compactMatcherLocked();
+  /// Rendezvous matcher: unspecified sends waiting for a receive, and
+  /// receive interest in FCFS (post) order.
+  Fifo matcherMsgs_;
+  Fifo interest_;
 
-  std::atomic<ReceiveId> nextId_{1};
+  ReceiveId nextId_ = 1;
 
-  /// Exactly-once bookkeeping for fault-injected duplicates. dupMu_ is a
-  /// leaf lock (may be taken under an endpoint lock; takes nothing).
-  mutable std::mutex dupMu_;
+  /// Exactly-once bookkeeping for fault-injected duplicates.
   std::unordered_set<std::uint64_t> completedDups_;
-  std::atomic<std::uint64_t> dupSuppressedCount_{0};
+  std::uint64_t dupSuppressedCount_ = 0;
 
-  /// Fault injector. faultMu_ guards the injector *pointer*: sends take
-  /// it shared (pointer stability only — per-message decision state lives
-  /// behind the injector's per-source locks, so concurrent senders no
-  /// longer serialize here), plan install/teardown and state export take
-  /// it exclusive. Never held while an endpoint or matcher lock is taken
-  /// (fault fates are decided first, messages routed after).
-  /// faultsActive_ mirrors `injector_ != nullptr` so the no-plan send
-  /// path stays a single atomic load.
-  mutable std::shared_mutex faultMu_;
-  std::unique_ptr<FaultInjector> injector_;       // null = no faults
-  std::atomic<bool> faultsActive_{false};
+  std::unique_ptr<FaultInjector> injector_;  // null = no faults
 
   // Reusable barrier. The parked entrants are fibers of barrierSched_.
-  mutable std::mutex barrierMu_;
   int barrierCount_ = 0;
   std::uint64_t barrierGen_ = 0;
   double barrierMax_ = 0.0;

@@ -42,10 +42,8 @@
 //                 disarms the crash (the died processor rejoins).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -94,32 +92,18 @@ struct FaultStats {
   std::uint64_t recovered = 0;              ///< crashes absorbed by rollback
 };
 
-/// Per-fabric fault state, sharded by source endpoint so concurrent
-/// senders never serialize on one injector-wide lock (the decision
-/// stream is keyed per source anyway — see the determinism note above).
-///
-/// Locking: each source's dynamic state (decision ordinal, send count,
-/// reorder holdback) sits behind its own cache-line-aligned mutex,
-/// exposed via sourceMu(src); the per-message methods (classify,
-/// crashNow, the held accessors) require that lock held — the Fabric's
-/// faultSend takes it once around the whole fate decision. Whole-fabric
-/// stats are relaxed atomics (torn-read-free without any lock). Plan
-/// configuration (stall/crash flags) is written only while no traffic
-/// runs (construction, disarmCrashes under the Fabric's exclusive
-/// faultMu_). The Fabric never holds any injector lock while routing, so
-/// injector calls never nest inside endpoint or matcher critical
-/// sections.
+/// Per-fabric fault state, kept per source endpoint (the decision stream
+/// is keyed per source — see the determinism note above). Like the
+/// Fabric that owns it, an injector is used by one thread at a time: the
+/// machine's fibers, or the caller between runs. Plan configuration
+/// (stall/crash flags) changes only while no traffic runs.
 class FaultInjector {
  public:
   FaultInjector(FaultPlan plan, int nprocs);
 
   const FaultPlan& plan() const { return plan_; }
-  /// Whole-fabric totals, materialized from the relaxed counters; safe at
-  /// any time, including mid-run from a monitoring thread.
-  FaultStats stats() const;
-
-  /// The lock serializing per-message decisions for one source.
-  std::mutex& sourceMu(int src) { return src_[idx(src)].mu; }
+  /// Whole-fabric totals.
+  const FaultStats& stats() const { return stats_; }
 
   /// Per-message fate, decided deterministically from (seed, src, ordinal).
   struct Outcome {
@@ -128,36 +112,30 @@ class FaultInjector {
     bool hold = false;        ///< reorder: park until the next send from src
     double extraDelay = 0.0;  ///< virtual-time delay (delay and/or stall)
   };
-  /// Caller holds sourceMu(src).
   Outcome classify(int src);
 
   /// True when this send's endpoint just died (its crash budget is
   /// exhausted). The caller picks the fate from plan().crashFate.
-  /// Caller holds sourceMu(src).
   bool crashNow(int src);
 
   /// Clear every crash flag and count one absorbed crash — called after a
   /// successful rollback so the recovered endpoint does not immediately
   /// die again (its send counters were rewound by restoreState). Called
-  /// while no traffic runs (under the Fabric's exclusive faultMu_).
+  /// while no traffic runs.
   void disarmCrashes();
 
   // --- checkpoint image --------------------------------------------------
   /// Serialize the dynamic decision state (ordinals, send counts, held
   /// messages, dup ids, stats). The plan itself is runtime configuration
-  /// and is not part of the image. Takes the per-source locks itself;
-  /// callers export only at a capture point.
+  /// and is not part of the image.
   void exportState(ckpt::Writer& w) const;
   /// Inverse of exportState. Crash/stall flags stay as configured.
   void restoreState(ckpt::Reader& r);
 
   /// Fresh nonzero id tagging a duplicated original/copy pair.
-  std::uint64_t newDupId() {
-    return nextDupId_.fetch_add(1, std::memory_order_relaxed);
-  }
+  std::uint64_t newDupId() { return nextDupId_++; }
 
   // --- reorder holdback (at most one held message per source) -----------
-  /// All four single-source accessors require sourceMu(src) held.
   struct Held {
     Message msg;
     std::optional<int> dest;  ///< original route (nullopt = rendezvous)
@@ -166,44 +144,27 @@ class FaultInjector {
   const Name& heldName(int src) const;
   void hold(int src, Message msg, std::optional<int> dest);
   Held takeHeld(int src);
-  /// Release every held message, lowest source pid first. Takes the
-  /// per-source locks itself.
+  /// Release every held message, lowest source pid first.
   std::vector<Held> takeAllHeld();
-  std::size_t heldCount() const {
-    return heldCount_.load(std::memory_order_relaxed);
-  }
+  std::size_t heldCount() const { return heldCount_; }
 
  private:
-  /// One source endpoint's dynamic state, cache-line-aligned so two
-  /// sources' send paths never false-share.
-  struct alignas(64) SrcState {
-    mutable std::mutex mu;  ///< mutable: exportState is const but must lock
+  /// One source endpoint's dynamic state.
+  struct SrcState {
     std::uint64_t seq = 0;        ///< decision ordinal
     std::uint64_t sendCount = 0;  ///< sends so far (for crash budgets)
     std::optional<Held> held;     ///< reorder holdback
-  };
-  struct AtomicStats {
-    std::atomic<std::uint64_t> dropped{0};
-    std::atomic<std::uint64_t> duplicated{0};
-    std::atomic<std::uint64_t> suppressedDuplicates{0};
-    std::atomic<std::uint64_t> delayed{0};
-    std::atomic<std::uint64_t> reordered{0};
-    std::atomic<std::uint64_t> stalled{0};
-    std::atomic<std::uint64_t> crashed{0};
-    std::atomic<std::uint64_t> recovered{0};
   };
 
   std::size_t idx(int src) const { return static_cast<std::size_t>(src); }
 
   FaultPlan plan_;
-  AtomicStats stats_;
+  FaultStats stats_;
   std::vector<char> stalled_;  // by pid; written only while no traffic runs
   std::vector<char> crashy_;   // by pid; same discipline
-  /// Sized once in the constructor; never resized, so the embedded
-  /// mutexes stay put.
   std::vector<SrcState> src_;
-  std::atomic<std::size_t> heldCount_{0};
-  std::atomic<std::uint64_t> nextDupId_{1};
+  std::size_t heldCount_ = 0;
+  std::uint64_t nextDupId_ = 1;
 };
 
 /// RAII default plan: every Fabric constructed while a FaultScope is alive

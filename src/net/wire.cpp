@@ -49,7 +49,7 @@ void putMessage(ckpt::Writer& w, const Message& m) {
   putName(w, m.name);
   w.u8(static_cast<std::uint8_t>(m.kind));
   w.i64(m.src);
-  w.bytes(m.payload);
+  w.bytes(m.payload.data(), m.payload.size());
   w.f64(m.arrival);
   w.u64(m.dupId);
 }

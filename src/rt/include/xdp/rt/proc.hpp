@@ -32,6 +32,22 @@
 
 namespace xdp::rt {
 
+/// Where a send goes: an unspecified processor ("E ->", the default), or
+/// a bound destination set ("E -> S"). A view: the pids must outlive the
+/// call, which a temporary vector argument does.
+struct Dests {
+  Dests() = default;
+  Dests(std::nullopt_t) {}
+  Dests(std::span<const int> p) : pids(p), bound(true) {}
+  Dests(const std::vector<int>& p) : pids(p), bound(true) {}
+  Dests(const std::optional<std::vector<int>>& p) {
+    if (p.has_value()) *this = Dests(*p);
+  }
+
+  std::span<const int> pids;
+  bool bound = false;
+};
+
 class Proc {
  public:
   Proc(Runtime& rt, int pid);
@@ -54,12 +70,11 @@ class Proc {
 
   // --- transfer statements ----------------------------------------------
   /// "E ->" / "E -> S": initiate a send of the name and value of `e`.
-  void send(int sym, const Section& e,
-            std::optional<std::vector<int>> dests = std::nullopt);
+  void send(int sym, const Section& e, Dests dests = {});
   /// "E =>" / "E -=>": block until accessible, then send ownership
   /// (and, for withValue, the data) to `dests` or an unspecified processor.
   void sendOwnership(int sym, const Section& e, bool withValue,
-                     std::optional<std::vector<int>> dests = std::nullopt);
+                     Dests dests = {});
   /// "E <- X": block until `e` accessible, then initiate a receive of the
   /// message named (srcSym, x) into `e`. Element counts must match.
   void recv(int dstSym, const Section& e, int srcSym, const Section& x);
@@ -72,12 +87,11 @@ class Proc {
   // set. `sendOwnershipMulti` additionally relinquishes every section
   // (blocking until each is accessible, like "-=>").
   void sendMulti(int sym, const std::vector<Section>& secs,
-                 std::optional<std::vector<int>> dests = std::nullopt);
+                 Dests dests = {});
   void recvMulti(int dstSym, const std::vector<Section>& dsts, int srcSym,
                  const std::vector<Section>& names);
   void sendOwnershipMulti(int sym, const std::vector<Section>& secs,
-                          bool withValue,
-                          std::optional<std::vector<int>> dests = std::nullopt);
+                          bool withValue, Dests dests = {});
   void recvOwnershipMulti(int sym, const std::vector<Section>& secs,
                           bool withValue);
 
@@ -120,7 +134,9 @@ class Proc {
               "element type mismatch");
   }
   static Section pointSection(const Point& p);
-  net::Name nameOf(int sym, const Section& s) const;
+  /// Send a packed payload to `dests` (ownership kinds: to one processor).
+  void sendPayload(const net::Name& name, net::TransferKind kind,
+                   net::Payload payload, Dests dests);
 
   Runtime& rt_;
   const int pid_;

@@ -19,32 +19,27 @@
 //   * a sorted dim-0 interval index over the segment descriptors, so
 //     coverage queries intersect O(log n + k) candidates instead of every
 //     segment;
-//   * an *ownership epoch*, bumped under the writer lock by every mutating
-//     transition (receive initiation/completion, ownership send/receive),
-//     which timestamps any derived result;
+//   * an *ownership epoch*, bumped by every mutating transition (receive
+//     initiation/completion, ownership send/receive), which timestamps
+//     any derived result;
 //   * a small epoch-validated memo cache, so a repeated iown/accessible/
-//     await query on the same section is one atomic epoch compare.
+//     await query on the same section is one epoch compare.
+// A one-element section (a point) resolves its segment through a
+// last-segment hint and touches one element, with no section algebra.
 //
-// Thread-safety: reads (iown, accessible, the read half of await, mylb,
-// myub, readElems, introspection) take a shared lock; mutations take the
-// exclusive lock and bump the entry epoch before returning. Cache hits are
-// lock-free with respect to mu_ (see stateCached). Fabric completion
-// callbacks call back into beginReceive/completeReceive; the lock order is
-// always fabric -> table (see Fabric docs). The machine's processors are
-// fibers of one thread (xdp::FiberScheduler), so the locks only order
-// them against threads that query a table from outside.
+// One thread per machine: a table is used by one thread at a time — its
+// machine's fibers (xdp::FiberScheduler), or the caller between runs — so
+// it takes no lock. Fabric completions call back into completeReceive on
+// the sending processor's fiber.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstring>
-#include <deque>
-#include <map>
-#include <mutex>
-#include <shared_mutex>
+#include <span>
 #include <vector>
 
+#include "xdp/net/message.hpp"
 #include "xdp/rt/symbol.hpp"
 #include "xdp/sections/region_list.hpp"
 #include "xdp/support/fiber.hpp"
@@ -98,29 +93,17 @@ class ProcTable {
   /// Scatter `in` (Fortran order of `s`) into the owned elements of `s`.
   void writeElems(int sym, const Section& s, const std::byte* in);
 
-  /// Single-element fast path for the interpreters' point accesses: copy
-  /// the one element at `p`, resolving the covering segment via a
-  /// per-symbol last-segment hint instead of the generic candidate walk
-  /// and per-point intersection. Returns false — touching nothing — when
-  /// the element is not plainly accessible (uncovered, or any receive
-  /// outstanding on the symbol); callers then fall back to
-  /// readElems/writeElems, which implement the exact unowned and
-  /// transitional semantics and diagnostics.
-  bool tryReadElemAt(int sym, const Point& p, std::byte* out) const;
-  bool tryWriteElemAt(int sym, const Point& p, const std::byte* in);
 
-  /// Exclusive element lease for compiled pure loops. The bytecode
-  /// backend proves at compile time that a loop body performs only
-  /// register arithmetic and point element accesses — no communication,
-  /// no cold callbacks, nothing blocking — takes the table lock once for
-  /// the whole loop, and touches elements directly. (The tree walker
-  /// cannot: it discovers statement kinds dynamically.) Holding the
-  /// exclusive lock across the loop is deadlock-free because leased code
-  /// acquires nothing else: the table is the innermost lock in the
-  /// fabric -> table order, so concurrent deliveries into this table
-  /// simply wait out the loop (wall-clock only; virtual times are
-  /// computed at send). A failed try* means the access needs the generic
-  /// path — the caller must DROP the lease first (same mutex).
+  /// Element window cache for compiled pure loops. The bytecode backend
+  /// proves at compile time that a loop body performs only register
+  /// arithmetic and point element accesses — no communication, no cold
+  /// callbacks, nothing that yields or changes the table — so the
+  /// segments it resolves stay put for the whole loop and it can touch
+  /// elements directly through per-symbol windows. (The tree walker
+  /// cannot: it discovers statement kinds dynamically.) A step hook may
+  /// read the table during the loop but must not change it. A failed try*
+  /// means the access needs the generic path; the caller then drops the
+  /// lease.
   class ElemLease {
    public:
     explicit ElemLease(ProcTable& t);
@@ -171,7 +154,6 @@ class ProcTable {
     std::byte* resolve(int sym, const Point& p, Window& w);
 
     ProcTable* t_;
-    std::unique_lock<std::shared_mutex> lk_;
     std::vector<Window> win_;  ///< by symbol
   };
 
@@ -186,10 +168,9 @@ class ProcTable {
                        double arrivalTime);
   /// Ownership-send bookkeeping: remove `s` from the owned set, splitting
   /// boundary segments; returns the serialized values of `s` when
-  /// `withValue` (empty vector otherwise). Caller must have awaited
+  /// `withValue` (empty otherwise). Caller must have awaited
   /// accessibility of `s` first.
-  std::vector<std::byte> takeOwnershipOut(int sym, const Section& s,
-                                          bool withValue);
+  net::Payload takeOwnershipOut(int sym, const Section& s, bool withValue);
   /// Ownership-receive initiation: `s` must be entirely unowned; creates a
   /// transitional segment (zero-initialized storage) covering `s`.
   void beginOwnershipReceive(int sym, const Section& s);
@@ -224,11 +205,11 @@ class ProcTable {
   // --- checkpoint image (DESIGN.md §11) ---------------------------------
   /// Serialize this table's run-time contents: per symbol, the segment
   /// descriptors (bounds, arrival, element payload) and the outstanding
-  /// receive sections, plus the ownership epoch. Shared lock; callers
-  /// export only at a capture point.
+  /// receive sections, plus the ownership epoch. Callers export only at
+  /// a capture point.
   std::vector<std::byte> exportImage() const;
-  /// Inverse of exportImage: rebuild every entry from the image under the
-  /// exclusive lock. Storage is reallocated, indexes rebuilt, memo caches
+  /// Inverse of exportImage: rebuild every entry from the image. Storage
+  /// is reallocated, indexes rebuilt, memo caches
   /// invalidated, epochs advanced past every value ever handed out (so no
   /// stale epoch-validated cache entry can survive the rollback), and
   /// waiters woken. Throws CkptError on a malformed image.
@@ -257,13 +238,18 @@ class ProcTable {
   /// Outstanding (initiated, uncompleted) receive sections of one symbol:
   /// a section is transitional iff it intersects one of them (exact
   /// per-section state), and several may name one section (paper section
-  /// 2.7). Keyed by dim-0 lower bound; none reaches more than `widest_`
-  /// past its key, so an overlap query scans only keys in
-  /// [lb - widest, ub], and a post or a completion costs O(log n).
+  /// 2.7). Sorted by dim-0 lower bound in one vector whose retired prefix
+  /// is dropped lazily, so posting in order appends, completing in order
+  /// advances the front (both O(1) amortized, allocation-free once the
+  /// vector has grown), and no section reaches more than `widest_` past
+  /// its key, so an overlap query scans only keys in [lb - widest, ub].
   class PendingRecvs {
    public:
-    bool empty() const { return byLb_.empty(); }
-    const std::multimap<Index, Section>& all() const { return byLb_; }
+    bool empty() const { return head_ == v_.size(); }
+    /// The outstanding sections, in key order.
+    std::span<const Section> all() const {
+      return std::span<const Section>(v_).subspan(head_);
+    }
     void add(const Section& s);
     void remove(const Section& s);  ///< retire one receive of exactly `s`
     /// Call `fn` on the outstanding sections that intersect `s` until it
@@ -276,7 +262,11 @@ class ProcTable {
     static Index key(const Section& s) {
       return s.rank() == 0 ? 0 : s.dim(0).lb();
     }
-    std::multimap<Index, Section> byLb_;
+    /// First position in [head_, size) whose key is not less (lower) or
+    /// greater (!lower) than `k`.
+    std::size_t bound(Index k, bool lower) const;
+    std::vector<Section> v_;  ///< sorted by key from head_ on
+    std::size_t head_ = 0;    ///< v_[0, head_) are retired
     Index widest_ = 0;  ///< max dim-0 ub - lb since the index last emptied
   };
 
@@ -291,20 +281,15 @@ class ProcTable {
     /// [qlb,qub] are a binary search plus a bounded backward walk.
     std::vector<int> order;
     std::vector<Index> prefixMaxUb;
-    /// Bumped (under the exclusive lock) by every mutation that can change
-    /// the answer of a state query: segs or pendingRecvs edits, arrival
-    /// updates. Readable lock-free.
-    std::atomic<std::uint64_t> epoch{0};
-    /// Leaf lock guarding the memo slots; never held together with mu_
-    /// acquisition (taken while holding mu_ on fills, alone on hits).
-    mutable std::mutex cacheMu;
+    /// Bumped by every mutation that can change the answer of a state
+    /// query: segs or pendingRecvs edits, arrival updates.
+    std::uint64_t epoch = 0;
     mutable std::array<CacheSlot, 4> cache;
     mutable int cacheHand = 0;
-    /// Hint for the single-element fast path: index of the segment that
-    /// served the last point access. Pure accelerator — always
-    /// re-validated against the live descriptor before use. Atomic so
-    /// concurrent shared-lock holders may refresh it racelessly.
-    mutable std::atomic<int> segHint{-1};
+    /// Hint for the point paths: index of the segment that served the
+    /// last point access. Pure accelerator — always re-validated against
+    /// the live descriptor before use.
+    mutable int segHint = -1;
   };
 
   const Entry& entry(int sym) const;
@@ -313,49 +298,45 @@ class ProcTable {
   /// Coverage of `s` by this table's segments: -1 if some element unowned,
   /// 0 if owned but an uncompleted receive overlaps `s` (transitional),
   /// 1 if accessible. Folds the max arrival only when `arrival` is
-  /// non-null. Caller holds mu_ (shared suffices).
-  int stateOfLocked(int sym, const Section& s, double* arrival) const;
+  /// non-null.
+  int stateOf(int sym, const Section& s, double* arrival) const;
 
-  /// Cached state query: memo hit (lock-free w.r.t. mu_) or shared-locked
-  /// compute + fill. Returns the state; fills `*arrival` when non-null.
+  /// Cached state query: memo hit or compute + fill. Returns the state;
+  /// fills `*arrival` when non-null.
   int stateCached(int sym, const Section& s, double* arrival) const;
 
   /// Visit the segments that can intersect `s`, via the dim-0 index when
-  /// profitable. Caller holds mu_.
+  /// profitable.
   template <typename Fn>
-  void forEachCandidateLocked(const Entry& e, const Section& s,
-                              Fn&& fn) const;
+  void forEachCandidate(const Entry& e, const Section& s, Fn&& fn) const;
 
-  /// Recompute `order`/`prefixMaxUb` after a segs mutation. Caller holds
-  /// mu_ exclusively.
-  static void rebuildIndexLocked(Entry& e);
+  /// Recompute `order`/`prefixMaxUb` after a segs mutation.
+  static void rebuildIndex(Entry& e);
 
   bool cacheLookup(const Entry& e, const Section& s, bool wantArrival,
                    int* state, double* arrival) const;
   void cacheStore(const Entry& e, const Section& s, std::uint64_t epoch,
                   int state, bool hasArrival, double arrival) const;
 
-  void readElemsLocked(const Entry& e, int sym, const Section& s,
-                       std::byte* out) const;
+  void readElemsOf(const Entry& e, int sym, const Section& s,
+                   std::byte* out) const;
 
   /// Index of the segment containing `p`, hint-first; -1 if uncovered.
-  /// Caller holds mu_ (shared suffices).
-  int segmentAtLocked(const Entry& e, const Point& p) const;
+  int segmentAt(const Entry& e, const Point& p) const;
+  /// Storage of the element at `p` of segment `idx`.
+  std::byte* elemAt(Entry& e, int idx, const Point& p) const;
 
   const int pid_;
   const bool debugChecks_;
   std::vector<SymbolDecl> decls_;
 
-  mutable std::shared_mutex mu_;
-  /// Deque: entries hold atomics/mutexes (immovable) and references must
-  /// stay stable for the lock-free cache-hit path.
-  std::deque<Entry> entries_;
+  std::vector<Entry> entries_;
 
-  mutable std::atomic<std::uint64_t> cacheHits_{0};
-  mutable std::atomic<std::uint64_t> cacheMisses_{0};
+  mutable std::uint64_t cacheHits_ = 0;
+  mutable std::uint64_t cacheMisses_ = 0;
 
-  // The await parked on this table (guarded by mu_): only the table's own
-  // processor awaits on it.
+  // The await parked on this table: only the table's own processor awaits
+  // on it.
   struct CurrentWait {
     bool parked = false;
     int sym = -1;

@@ -131,6 +131,10 @@ class Runtime {
   /// The scheduler found every unfinished processor parked: deliver
   /// held-back messages, apply the capture rule, or report the deadlock.
   void onStall(FiberScheduler& sched);
+  /// The fabric's completion routine: settle a matched receive posted at
+  /// `pid` in its table.
+  void completeReceive(int pid, const net::RecvDesc& d,
+                       const net::Message& msg);
   std::vector<ckpt::ContImage> applySnapshot(const ckpt::Snapshot& snap);
   ckpt::Snapshot buildSnapshot();
 

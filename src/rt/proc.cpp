@@ -16,10 +16,6 @@ Section Proc::pointSection(const Point& p) {
   return Section(dims);
 }
 
-net::Name Proc::nameOf(int sym, const Section& s) const {
-  return net::Name{sym, s, {}};
-}
-
 bool Proc::iown(int sym, const Section& s) const {
   return table().iown(sym, s);
 }
@@ -54,24 +50,29 @@ sec::RegionList Proc::ownedRanges(int sym, const Section& s,
   return table().ownedRanges(sym, s, excludeTransitional);
 }
 
-void Proc::send(int sym, const Section& e,
-                std::optional<std::vector<int>> dests) {
-  ProcTable& t = table();
-  const std::size_t sz = elemSize(t.decl(sym).type);
-  std::vector<std::byte> payload(static_cast<std::size_t>(e.count()) * sz);
-  t.readElems(sym, e, payload.data());
-  const net::Name name = nameOf(sym, e);
-  if (!dests.has_value()) {
-    rt_.fabric().send(pid_, name, net::TransferKind::Data,
-                      std::move(payload), std::nullopt);
+void Proc::sendPayload(const net::Name& name, net::TransferKind kind,
+                       net::Payload payload, Dests dests) {
+  if (!dests.bound) {
+    rt_.fabric().send(pid_, name, kind, std::move(payload), std::nullopt);
     return;
   }
-  rt_.fabric().sendToSet(pid_, name, net::TransferKind::Data, payload,
-                         *dests);
+  if (kind != net::TransferKind::Data)
+    XDP_CHECK(dests.pids.size() == 1,
+              "ownership can be sent to exactly one processor");
+  rt_.fabric().sendToSet(pid_, name, kind, std::move(payload), dests.pids);
+}
+
+void Proc::send(int sym, const Section& e, Dests dests) {
+  ProcTable& t = table();
+  net::Payload payload(static_cast<std::size_t>(e.count()) *
+                       elemSize(t.decl(sym).type));
+  t.readElems(sym, e, payload.data());
+  sendPayload(net::Name{sym, e, {}}, net::TransferKind::Data,
+              std::move(payload), dests);
 }
 
 void Proc::sendOwnership(int sym, const Section& e, bool withValue,
-                         std::optional<std::vector<int>> dests) {
+                         Dests dests) {
   ProcTable& t = table();
   // "Owner send operations block until the section is accessible."
   double arrival = 0.0;
@@ -84,17 +85,11 @@ void Proc::sendOwnership(int sym, const Section& e, bool withValue,
     }
     return;  // undefined behaviour in XDP; we make it a silent no-op
   }
-  std::vector<std::byte> payload = t.takeOwnershipOut(sym, e, withValue);
-  const auto kind = withValue ? net::TransferKind::OwnershipAndValue
-                              : net::TransferKind::Ownership;
-  const net::Name name = nameOf(sym, e);
-  if (!dests.has_value()) {
-    rt_.fabric().send(pid_, name, kind, std::move(payload), std::nullopt);
-    return;
-  }
-  XDP_CHECK(dests->size() == 1,
-            "ownership can be sent to exactly one processor");
-  rt_.fabric().send(pid_, name, kind, std::move(payload), (*dests)[0]);
+  net::Payload payload = t.takeOwnershipOut(sym, e, withValue);
+  sendPayload(net::Name{sym, e, {}},
+              withValue ? net::TransferKind::OwnershipAndValue
+                        : net::TransferKind::Ownership,
+              std::move(payload), dests);
 }
 
 void Proc::recv(int dstSym, const Section& e, int srcSym, const Section& x) {
@@ -113,35 +108,17 @@ void Proc::recv(int dstSym, const Section& e, int srcSym, const Section& x) {
     return;
   }
   t.beginReceive(dstSym, e);
-  ProcTable* tp = &t;
-  const bool debug = rt_.options().debugChecks;
-  const std::size_t expect =
-      static_cast<std::size_t>(e.count()) * elemSize(t.decl(dstSym).type);
-  rt_.fabric().postReceive(
-      pid_, nameOf(srcSym, x), net::TransferKind::Data,
-      [tp, dstSym, e, expect, debug](const net::Message& msg) {
-        if (debug && msg.payload.size() != expect) {
-          XDP_USAGE_FAIL("matched send/receive transfer different sizes");
-        }
-        tp->completeReceive(dstSym, e, msg.payload.data(), msg.arrival);
-      },
-      net::RecvDesc{dstSym, {e}, false});
+  rt_.fabric().postReceive(pid_, net::Name{srcSym, x, {}},
+                           net::TransferKind::Data,
+                           net::RecvDesc{dstSym, e, {}, false});
 }
 
 void Proc::recvOwnership(int sym, const Section& u, bool withValue) {
-  ProcTable& t = table();
-  t.beginOwnershipReceive(sym, u);
-  ProcTable* tp = &t;
-  const auto kind = withValue ? net::TransferKind::OwnershipAndValue
-                              : net::TransferKind::Ownership;
-  rt_.fabric().postReceive(
-      pid_, nameOf(sym, u), kind,
-      [tp, sym, u, withValue](const net::Message& msg) {
-        tp->completeReceive(sym, u,
-                            withValue ? msg.payload.data() : nullptr,
-                            msg.arrival);
-      },
-      net::RecvDesc{sym, {u}, withValue});
+  table().beginOwnershipReceive(sym, u);
+  rt_.fabric().postReceive(pid_, net::Name{sym, u, {}},
+                           withValue ? net::TransferKind::OwnershipAndValue
+                                     : net::TransferKind::Ownership,
+                           net::RecvDesc{sym, u, {}, withValue});
 }
 
 namespace {
@@ -155,26 +132,29 @@ net::Name multiName(int sym, const std::vector<Section>& secs) {
   return n;
 }
 
+net::RecvDesc multiDesc(int sym, const std::vector<Section>& secs,
+                        bool withValue) {
+  return net::RecvDesc{sym, secs.front(),
+                       std::vector<Section>(secs.begin() + 1, secs.end()),
+                       withValue};
+}
+
 }  // namespace
 
 void Proc::sendMulti(int sym, const std::vector<Section>& secs,
-                     std::optional<std::vector<int>> dests) {
+                     Dests dests) {
   ProcTable& t = table();
   const std::size_t sz = elemSize(t.decl(sym).type);
-  std::vector<std::byte> payload;
+  std::size_t total = 0;
+  for (const Section& s : secs) total += static_cast<std::size_t>(s.count());
+  net::Payload payload(total * sz);
+  std::size_t off = 0;
   for (const Section& s : secs) {
-    const std::size_t off = payload.size();
-    payload.resize(off + static_cast<std::size_t>(s.count()) * sz);
     t.readElems(sym, s, payload.data() + off);
+    off += static_cast<std::size_t>(s.count()) * sz;
   }
-  const net::Name name = multiName(sym, secs);
-  if (!dests.has_value()) {
-    rt_.fabric().send(pid_, name, net::TransferKind::Data,
-                      std::move(payload), std::nullopt);
-    return;
-  }
-  rt_.fabric().sendToSet(pid_, name, net::TransferKind::Data, payload,
-                         *dests);
+  sendPayload(multiName(sym, secs), net::TransferKind::Data,
+              std::move(payload), dests);
 }
 
 void Proc::recvMulti(int dstSym, const std::vector<Section>& dsts,
@@ -182,7 +162,6 @@ void Proc::recvMulti(int dstSym, const std::vector<Section>& dsts,
   ProcTable& t = table();
   XDP_CHECK(dsts.size() == names.size(),
             "aggregated receive: destination/name section counts differ");
-  const std::size_t sz = elemSize(t.decl(dstSym).type);
   for (std::size_t k = 0; k < dsts.size(); ++k) {
     XDP_CHECK(dsts[k].count() == names[k].count(),
               "aggregated receive: section size mismatch");
@@ -192,27 +171,16 @@ void Proc::recvMulti(int dstSym, const std::vector<Section>& dsts,
       return;
     }
   }
+  const net::Name name = multiName(srcSym, names);
   for (const Section& d : dsts) t.beginReceive(dstSym, d);
-  ProcTable* tp = &t;
-  auto dstsCopy = dsts;
-  rt_.fabric().postReceive(
-      pid_, multiName(srcSym, names), net::TransferKind::Data,
-      [tp, dstSym, dstsCopy, sz](const net::Message& msg) {
-        std::size_t off = 0;
-        for (const Section& d : dstsCopy) {
-          tp->completeReceive(dstSym, d, msg.payload.data() + off,
-                              msg.arrival);
-          off += static_cast<std::size_t>(d.count()) * sz;
-        }
-      },
-      net::RecvDesc{dstSym, dstsCopy, false});
+  rt_.fabric().postReceive(pid_, name, net::TransferKind::Data,
+                           multiDesc(dstSym, dsts, false));
 }
 
 void Proc::sendOwnershipMulti(int sym, const std::vector<Section>& secs,
-                              bool withValue,
-                              std::optional<std::vector<int>> dests) {
+                              bool withValue, Dests dests) {
   ProcTable& t = table();
-  std::vector<std::byte> payload;
+  std::vector<std::byte> packed;
   for (const Section& s : secs) {
     double arrival = 0.0;
     if (!t.await(sym, s, &arrival)) {
@@ -220,42 +188,24 @@ void Proc::sendOwnershipMulti(int sym, const std::vector<Section>& secs,
         XDP_USAGE_FAIL("aggregated ownership send of unowned section");
       return;
     }
-    std::vector<std::byte> part = t.takeOwnershipOut(sym, s, withValue);
-    payload.insert(payload.end(), part.begin(), part.end());
+    net::Payload part = t.takeOwnershipOut(sym, s, withValue);
+    packed.insert(packed.end(), part.data(), part.data() + part.size());
   }
-  const auto kind = withValue ? net::TransferKind::OwnershipAndValue
-                              : net::TransferKind::Ownership;
-  const net::Name name = multiName(sym, secs);
-  if (!dests.has_value()) {
-    rt_.fabric().send(pid_, name, kind, std::move(payload), std::nullopt);
-    return;
-  }
-  XDP_CHECK(dests->size() == 1,
-            "ownership can be sent to exactly one processor");
-  rt_.fabric().send(pid_, name, kind, std::move(payload), (*dests)[0]);
+  sendPayload(multiName(sym, secs),
+              withValue ? net::TransferKind::OwnershipAndValue
+                        : net::TransferKind::Ownership,
+              net::Payload(packed), dests);
 }
 
 void Proc::recvOwnershipMulti(int sym, const std::vector<Section>& secs,
                               bool withValue) {
+  const net::Name name = multiName(sym, secs);
   ProcTable& t = table();
   for (const Section& s : secs) t.beginOwnershipReceive(sym, s);
-  ProcTable* tp = &t;
-  const std::size_t sz = elemSize(t.decl(sym).type);
-  auto secsCopy = secs;
-  const auto kind = withValue ? net::TransferKind::OwnershipAndValue
-                              : net::TransferKind::Ownership;
-  rt_.fabric().postReceive(
-      pid_, multiName(sym, secs), kind,
-      [tp, sym, secsCopy, withValue, sz](const net::Message& msg) {
-        std::size_t off = 0;
-        for (const Section& s : secsCopy) {
-          tp->completeReceive(sym, s,
-                              withValue ? msg.payload.data() + off : nullptr,
-                              msg.arrival);
-          off += static_cast<std::size_t>(s.count()) * sz;
-        }
-      },
-      net::RecvDesc{sym, secsCopy, withValue});
+  rt_.fabric().postReceive(pid_, name,
+                           withValue ? net::TransferKind::OwnershipAndValue
+                                     : net::TransferKind::Ownership,
+                           multiDesc(sym, secs, withValue));
 }
 
 void Proc::compute(double dt) { rt_.fabric().advance(pid_, dt); }

@@ -91,7 +91,7 @@ void ProcTable::Pool::release(std::size_t offset, std::size_t elems) {
   }
 }
 
-void ProcTable::rebuildIndexLocked(Entry& e) {
+void ProcTable::rebuildIndex(Entry& e) {
   const std::size_t n = e.segs.size();
   e.order.resize(n);
   e.prefixMaxUb.resize(n);
@@ -113,7 +113,7 @@ void ProcTable::rebuildIndexLocked(Entry& e) {
 }
 
 template <typename Fn>
-void ProcTable::forEachCandidateLocked(const Entry& e, const Section& s,
+void ProcTable::forEachCandidate(const Entry& e, const Section& s,
                                        Fn&& fn) const {
   const std::size_t n = e.segs.size();
   if (s.rank() == 0 || n <= kLinearScanThreshold) {
@@ -140,6 +140,7 @@ void ProcTable::forEachCandidateLocked(const Entry& e, const Section& s,
 ProcTable::ProcTable(int pid, const std::vector<SymbolDecl>& decls,
                      bool debugChecks)
     : pid_(pid), debugChecks_(debugChecks), decls_(decls) {
+  entries_.reserve(decls_.size());
   for (std::size_t i = 0; i < decls_.size(); ++i) {
     const SymbolDecl& d = decls_[i];
     XDP_CHECK(d.index == static_cast<int>(i), "symbol index mismatch");
@@ -154,7 +155,7 @@ ProcTable::ProcTable(int pid, const std::vector<SymbolDecl>& decls,
           e.pool.allocate(static_cast<std::size_t>(bounds.count()));
       e.segs.push_back(std::move(seg));
     }
-    rebuildIndexLocked(e);
+    rebuildIndex(e);
   }
 }
 
@@ -173,40 +174,76 @@ ProcTable::Entry& ProcTable::entry(int sym) {
   return entries_[static_cast<std::size_t>(sym)];
 }
 
+std::size_t ProcTable::PendingRecvs::bound(Index k, bool lower) const {
+  const auto first = v_.begin() + static_cast<std::ptrdiff_t>(head_);
+  const auto it =
+      lower ? std::lower_bound(first, v_.end(), k,
+                               [](const Section& x, Index v) {
+                                 return key(x) < v;
+                               })
+            : std::upper_bound(first, v_.end(), k,
+                               [](Index v, const Section& x) {
+                                 return v < key(x);
+                               });
+  return static_cast<std::size_t>(it - v_.begin());
+}
+
 void ProcTable::PendingRecvs::add(const Section& s) {
-  if (byLb_.empty()) widest_ = 0;
+  if (empty()) {
+    v_.clear();
+    head_ = 0;
+    widest_ = 0;
+  }
   Index extent = 0;  // negative for an empty dim 0
   if (s.rank() > 0 &&
       __builtin_sub_overflow(s.dim(0).ub(), s.dim(0).lb(), &extent))
     extent = kMaxInt;
   widest_ = std::max(widest_, extent);
-  byLb_.emplace(key(s), s);
+  // After every receive with an equal key, like a multimap insert.
+  const std::size_t pos = bound(key(s), /*lower=*/false);
+  if (pos == v_.size()) {
+    v_.push_back(s);
+  } else if (pos == head_ && head_ > 0) {
+    v_[--head_] = s;  // reuse a retired slot at the front
+  } else {
+    v_.insert(v_.begin() + static_cast<std::ptrdiff_t>(pos), s);
+  }
 }
 
 void ProcTable::PendingRecvs::remove(const Section& s) {
-  for (auto [it, end] = byLb_.equal_range(key(s)); it != end; ++it) {
-    if (it->second == s) {
-      byLb_.erase(it);
-      return;
+  const Index k = key(s);
+  for (std::size_t i = bound(k, /*lower=*/true);
+       i < v_.size() && key(v_[i]) == k; ++i) {
+    if (!(v_[i] == s)) continue;
+    if (i == head_) {
+      ++head_;
+      // Drop the retired prefix once it outweighs the live part.
+      if (head_ * 2 > v_.size()) {
+        v_.erase(v_.begin(), v_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    } else {
+      v_.erase(v_.begin() + static_cast<std::ptrdiff_t>(i));
     }
+    return;
   }
 }
 
 template <typename Fn>
 bool ProcTable::PendingRecvs::forEachOverlapping(const Section& s,
                                                  Fn&& fn) const {
-  if (byLb_.empty() || s.empty()) return false;
+  if (empty() || s.empty()) return false;
   Index lo = 0;
   if (s.rank() > 0 && __builtin_sub_overflow(s.dim(0).lb(), widest_, &lo))
     lo = kMinInt;
   const Index hi = s.rank() > 0 ? s.dim(0).ub() : 0;
   bool found = false;
-  for (auto it = byLb_.lower_bound(lo); it != byLb_.end() && it->first <= hi;
-       ++it) {
-    if (it->second.rank() == s.rank() &&
-        !Section::intersect(it->second, s).empty()) {
+  for (std::size_t i = bound(lo, /*lower=*/true);
+       i < v_.size() && key(v_[i]) <= hi; ++i) {
+    const Section& p = v_[i];
+    if (p.rank() == s.rank() && !Section::intersect(p, s).empty()) {
       found = true;
-      if (!fn(it->second)) break;
+      if (!fn(p)) break;
     }
   }
   return found;
@@ -216,24 +253,31 @@ bool ProcTable::PendingRecvs::overlaps(const Section& s) const {
   return forEachOverlapping(s, [](const Section&) { return false; });
 }
 
-int ProcTable::stateOfLocked(int sym, const Section& s,
-                             double* arrival) const {
+int ProcTable::stateOf(int sym, const Section& s, double* arrival) const {
   // The paper's iown() algorithm: intersect the query with every segment
   // that can overlap it; since segments are disjoint, coverage holds iff
   // the intersection cardinalities sum to the query cardinality.
   // Accessibility is then a per-section property: no uncompleted receive
   // may overlap the query. The arrival fold is skipped unless asked for.
   const Entry& e = entry(sym);
-  Index covered = 0;
-  double maxArrival = 0.0;
-  forEachCandidateLocked(e, s, [&](const SegmentDesc& seg) {
-    Section i = Section::intersect(seg.bounds, s);
-    if (i.empty()) return;
-    covered += i.count();
-    if (arrival != nullptr) maxArrival = std::max(maxArrival, seg.arrival);
-  });
-  if (covered != s.count()) return -1;
-  if (arrival != nullptr) *arrival = maxArrival;
+  if (s.rank() > 0 && s.count() == 1) {
+    // A point is covered iff one segment contains it.
+    const int idx = segmentAt(e, s.origin());
+    if (idx < 0) return -1;
+    if (arrival != nullptr)
+      *arrival = e.segs[static_cast<std::size_t>(idx)].arrival;
+  } else {
+    Index covered = 0;
+    double maxArrival = 0.0;
+    forEachCandidate(e, s, [&](const SegmentDesc& seg) {
+      Section i = Section::intersect(seg.bounds, s);
+      if (i.empty()) return;
+      covered += i.count();
+      if (arrival != nullptr) maxArrival = std::max(maxArrival, seg.arrival);
+    });
+    if (covered != s.count()) return -1;
+    if (arrival != nullptr) *arrival = maxArrival;
+  }
   if (e.pendingRecvs.empty()) return 1;  // common case: nothing in flight
   return e.pendingRecvs.overlaps(s) ? 0 : 1;
 }
@@ -241,31 +285,24 @@ int ProcTable::stateOfLocked(int sym, const Section& s,
 bool ProcTable::cacheLookup(const Entry& e, const Section& s,
                             bool wantArrival, int* state,
                             double* arrival) const {
-  // Epoch-validated hit, lock-free w.r.t. mu_: slot contents are guarded
-  // by the leaf cacheMu; validity is "entry epoch still equals the epoch
-  // recorded at fill time". Mutators bump the epoch under the exclusive
-  // lock, so an equal epoch proves the cached answer is current (or
-  // linearizes immediately before an in-flight mutation, which is an
-  // equally legal serialization of the racing query).
-  const std::uint64_t cur = e.epoch.load(std::memory_order_acquire);
-  std::lock_guard lk(e.cacheMu);
+  // Epoch-validated hit: a slot is valid while the entry epoch still
+  // equals the epoch recorded at fill time, and every mutation bumps it.
   for (const CacheSlot& slot : e.cache) {
-    if (!slot.valid || slot.epoch != cur) continue;
+    if (!slot.valid || slot.epoch != e.epoch) continue;
     if (wantArrival && !slot.hasArrival) continue;
     if (!(slot.key == s)) continue;
     *state = slot.state;
     if (arrival != nullptr && slot.hasArrival) *arrival = slot.arrival;
-    cacheHits_.fetch_add(1, std::memory_order_relaxed);
+    cacheHits_ += 1;
     return true;
   }
-  cacheMisses_.fetch_add(1, std::memory_order_relaxed);
+  cacheMisses_ += 1;
   return false;
 }
 
 void ProcTable::cacheStore(const Entry& e, const Section& s,
                            std::uint64_t epoch, int state, bool hasArrival,
                            double arrival) const {
-  std::lock_guard lk(e.cacheMu);
   CacheSlot* victim = nullptr;
   for (CacheSlot& slot : e.cache) {
     if (slot.valid && slot.key == s) {
@@ -289,12 +326,10 @@ int ProcTable::stateCached(int sym, const Section& s, double* arrival) const {
   const Entry& e = entry(sym);
   int st = 0;
   if (cacheLookup(e, s, arrival != nullptr, &st, arrival)) return st;
-  std::shared_lock lk(mu_);
-  const std::uint64_t ep = e.epoch.load(std::memory_order_relaxed);
   double arr = 0.0;
-  st = stateOfLocked(sym, s, arrival != nullptr ? &arr : nullptr);
+  st = stateOf(sym, s, arrival != nullptr ? &arr : nullptr);
   if (arrival != nullptr) *arrival = arr;
-  cacheStore(e, s, ep, st, arrival != nullptr, arr);
+  cacheStore(e, s, e.epoch, st, arrival != nullptr, arr);
   return st;
 }
 
@@ -308,10 +343,9 @@ bool ProcTable::accessible(int sym, const Section& s) const {
 
 sec::RegionList ProcTable::ownedRanges(int sym, const Section& s,
                                        bool excludeTransitional) const {
-  std::shared_lock lk(mu_);
   const Entry& e = entry(sym);
   std::vector<Section> pieces;
-  forEachCandidateLocked(e, s, [&](const SegmentDesc& seg) {
+  forEachCandidate(e, s, [&](const SegmentDesc& seg) {
     Section i = Section::intersect(seg.bounds, s);
     if (!i.empty()) pieces.push_back(std::move(i));
   });
@@ -328,21 +362,18 @@ sec::RegionList ProcTable::ownedRanges(int sym, const Section& s,
 }
 
 bool ProcTable::await(int sym, const Section& s, double* arrival) {
-  // Fast path: an epoch-valid memo of a decided state needs no lock and
-  // no park bookkeeping. A transitional memo falls through to the slow
-  // path.
+  // Fast path: an epoch-valid memo of a decided state needs no park
+  // bookkeeping. A transitional memo falls through to the slow path.
   Entry& e = entry(sym);
   int cached = 0;
   if (cacheLookup(e, s, arrival != nullptr, &cached, arrival) && cached != 0)
     return cached == 1;
-  std::unique_lock lk(mu_);
   while (true) {
     double arr = 0.0;
-    int st = stateOfLocked(sym, s, arrival != nullptr ? &arr : nullptr);
+    int st = stateOf(sym, s, arrival != nullptr ? &arr : nullptr);
     if (arrival != nullptr) *arrival = arr;
     if (st != 0) {
-      cacheStore(e, s, e.epoch.load(std::memory_order_relaxed), st,
-                 arrival != nullptr, arr);
+      cacheStore(e, s, e.epoch, st, arrival != nullptr, arr);
       return st == 1;  // unowned: await returns false (Fig. 1)
     }
     FiberScheduler* sched = FiberScheduler::current();
@@ -357,37 +388,27 @@ bool ProcTable::await(int sym, const Section& s, double* arrival) {
     // between the check above and the park, so no wake-up is lost. The
     // completion that decides the section wakes us (completeReceive).
     wait_ = CurrentWait{true, sym, s, sched, sched->self()};
-    lk.unlock();
     struct Unpark {
       ProcTable& t;
-      std::unique_lock<std::shared_mutex>& lk;
-      ~Unpark() {
-        if (!lk.owns_lock()) lk.lock();
-        t.wait_.parked = false;
-      }
-    } unpark{*this, lk};
+      ~Unpark() { t.wait_.parked = false; }
+    } unpark{*this};
     sched->park();  // throws if the scheduler cancels this fiber
   }
 }
 
 ProcTable::WaitState ProcTable::waitState() const {
-  std::shared_lock lk(mu_);
   return wait_.parked ? WaitState{true, wait_.sym, wait_.section}
                       : WaitState{};
 }
 
 ProcTable::CacheStats ProcTable::cacheStats() const {
-  CacheStats c;
-  c.hits = cacheHits_.load(std::memory_order_relaxed);
-  c.misses = cacheMisses_.load(std::memory_order_relaxed);
-  return c;
+  return CacheStats{cacheHits_, cacheMisses_};
 }
 
 Index ProcTable::mylb(int sym, const Section& s, int d) const {
-  std::shared_lock lk(mu_);
   const Entry& e = entry(sym);
   Index best = kMaxInt;
-  forEachCandidateLocked(e, s, [&](const SegmentDesc& seg) {
+  forEachCandidate(e, s, [&](const SegmentDesc& seg) {
     Section i = Section::intersect(seg.bounds, s);
     if (i.empty()) return;
     best = std::min(best, i.dim(d).lb());
@@ -396,10 +417,9 @@ Index ProcTable::mylb(int sym, const Section& s, int d) const {
 }
 
 Index ProcTable::myub(int sym, const Section& s, int d) const {
-  std::shared_lock lk(mu_);
   const Entry& e = entry(sym);
   Index best = kMinInt;
-  forEachCandidateLocked(e, s, [&](const SegmentDesc& seg) {
+  forEachCandidate(e, s, [&](const SegmentDesc& seg) {
     Section i = Section::intersect(seg.bounds, s);
     if (i.empty()) return;
     best = std::max(best, i.dim(d).ub());
@@ -407,8 +427,33 @@ Index ProcTable::myub(int sym, const Section& s, int d) const {
   return best;
 }
 
-void ProcTable::readElemsLocked(const Entry& e, int sym, const Section& s,
-                                std::byte* out) const {
+int ProcTable::segmentAt(const Entry& e, const Point& p) const {
+  const int hint = e.segHint;
+  if (hint >= 0 && hint < static_cast<int>(e.segs.size()) &&
+      e.segs[static_cast<std::size_t>(hint)].bounds.contains(p))
+    return hint;
+  std::array<sec::Triplet, sec::kMaxRank> dims{};
+  for (int d = 0; d < p.rank(); ++d)
+    dims[static_cast<std::size_t>(d)] = sec::Triplet(p[d]);
+  const Section ps(p.rank(), dims);
+  int found = -1;
+  forEachCandidate(e, ps, [&](const SegmentDesc& seg) {
+    if (found < 0 && seg.bounds.contains(p))
+      found = static_cast<int>(&seg - e.segs.data());
+  });
+  if (found >= 0) e.segHint = found;
+  return found;
+}
+
+std::byte* ProcTable::elemAt(Entry& e, int idx, const Point& p) const {
+  const SegmentDesc& seg = e.segs[static_cast<std::size_t>(idx)];
+  return e.pool.bytes.data() +
+         (seg.elemOffset + static_cast<std::size_t>(seg.bounds.fortranPos(p))) *
+             e.pool.elemSz;
+}
+
+void ProcTable::readElemsOf(const Entry& e, int sym, const Section& s,
+                            std::byte* out) const {
   const std::size_t sz = e.pool.elemSz;
   if (debugChecks_ && e.pendingRecvs.overlaps(s)) {
     std::ostringstream os;
@@ -418,17 +463,27 @@ void ProcTable::readElemsLocked(const Entry& e, int sym, const Section& s,
     XDP_USAGE_FAIL(os.str());
   }
   Index covered = 0;
-  forEachCandidateLocked(e, s, [&](const SegmentDesc& seg) {
-    Section i = Section::intersect(seg.bounds, s);
-    if (i.empty()) return;
-    covered += i.count();
-    const std::byte* base = e.pool.bytes.data() + seg.elemOffset * sz;
-    i.forEach([&](const Point& p) {
-      std::memcpy(out + static_cast<std::size_t>(s.fortranPos(p)) * sz,
-                  base + static_cast<std::size_t>(seg.bounds.fortranPos(p)) * sz,
-                  sz);
+  if (s.rank() > 0 && s.count() == 1) {
+    const Point p = s.origin();
+    const int idx = segmentAt(e, p);
+    if (idx >= 0) {
+      std::memcpy(out, elemAt(const_cast<Entry&>(e), idx, p), sz);
+      covered = 1;
+    }
+  } else {
+    forEachCandidate(e, s, [&](const SegmentDesc& seg) {
+      Section i = Section::intersect(seg.bounds, s);
+      if (i.empty()) return;
+      covered += i.count();
+      const std::byte* base = e.pool.bytes.data() + seg.elemOffset * sz;
+      i.forEach([&](const Point& p) {
+        std::memcpy(
+            out + static_cast<std::size_t>(s.fortranPos(p)) * sz,
+            base + static_cast<std::size_t>(seg.bounds.fortranPos(p)) * sz,
+            sz);
+      });
     });
-  });
+  }
   if (debugChecks_ && covered != s.count()) {
     std::ostringstream os;
     os << "read of unowned elements: " << s.str() << " of '"
@@ -437,61 +492,8 @@ void ProcTable::readElemsLocked(const Entry& e, int sym, const Section& s,
   }
 }
 
-int ProcTable::segmentAtLocked(const Entry& e, const Point& p) const {
-  const int hint = e.segHint.load(std::memory_order_relaxed);
-  if (hint >= 0 && hint < static_cast<int>(e.segs.size()) &&
-      e.segs[static_cast<std::size_t>(hint)].bounds.contains(p))
-    return hint;
-  std::array<sec::Triplet, sec::kMaxRank> dims{};
-  for (int d = 0; d < p.rank(); ++d)
-    dims[static_cast<std::size_t>(d)] = sec::Triplet(p[d]);
-  const Section ps(p.rank(), dims);
-  int found = -1;
-  forEachCandidateLocked(e, ps, [&](const SegmentDesc& seg) {
-    if (found < 0 && seg.bounds.contains(p))
-      found = static_cast<int>(&seg - e.segs.data());
-  });
-  if (found >= 0) e.segHint.store(found, std::memory_order_relaxed);
-  return found;
-}
-
-bool ProcTable::tryReadElemAt(int sym, const Point& p, std::byte* out) const {
-  std::shared_lock lk(mu_);
-  const Entry& e = entry(sym);
-  if (!e.pendingRecvs.empty()) return false;
-  const int idx = segmentAtLocked(e, p);
-  if (idx < 0) return false;
-  const SegmentDesc& seg = e.segs[static_cast<std::size_t>(idx)];
-  const std::size_t sz = e.pool.elemSz;
-  std::memcpy(out,
-              e.pool.bytes.data() +
-                  (seg.elemOffset +
-                   static_cast<std::size_t>(seg.bounds.fortranPos(p))) *
-                      sz,
-              sz);
-  return true;
-}
-
-bool ProcTable::tryWriteElemAt(int sym, const Point& p, const std::byte* in) {
-  // Exclusive, like writeElems: concurrent shared-locked readers (gather,
-  // monitoring) must never observe a mid-write element.
-  std::lock_guard lk(mu_);
-  Entry& e = entry(sym);
-  if (!e.pendingRecvs.empty()) return false;
-  const int idx = segmentAtLocked(e, p);
-  if (idx < 0) return false;
-  SegmentDesc& seg = e.segs[static_cast<std::size_t>(idx)];
-  const std::size_t sz = e.pool.elemSz;
-  std::memcpy(e.pool.bytes.data() +
-                  (seg.elemOffset +
-                   static_cast<std::size_t>(seg.bounds.fortranPos(p))) *
-                      sz,
-              in, sz);
-  return true;
-}
-
 ProcTable::ElemLease::ElemLease(ProcTable& t)
-    : t_(&t), lk_(t.mu_), win_(t.entries_.size()) {}
+    : t_(&t), win_(t.entries_.size()) {}
 
 /// Address of the element at `p`, window-first. A window hit is pure
 /// local arithmetic; a miss re-resolves through the segment index and
@@ -514,14 +516,11 @@ std::byte* ProcTable::ElemLease::resolve(int sym, const Point& p, Window& w) {
   }
   Entry& e = t_->entry(sym);
   if (!e.pendingRecvs.empty()) return nullptr;
-  const int idx = t_->segmentAtLocked(e, p);
+  const int idx = t_->segmentAt(e, p);
   if (idx < 0) return nullptr;
   const SegmentDesc& seg = e.segs[static_cast<std::size_t>(idx)];
   const std::size_t sz = e.pool.elemSz;
-  std::byte* addr =
-      e.pool.bytes.data() +
-      (seg.elemOffset + static_cast<std::size_t>(seg.bounds.fortranPos(p))) *
-          sz;
+  std::byte* addr = t_->elemAt(e, idx, p);
   bool contiguous = true;
   for (int d = 0; d < seg.bounds.rank(); ++d)
     contiguous = contiguous && seg.bounds.dim(d).stride() == 1;
@@ -573,17 +572,10 @@ bool ProcTable::ElemLease::writeSlow1(int sym, Index x, const std::byte* in) {
 }
 
 void ProcTable::readElems(int sym, const Section& s, std::byte* out) const {
-  // Shared lock: element bytes are only written by the owning processor's
-  // thread (writeElems) and by completeReceive, which takes the exclusive
-  // lock — so a shared-locked read never races a byte write it could see.
-  std::shared_lock lk(mu_);
-  readElemsLocked(entry(sym), sym, s, out);
+  readElemsOf(entry(sym), sym, s, out);
 }
 
 void ProcTable::writeElems(int sym, const Section& s, const std::byte* in) {
-  // Exclusive: scatters into pool bytes, which concurrent shared-locked
-  // readers (gather, monitoring) might otherwise observe mid-write.
-  std::lock_guard lk(mu_);
   Entry& e = entry(sym);
   const std::size_t sz = e.pool.elemSz;
   if (debugChecks_ && e.pendingRecvs.overlaps(s)) {
@@ -593,16 +585,26 @@ void ProcTable::writeElems(int sym, const Section& s, const std::byte* in) {
     XDP_USAGE_FAIL(os.str());
   }
   Index covered = 0;
-  forEachCandidateLocked(e, s, [&](const SegmentDesc& seg) {
-    Section i = Section::intersect(seg.bounds, s);
-    if (i.empty()) return;
-    covered += i.count();
-    std::byte* base = e.pool.bytes.data() + seg.elemOffset * sz;
-    i.forEach([&](const Point& p) {
-      std::memcpy(base + static_cast<std::size_t>(seg.bounds.fortranPos(p)) * sz,
-                  in + static_cast<std::size_t>(s.fortranPos(p)) * sz, sz);
+  if (s.rank() > 0 && s.count() == 1) {
+    const Point p = s.origin();
+    const int idx = segmentAt(e, p);
+    if (idx >= 0) {
+      std::memcpy(elemAt(e, idx, p), in, sz);
+      covered = 1;
+    }
+  } else {
+    forEachCandidate(e, s, [&](const SegmentDesc& seg) {
+      Section i = Section::intersect(seg.bounds, s);
+      if (i.empty()) return;
+      covered += i.count();
+      std::byte* base = e.pool.bytes.data() + seg.elemOffset * sz;
+      i.forEach([&](const Point& p) {
+        std::memcpy(
+            base + static_cast<std::size_t>(seg.bounds.fortranPos(p)) * sz,
+            in + static_cast<std::size_t>(s.fortranPos(p)) * sz, sz);
+      });
     });
-  });
+  }
   if (debugChecks_ && covered != s.count()) {
     std::ostringstream os;
     os << "write to unowned elements: " << s.str() << " of '"
@@ -612,12 +614,15 @@ void ProcTable::writeElems(int sym, const Section& s, const std::byte* in) {
 }
 
 void ProcTable::beginReceive(int sym, const Section& s) {
-  std::lock_guard lk(mu_);
   Entry& e = entry(sym);
   if (debugChecks_) {
     Index covered = 0;
-    for (const SegmentDesc& seg : e.segs)
-      covered += Section::intersect(seg.bounds, s).count();
+    if (s.rank() > 0 && s.count() == 1) {
+      covered = segmentAt(e, s.origin()) >= 0 ? 1 : 0;
+    } else {
+      for (const SegmentDesc& seg : e.segs)
+        covered += Section::intersect(seg.bounds, s).count();
+    }
     if (covered != s.count()) {
       std::ostringstream os;
       os << "receive initiated into unowned section " << s.str() << " of '"
@@ -626,33 +631,42 @@ void ProcTable::beginReceive(int sym, const Section& s) {
     }
   }
   e.pendingRecvs.add(s);
-  e.epoch.fetch_add(1, std::memory_order_release);
+  e.epoch += 1;
 }
 
 void ProcTable::completeReceive(int sym, const Section& s,
                                 const std::byte* payload,
                                 double arrivalTime) {
-  std::lock_guard lk(mu_);
   Entry& e = entry(sym);
   const std::size_t sz = e.pool.elemSz;
-  forEachCandidateLocked(e, s, [&](const SegmentDesc& cseg) {
-    auto& seg = const_cast<SegmentDesc&>(cseg);
-    Section i = Section::intersect(seg.bounds, s);
-    if (i.empty()) return;
-    if (payload != nullptr) {
-      std::byte* base = e.pool.bytes.data() + seg.elemOffset * sz;
-      i.forEach([&](const Point& p) {
-        std::memcpy(
-            base + static_cast<std::size_t>(seg.bounds.fortranPos(p)) * sz,
-            payload + static_cast<std::size_t>(s.fortranPos(p)) * sz, sz);
-      });
+  if (s.rank() > 0 && s.count() == 1) {
+    const Point p = s.origin();
+    const int idx = segmentAt(e, p);
+    if (idx >= 0) {
+      if (payload != nullptr) std::memcpy(elemAt(e, idx, p), payload, sz);
+      SegmentDesc& seg = e.segs[static_cast<std::size_t>(idx)];
+      seg.arrival = std::max(seg.arrival, arrivalTime);
     }
-    seg.arrival = std::max(seg.arrival, arrivalTime);
-  });
+  } else {
+    forEachCandidate(e, s, [&](const SegmentDesc& cseg) {
+      auto& seg = const_cast<SegmentDesc&>(cseg);
+      Section i = Section::intersect(seg.bounds, s);
+      if (i.empty()) return;
+      if (payload != nullptr) {
+        std::byte* base = e.pool.bytes.data() + seg.elemOffset * sz;
+        i.forEach([&](const Point& p) {
+          std::memcpy(
+              base + static_cast<std::size_t>(seg.bounds.fortranPos(p)) * sz,
+              payload + static_cast<std::size_t>(s.fortranPos(p)) * sz, sz);
+        });
+      }
+      seg.arrival = std::max(seg.arrival, arrivalTime);
+    });
+  }
   // Retire exactly one outstanding receive for this section (several may
   // legally target the same name, per paper section 2.7).
   e.pendingRecvs.remove(s);
-  e.epoch.fetch_add(1, std::memory_order_release);
+  e.epoch += 1;
   // Only a completion can decide a transitional await, and only once no
   // outstanding receive overlaps the awaited section any more.
   if (wait_.parked && wait_.sym == sym &&
@@ -660,19 +674,18 @@ void ProcTable::completeReceive(int sym, const Section& s,
     wait_.sched->wake(wait_.fiber);
 }
 
-std::vector<std::byte> ProcTable::takeOwnershipOut(int sym, const Section& s,
-                                                   bool withValue) {
-  std::lock_guard lk(mu_);
+net::Payload ProcTable::takeOwnershipOut(int sym, const Section& s,
+                                         bool withValue) {
   Entry& e = entry(sym);
   const std::size_t sz = e.pool.elemSz;
 
-  std::vector<std::byte> payload;
+  net::Payload payload;
   if (withValue) {
-    payload.resize(static_cast<std::size_t>(s.count()) * sz);
-    readElemsLocked(e, sym, s, payload.data());
+    payload = net::Payload(static_cast<std::size_t>(s.count()) * sz);
+    readElemsOf(e, sym, s, payload.data());
   } else if (debugChecks_) {
     // Validate full ownership even when no value travels.
-    if (stateOfLocked(sym, s, nullptr) < 0) {
+    if (stateOf(sym, s, nullptr) < 0) {
       std::ostringstream os;
       os << "ownership send of not-fully-owned section " << s.str()
          << " of '" << decl(sym).name << "' on p" << pid_;
@@ -714,13 +727,12 @@ std::vector<std::byte> ProcTable::takeOwnershipOut(int sym, const Section& s,
   e.segs = std::move(kept);
   e.segs.insert(e.segs.end(), std::make_move_iterator(added.begin()),
                 std::make_move_iterator(added.end()));
-  rebuildIndexLocked(e);
-  e.epoch.fetch_add(1, std::memory_order_release);
+  rebuildIndex(e);
+  e.epoch += 1;
   return payload;
 }
 
 void ProcTable::beginOwnershipReceive(int sym, const Section& s) {
-  std::lock_guard lk(mu_);
   Entry& e = entry(sym);
   if (debugChecks_) {
     for (const SegmentDesc& seg : e.segs) {
@@ -739,12 +751,11 @@ void ProcTable::beginOwnershipReceive(int sym, const Section& s) {
   seg.elemOffset = e.pool.allocate(static_cast<std::size_t>(s.count()));
   e.segs.push_back(std::move(seg));
   e.pendingRecvs.add(s);
-  rebuildIndexLocked(e);
-  e.epoch.fetch_add(1, std::memory_order_release);
+  rebuildIndex(e);
+  e.epoch += 1;
 }
 
 std::vector<SegmentDesc> ProcTable::segments(int sym) const {
-  std::shared_lock lk(mu_);
   const Entry& e = entry(sym);
   std::vector<SegmentDesc> out = e.segs;
   // Statuses are snapshots: a segment is transitional iff an uncompleted
@@ -756,19 +767,16 @@ std::vector<SegmentDesc> ProcTable::segments(int sym) const {
 }
 
 StorageStats ProcTable::storageStats(int sym) const {
-  std::shared_lock lk(mu_);
   return entry(sym).pool.stats;
 }
 
 std::size_t ProcTable::totalOwnedElems() const {
-  std::shared_lock lk(mu_);
   std::size_t n = 0;
   for (const Entry& e : entries_) n += e.pool.stats.currentElems;
   return n;
 }
 
 std::size_t ProcTable::residentBytes() const {
-  std::shared_lock lk(mu_);
   std::size_t n = 0;
   for (const Entry& e : entries_)
     n += e.pool.stats.currentElems * e.pool.elemSz;
@@ -776,7 +784,6 @@ std::size_t ProcTable::residentBytes() const {
 }
 
 std::vector<std::byte> ProcTable::exportImage() const {
-  std::shared_lock lk(mu_);
   ckpt::Writer w;
   w.u32(static_cast<std::uint32_t>(entries_.size()));
   for (std::size_t i = 0; i < entries_.size(); ++i) {
@@ -790,8 +797,8 @@ std::vector<std::byte> ProcTable::exportImage() const {
               static_cast<std::size_t>(seg.count()) * sz);
     }
     w.u32(static_cast<std::uint32_t>(e.pendingRecvs.all().size()));
-    for (const auto& [lb, s] : e.pendingRecvs.all()) net::wire::putSection(w, s);
-    w.u64(e.epoch.load(std::memory_order_relaxed));
+    for (const Section& s : e.pendingRecvs.all()) net::wire::putSection(w, s);
+    w.u64(e.epoch);
   }
   return w.take();
 }
@@ -834,7 +841,6 @@ void ProcTable::restoreImage(const std::vector<std::byte>& image) {
     imgs.push_back(std::move(img));
   }
 
-  std::lock_guard lk(mu_);
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     Entry& e = entries_[i];
     EntryImg& img = imgs[i];
@@ -855,18 +861,15 @@ void ProcTable::restoreImage(const std::vector<std::byte>& image) {
     }
     e.pendingRecvs = PendingRecvs{};
     for (const Section& p : img.pendingRecvs) e.pendingRecvs.add(p);
-    rebuildIndexLocked(e);
-    e.segHint.store(-1, std::memory_order_relaxed);
+    rebuildIndex(e);
+    e.segHint = -1;
     // The epoch keeps running FORWARD across a rollback (never restored):
     // epochs from the abandoned timeline may live on in memo-cache slots,
     // and re-entering an already-used epoch value with different table
     // contents would validate those stale answers. Invalidate the slots
     // too, for belt and braces.
-    e.epoch.fetch_add(1, std::memory_order_release);
-    {
-      std::lock_guard ck(e.cacheMu);
-      for (CacheSlot& slot : e.cache) slot.valid = false;
-    }
+    e.epoch += 1;
+    for (CacheSlot& slot : e.cache) slot.valid = false;
   }
 }
 

@@ -14,6 +14,33 @@ namespace xdp::rt {
 Runtime::Runtime(int nprocs, RuntimeOptions opts)
     : nprocs_(nprocs), opts_(opts), fabric_(nprocs, opts.costModel) {
   if (opts_.faultPlan.has_value()) fabric_.setFaultPlan(*opts_.faultPlan);
+  fabric_.setCompletion(
+      [this](int pid, const net::RecvDesc& d, const net::Message& msg) {
+        completeReceive(pid, d, msg);
+      });
+}
+
+void Runtime::completeReceive(int pid, const net::RecvDesc& d,
+                              const net::Message& msg) {
+  // Scatter the payload into the destination sections, in order; a plain
+  // ownership transfer carries no values and only settles the sections.
+  ProcTable& t = *tables_[static_cast<std::size_t>(pid)];
+  const std::size_t sz = elemSize(t.decl(d.dstSym).type);
+  const bool value = msg.kind == net::TransferKind::Data || d.withValue;
+  if (opts_.debugChecks && msg.kind == net::TransferKind::Data) {
+    std::size_t expect = static_cast<std::size_t>(d.dst.count());
+    for (const Section& s : d.rest)
+      expect += static_cast<std::size_t>(s.count());
+    if (msg.payload.size() != expect * sz)
+      XDP_USAGE_FAIL("matched send/receive transfer different sizes");
+  }
+  const std::byte* p = value ? msg.payload.data() : nullptr;
+  t.completeReceive(d.dstSym, d.dst, p, msg.arrival);
+  std::size_t off = static_cast<std::size_t>(d.dst.count()) * sz;
+  for (const Section& s : d.rest) {
+    t.completeReceive(d.dstSym, s, value ? p + off : nullptr, msg.arrival);
+    off += static_cast<std::size_t>(s.count()) * sz;
+  }
 }
 
 Runtime::~Runtime() = default;
@@ -234,29 +261,9 @@ std::vector<ckpt::ContImage> Runtime::applySnapshot(
     t = std::make_unique<ProcTable>(p, decls_, opts_.debugChecks);
     t->restoreImage(snap.tables[static_cast<std::size_t>(p)]);
   }
-  // Rebuild each restored pending receive's completion callback from its
-  // RecvDesc, mirroring the closures Proc's receive operations install: a
-  // sectioned scatter into the destination table, valueless for plain
-  // ownership transfers.
-  net::CompletionFactory factory =
-      [this](int pid, const net::RecvDesc& d, const net::Name& name,
-             net::TransferKind kind) -> net::CompletionFn {
-    ProcTable* tp = tables_[static_cast<std::size_t>(pid)].get();
-    const int sym = d.dstSym >= 0 ? d.dstSym : name.symbol;
-    const std::size_t sz = elemSize(tp->decl(sym).type);
-    const bool value = kind == net::TransferKind::Data || d.withValue;
-    auto dsts = d.dsts;
-    return [tp, sym, dsts, sz, value](const net::Message& msg) {
-      std::size_t off = 0;
-      for (const Section& s : dsts) {
-        tp->completeReceive(sym, s,
-                            value ? msg.payload.data() + off : nullptr,
-                            msg.arrival);
-        off += static_cast<std::size_t>(s.count()) * sz;
-      }
-    };
-  };
-  fabric_.restoreImage(snap.fabric, factory);
+  // Restored receives are plain RecvDescs: they complete through the
+  // routine the constructor installed, like live ones.
+  fabric_.restoreImage(snap.fabric);
   return snap.conts;
 }
 

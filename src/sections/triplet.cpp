@@ -71,6 +71,13 @@ Index Triplet::at(Index k) const {
 Triplet Triplet::intersect(const Triplet& a, const Triplet& b) {
   if (a.empty() || b.empty()) return Triplet();
   if (std::max(a.lb_, b.lb_) > std::min(a.ub_, b.ub_)) return Triplet();
+  if (a.stride_ == 1 && b.stride_ == 1) {
+    // Two ranges (points included): the overlap, already canonical.
+    Triplet t;
+    t.lb_ = std::max(a.lb_, b.lb_);
+    t.ub_ = std::min(a.ub_, b.ub_);
+    return t;
+  }
   // Solve a.lb + i*a.stride == b.lb + j*b.stride.
   Index x = 0, y = 0;
   Index g = extGcd(a.stride_, b.stride_, x, y);

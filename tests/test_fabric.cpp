@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "xdp/net/fabric.hpp"
+#include "fabric_receives.hpp"
 #include "xdp/net/spmd.hpp"
 #include "xdp/support/check.hpp"
 
@@ -29,21 +29,21 @@ std::vector<std::byte> bytes(std::initializer_list<int> vs) {
 }
 
 TEST(Fabric, DirectSendBeforeReceiveIsQueued) {
-  Fabric f(2);
+  ClosureFabric f(2);
   f.send(0, name(1, 1, 4), TransferKind::Data, bytes({1, 2, 3, 4}), 1);
   EXPECT_EQ(f.undeliveredCount(), 1u);
   std::vector<std::byte> got;
   f.postReceive(1, name(1, 1, 4), TransferKind::Data,
-                [&](const Message& m) { got = m.payload; });
+                [&](const Message& m) { got = m.payload.toVector(); });
   EXPECT_EQ(got, bytes({1, 2, 3, 4}));
   EXPECT_EQ(f.undeliveredCount(), 0u);
 }
 
 TEST(Fabric, ReceiveBeforeDirectSendCompletesOnDelivery) {
-  Fabric f(2);
+  ClosureFabric f(2);
   std::vector<std::byte> got;
   f.postReceive(1, name(1, 1, 2), TransferKind::Data,
-                [&](const Message& m) { got = m.payload; });
+                [&](const Message& m) { got = m.payload.toVector(); });
   EXPECT_TRUE(got.empty());
   f.send(0, name(1, 1, 2), TransferKind::Data, bytes({7, 8}), 1);
   EXPECT_EQ(got, bytes({7, 8}));
@@ -51,7 +51,7 @@ TEST(Fabric, ReceiveBeforeDirectSendCompletesOnDelivery) {
 }
 
 TEST(Fabric, NamesMustMatchExactly) {
-  Fabric f(2);
+  ClosureFabric f(2);
   f.send(0, name(1, 1, 4), TransferKind::Data, bytes({1}), 1);
   bool fired = false;
   f.postReceive(1, name(1, 1, 5), TransferKind::Data,
@@ -65,7 +65,7 @@ TEST(Fabric, NamesMustMatchExactly) {
 }
 
 TEST(Fabric, KindsMustMatch) {
-  Fabric f(2);
+  ClosureFabric f(2);
   f.send(0, name(1, 1, 4), TransferKind::Ownership, {}, 1);
   bool fired = false;
   f.postReceive(1, name(1, 1, 4), TransferKind::Data,
@@ -77,19 +77,19 @@ TEST(Fabric, KindsMustMatch) {
 }
 
 TEST(Fabric, RendezvousSendFindsLaterReceiver) {
-  Fabric f(4);
+  ClosureFabric f(4);
   f.send(0, name(1, 1, 1), TransferKind::Data, bytes({42}), std::nullopt);
   std::vector<std::byte> got;
   f.postReceive(3, name(1, 1, 1), TransferKind::Data,
-                [&](const Message& m) { got = m.payload; });
+                [&](const Message& m) { got = m.payload.toVector(); });
   EXPECT_EQ(got, bytes({42}));
 }
 
 TEST(Fabric, RendezvousReceiverFindsLaterSend) {
-  Fabric f(4);
+  ClosureFabric f(4);
   std::vector<std::byte> got;
   f.postReceive(2, name(1, 1, 1), TransferKind::Data,
-                [&](const Message& m) { got = m.payload; });
+                [&](const Message& m) { got = m.payload.toVector(); });
   f.send(0, name(1, 1, 1), TransferKind::Data, bytes({9}), std::nullopt);
   EXPECT_EQ(got, bytes({9}));
 }
@@ -97,7 +97,7 @@ TEST(Fabric, RendezvousReceiverFindsLaterSend) {
 TEST(Fabric, MultiReceiverFcfs) {
   // Paper section 2.7: several processors post receives for the same name;
   // sends are matched to waiters in FCFS order.
-  Fabric f(4);
+  ClosureFabric f(4);
   std::vector<int> order;
   for (int p : {3, 1, 2})
     f.postReceive(p, name(1, 1, 1), TransferKind::Data,
@@ -108,7 +108,7 @@ TEST(Fabric, MultiReceiverFcfs) {
 }
 
 TEST(Fabric, DirectDeliveryCancelsMatcherInterest) {
-  Fabric f(3);
+  ClosureFabric f(3);
   int fires = 0;
   f.postReceive(1, name(1, 1, 1), TransferKind::Data,
                 [&](const Message&) { ++fires; });
@@ -122,12 +122,13 @@ TEST(Fabric, DirectDeliveryCancelsMatcherInterest) {
 }
 
 TEST(Fabric, SendToSetBroadcasts) {
-  Fabric f(4);
+  ClosureFabric f(4);
   std::atomic<int> got{0};
   for (int p : {1, 2, 3})
     f.postReceive(p, name(1, 1, 1), TransferKind::Data,
                   [&](const Message&) { got++; });
-  f.sendToSet(0, name(1, 1, 1), TransferKind::Data, bytes({5}), {1, 2, 3});
+  f.sendToSet(0, name(1, 1, 1), TransferKind::Data, bytes({5}),
+              std::vector<int>{1, 2, 3});
   EXPECT_EQ(got, 3);
   auto s = f.stats(0);
   EXPECT_EQ(s.messagesSent, 3u);
@@ -135,7 +136,7 @@ TEST(Fabric, SendToSetBroadcasts) {
 }
 
 TEST(Fabric, StatsCountBytesAndKinds) {
-  Fabric f(2);
+  ClosureFabric f(2);
   f.postReceive(1, name(1, 1, 4), TransferKind::Data,
                 [](const Message&) {});
   f.send(0, name(1, 1, 4), TransferKind::Data, bytes({1, 2, 3, 4}), 1);
@@ -161,7 +162,7 @@ TEST(Fabric, ClocksAdvanceWithSends) {
   m.alpha = 1.0;
   m.beta = 0.5;
   m.latency = 10.0;
-  Fabric f(2, m);
+  ClosureFabric f(2, m);
   f.send(0, name(1, 1, 4), TransferKind::Data, bytes({1, 2, 3, 4}), 1);
   // Sender pays alpha + 4*beta = 3.0.
   EXPECT_DOUBLE_EQ(f.clock(0), 3.0);
@@ -180,7 +181,7 @@ TEST(Fabric, RendezvousPaysExtraHop) {
   m.beta = 0.0;
   m.latency = 10.0;
   m.matchHop = 100.0;
-  Fabric f(2, m);
+  ClosureFabric f(2, m);
   double direct = -1, matched = -1;
   f.postReceive(1, name(1, 1, 1), TransferKind::Data,
                 [&](const Message& msg) { direct = msg.arrival; });
@@ -198,7 +199,7 @@ TEST(Fabric, UnexpectedMessageJudgedOnVirtualClocks) {
   m.latency = 10.0;
   m.unexpectedAlpha = 100.0;
   m.unexpectedBeta = 0.0;
-  Fabric f(2, m);
+  ClosureFabric f(2, m);
   // Case 1: message physically queued first, but the receiver's clock at
   // post time (0) precedes the arrival (11) => NOT unexpected.
   f.send(0, name(1, 1, 1), TransferKind::Data, bytes({1}), 1);
@@ -226,7 +227,7 @@ TEST(Fabric, UnexpectedMessageJudgedOnVirtualClocks) {
 TEST(Fabric, PrePostedReceiveNeverPaysThePenalty) {
   CostModel m;
   m.unexpectedAlpha = 100.0;
-  Fabric f(2, m);
+  ClosureFabric f(2, m);
   f.advance(1, 0.0);
   double arrival = -1;
   f.postReceive(1, name(1, 1, 1), TransferKind::Data,
@@ -238,7 +239,7 @@ TEST(Fabric, PrePostedReceiveNeverPaysThePenalty) {
 }
 
 TEST(Fabric, BarrierAlignsClocks) {
-  Fabric f(3);
+  ClosureFabric f(3);
   f.advance(0, 5.0);
   f.advance(1, 1.0);
   runSpmd(3, [&](int pid) { f.barrier(pid); });
@@ -247,7 +248,7 @@ TEST(Fabric, BarrierAlignsClocks) {
 }
 
 TEST(Fabric, BarrierIsReusable) {
-  Fabric f(2);
+  ClosureFabric f(2);
   runSpmd(2, [&](int pid) {
     for (int i = 0; i < 100; ++i) f.barrier(pid);
   });
@@ -255,7 +256,7 @@ TEST(Fabric, BarrierIsReusable) {
 }
 
 TEST(Fabric, ConcurrentSendsAndReceivesDontLoseMessages) {
-  Fabric f(8);
+  ClosureFabric f(8);
   std::atomic<int> received{0};
   const int kPer = 50;
   runSpmd(8, [&](int pid) {
@@ -277,7 +278,7 @@ TEST(Fabric, ConcurrentSendsAndReceivesDontLoseMessages) {
 // Regression: these used to index eps_[pid] unchecked, so a bad pid was
 // silent UB. Every pid-taking operation must reject it loudly instead.
 TEST(Fabric, OutOfRangePidThrowsUsageError) {
-  Fabric f(2);
+  ClosureFabric f(2);
   EXPECT_THROW(f.clock(-1), UsageError);
   EXPECT_THROW(f.clock(2), UsageError);
   EXPECT_THROW(f.advance(-1, 1.0), UsageError);
@@ -304,12 +305,42 @@ TEST(Fabric, OutOfRangePidThrowsUsageError) {
 }
 
 TEST(Fabric, ClearMatchStateDropsEverything) {
-  Fabric f(2);
+  ClosureFabric f(2);
   f.send(0, name(1, 1, 1), TransferKind::Data, bytes({1}), 1);
   f.postReceive(0, name(9, 1, 1), TransferKind::Data, [](const Message&) {});
   f.clearMatchState();
   EXPECT_EQ(f.undeliveredCount(), 0u);
   EXPECT_EQ(f.pendingReceiveCount(), 0u);
+}
+
+// A checkpoint image of 4 096 outstanding receives (two names, posted
+// alternately on three endpoints, every one with rendezvous interest)
+// restores with its FCFS interest order: unbound sends of each name then
+// complete the receives in post order. The export writes each interest
+// entry's position in one pass (it used to search the pending queues).
+TEST(Fabric, ExportRestoreKeepsFcfsInterestOrder) {
+  constexpr int kRecvs = 4096;
+  ClosureFabric f(4);
+  std::vector<int> order;
+  for (int k = 0; k < kRecvs; ++k)
+    f.postReceive(1 + k % 3, name(1 + k % 2, 0, 0), TransferKind::Data,
+                  [&order, k](const Message&) { order.push_back(k); });
+  const std::vector<std::byte> image = f.exportImage();
+  f.clearMatchState();
+  EXPECT_EQ(f.pendingReceiveCount(), 0u);
+  f.restoreImage(image);
+  ASSERT_EQ(f.pendingReceiveCount(), static_cast<std::size_t>(kRecvs));
+  EXPECT_EQ(f.exportImage(), image);
+  for (int sym : {2, 1})
+    for (int k = 0; k < kRecvs / 2; ++k)
+      f.send(0, name(sym, 0, 0), TransferKind::Data, bytes({k}), std::nullopt);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kRecvs));
+  for (int k = 0; k < kRecvs / 2; ++k) {
+    EXPECT_EQ(order[static_cast<std::size_t>(k)], 2 * k + 1);
+    EXPECT_EQ(order[static_cast<std::size_t>(kRecvs / 2 + k)], 2 * k);
+  }
+  EXPECT_EQ(f.pendingReceiveCount(), 0u);
+  EXPECT_EQ(f.undeliveredCount(), 0u);
 }
 
 }  // namespace

@@ -1,17 +1,17 @@
-// Stress suite for the sharded fabric: the SPMD fibers drive the direct,
-// rendezvous, snapshot, stats and fault paths while monitoring threads
-// read the fabric from outside. Meant to run under -DXDP_SANITIZE=thread
-// (ctest -L sanitize); the assertions check conservation (every send
-// completes exactly one receive), and TSan checks the locking.
+// Stress suite for the fabric: the SPMD fibers drive the direct,
+// rendezvous, snapshot, stats and fault paths while monitor fibers of the
+// same runSpmd read the fabric between their steps (a machine is used by
+// one thread at a time, DESIGN.md §5). The assertions check conservation
+// (every send completes exactly one receive) and the invariants a
+// monitor may rely on at any yield point. Part of the sanitize label.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <optional>
-#include <thread>
 #include <vector>
 
-#include "xdp/net/fabric.hpp"
+#include "fabric_receives.hpp"
 #include "xdp/net/spmd.hpp"
 
 namespace xdp::net {
@@ -23,6 +23,35 @@ using sec::Triplet;
 
 Name name(int sym, Index i) { return Name{sym, Section{Triplet(i, i)}, {}}; }
 
+/// runSpmd over the fabric's processors plus one monitor fiber (pid
+/// nprocs). The monitor calls `check` until every other fiber finished,
+/// and at least `minChecks` times, stepping its own clock by `step` per
+/// call so that the clock policy interleaves it with the traffic (it runs
+/// whenever the other clocks pass its own); pick `step` near the traffic's
+/// clock advance per operation.
+template <class Traffic, class Check>
+void runWithMonitor(Fabric& f, const Traffic& traffic, const Check& check,
+                    double step, int minChecks = 50) {
+  const int n = f.nprocs();
+  int finished = 0;
+  double monitorClock = 0.0;
+  runSpmd(
+      n + 1,
+      [&](int pid) {
+        if (pid < n) {
+          traffic(pid);
+          ++finished;
+          return;
+        }
+        for (int k = 0; k < minChecks || finished < n; ++k) {
+          check();
+          monitorClock += step;
+          FiberScheduler::current()->yieldIfBehind();
+        }
+      },
+      [&](int pid) { return pid < n ? f.clock(pid) : monitorClock; });
+}
+
 std::vector<std::byte> payload(int v) {
   return {static_cast<std::byte>(v & 0xff),
           static_cast<std::byte>((v >> 8) & 0xff)};
@@ -33,7 +62,7 @@ std::vector<std::byte> payload(int v) {
 TEST(FabricConcurrency, ConcurrentDirectPairs) {
   constexpr int kProcs = 8;
   constexpr int kMsgs = 500;
-  Fabric f(kProcs);
+  ClosureFabric f(kProcs);
   std::atomic<int> received{0};
   runSpmd(kProcs, [&](int pid) {
     const int partner = pid ^ 1;
@@ -57,12 +86,12 @@ TEST(FabricConcurrency, ConcurrentDirectPairs) {
 }
 
 // All senders publish to ONE name, all receivers post interest for it:
-// maximum pressure on the matcher lock and the publish-then-complete
-// retry protocol. Conservation must hold exactly.
+// maximum pressure on the matcher's FCFS pairing. Conservation must hold
+// exactly.
 TEST(FabricConcurrency, RendezvousManyToManySameName) {
   constexpr int kProcs = 8;
   constexpr int kMsgs = 300;
-  Fabric f(kProcs);
+  ClosureFabric f(kProcs);
   std::atomic<int> received{0};
   runSpmd(kProcs, [&](int pid) {
     for (int i = 0; i < kMsgs; ++i) {
@@ -81,15 +110,15 @@ TEST(FabricConcurrency, RendezvousManyToManySameName) {
   EXPECT_EQ(f.pendingReceiveCount(), 0u);
 }
 
-// Mixed traffic: every thread's receives use its own pid as the name, and
-// its partner sends to that name both directly and through the matcher —
-// so direct completions continuously race the receive's registered
-// rendezvous interest (the stale-entry retry path), while traffic stays
-// balanced per endpoint and must drain completely.
+// Mixed traffic: every processor's receives use its own pid as the name,
+// and its partner sends to that name both directly and through the
+// matcher — so direct completions continuously retire receives that
+// registered rendezvous interest, while traffic stays balanced per
+// endpoint and must drain completely.
 TEST(FabricConcurrency, DirectAndRendezvousRaceOnOneName) {
   constexpr int kProcs = 6;
   constexpr int kRounds = 200;
-  Fabric f(kProcs);
+  ClosureFabric f(kProcs);
   std::atomic<int> received{0};
   runSpmd(kProcs, [&](int pid) {
     const int partner = pid ^ 1;
@@ -111,88 +140,82 @@ TEST(FabricConcurrency, DirectAndRendezvousRaceOnOneName) {
   EXPECT_EQ(f.pendingReceiveCount(), 0u);
 }
 
-// Monitoring thread reads stats/clock/makespan/undeliveredCount while the
-// SPMD region is live — the reads must be data-race-free and per-endpoint
-// consistent (satellite: NetStats readable mid-run).
+// A monitor fiber reads stats/clock/makespan/undeliveredCount while the
+// SPMD region is live — the reads must be consistent per endpoint at any
+// yield point (satellite: NetStats readable mid-run).
 TEST(FabricConcurrency, StatsAndClocksReadableMidRun) {
   constexpr int kProcs = 4;
   constexpr int kMsgs = 400;
-  Fabric f(kProcs);
-  std::atomic<bool> done{false};
+  ClosureFabric f(kProcs);
   std::atomic<int> received{0};
-  std::thread monitor([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      // totalStats() reads endpoints one lock at a time (not one global
-      // cut), so cross-endpoint inequalities need an ordered read: sum
-      // the receivers (odd pids) BEFORE the senders. Receive counts can
-      // only lag their sends, and send counts only grow, so summing in
-      // this order keeps received <= sent even mid-run.
-      NetStats recv, sent;
-      for (int p = 1; p < kProcs; p += 2) recv += f.stats(p);
-      for (int p = 0; p < kProcs; p += 2) sent += f.stats(p);
-      EXPECT_LE(recv.messagesReceived, sent.messagesSent);
-      EXPECT_LE(recv.bytesReceived, sent.bytesSent);
-      (void)f.totalStats();
-      for (int p = 0; p < kProcs; ++p) EXPECT_GE(f.clock(p), 0.0);
-      (void)f.makespan();
-      (void)f.undeliveredCount();
-      (void)f.pendingReceiveCount();
-    }
-  });
-  runSpmd(kProcs, [&](int pid) {
-    const int partner = pid ^ 1;
-    for (int i = 0; i < kMsgs; ++i) {
-      if (pid % 2 == 0) {
-        f.send(pid, name(pid, i), TransferKind::Data, payload(i), partner);
-        f.advance(pid, 0.25);
-      } else {
-        f.postReceive(pid, name(partner, i), TransferKind::Data,
-                      [&](const Message&) {
-                        received.fetch_add(1, std::memory_order_relaxed);
-                      });
-      }
-    }
-  });
-  done.store(true, std::memory_order_release);
-  monitor.join();
+  runWithMonitor(
+      f,
+      [&](int pid) {
+        const int partner = pid ^ 1;
+        for (int i = 0; i < kMsgs; ++i) {
+          if (pid % 2 == 0) {
+            f.send(pid, name(pid, i), TransferKind::Data, payload(i),
+                   partner);
+            f.advance(pid, 0.25);
+          } else {
+            f.postReceive(pid, name(partner, i), TransferKind::Data,
+                          [&](const Message&) {
+                            received.fetch_add(1, std::memory_order_relaxed);
+                          });
+          }
+        }
+      },
+      [&] {
+        // Sum the receivers (odd pids) and the senders separately: a
+        // receive count can only lag its send count.
+        NetStats recv, sent;
+        for (int p = 1; p < kProcs; p += 2) recv += f.stats(p);
+        for (int p = 0; p < kProcs; p += 2) sent += f.stats(p);
+        EXPECT_LE(recv.messagesReceived, sent.messagesSent);
+        EXPECT_LE(recv.bytesReceived, sent.bytesSent);
+        (void)f.totalStats();
+        for (int p = 0; p < kProcs; ++p) EXPECT_GE(f.clock(p), 0.0);
+        (void)f.makespan();
+        (void)f.undeliveredCount();
+        (void)f.pendingReceiveCount();
+      },
+      /*step=*/0.125);
   EXPECT_EQ(received.load(), (kProcs / 2) * kMsgs);
 }
 
-// snapshot() takes every endpoint lock at once mid-traffic; it must not
-// deadlock against senders/receivers and must observe a consistent cut.
+// snapshot() mid-traffic, from a monitor fiber: it must observe a
+// consistent picture.
 TEST(FabricConcurrency, SnapshotDuringTraffic) {
   constexpr int kProcs = 6;
   constexpr int kMsgs = 300;
-  Fabric f(kProcs);
-  std::atomic<bool> done{false};
+  ClosureFabric f(kProcs);
   std::atomic<int> received{0};
-  std::thread snapper([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      FabricSnapshot s = f.snapshot();
-      for (const auto& r : s.pendingReceives) {
-        EXPECT_GE(r.pid, 0);
-        EXPECT_LT(r.pid, kProcs);
-      }
-      for (const auto& m : s.undelivered) {
-        EXPECT_GE(m.src, 0);
-        EXPECT_LT(m.src, kProcs);
-      }
-    }
-  });
-  runSpmd(kProcs, [&](int pid) {
-    const int partner = pid ^ 1;
-    for (int i = 0; i < kMsgs; ++i) {
-      f.postReceive(pid, name(pid, 0), TransferKind::Data,
-                    [&](const Message&) {
-                      received.fetch_add(1, std::memory_order_relaxed);
-                    });
-      const bool direct = (i % 2 == 0);
-      f.send(pid, name(partner, 0), TransferKind::Data, payload(i),
-             direct ? std::optional<int>(partner) : std::nullopt);
-    }
-  });
-  done.store(true, std::memory_order_release);
-  snapper.join();
+  runWithMonitor(
+      f,
+      [&](int pid) {
+        const int partner = pid ^ 1;
+        for (int i = 0; i < kMsgs; ++i) {
+          f.postReceive(pid, name(pid, 0), TransferKind::Data,
+                        [&](const Message&) {
+                          received.fetch_add(1, std::memory_order_relaxed);
+                        });
+          const bool direct = (i % 2 == 0);
+          f.send(pid, name(partner, 0), TransferKind::Data, payload(i),
+                 direct ? std::optional<int>(partner) : std::nullopt);
+        }
+      },
+      [&] {
+        FabricSnapshot s = f.snapshot();
+        for (const auto& r : s.pendingReceives) {
+          EXPECT_GE(r.pid, 0);
+          EXPECT_LT(r.pid, kProcs);
+        }
+        for (const auto& m : s.undelivered) {
+          EXPECT_GE(m.src, 0);
+          EXPECT_LT(m.src, kProcs);
+        }
+      },
+      /*step=*/f.model().alpha / 2);
   EXPECT_EQ(received.load(), kProcs * kMsgs);
   EXPECT_EQ(f.undeliveredCount(), 0u);
 }
@@ -206,7 +229,7 @@ TEST(FabricConcurrency, ExactlyOnceUnderConcurrentDuplication) {
   FaultPlan plan;
   plan.seed = 42;
   plan.dupProb = 1.0;
-  Fabric f(kProcs);
+  ClosureFabric f(kProcs);
   f.setFaultPlan(plan);
   std::atomic<int> received{0};
   runSpmd(kProcs, [&](int pid) {
@@ -233,39 +256,37 @@ TEST(FabricConcurrency, ExactlyOnceUnderConcurrentDuplication) {
   EXPECT_EQ(fs.suppressedDuplicates, fs.duplicated);  // every twin killed
 }
 
-// Barriers interleaved with traffic and concurrent makespan/stats reads:
-// exercises the barrierMu_ -> endpoint release path against endpoint-only
-// readers.
+// Barriers interleaved with traffic while a monitor fiber reads makespan
+// and stats: the release path must leave every read consistent.
 TEST(FabricConcurrency, BarrierWithConcurrentReaders) {
   constexpr int kProcs = 8;
   constexpr int kRounds = 50;
-  Fabric f(kProcs);
-  std::atomic<bool> done{false};
-  std::thread reader([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      (void)f.makespan();
-      (void)f.totalStats();
-      (void)f.barrierWaiters();
-    }
-  });
+  ClosureFabric f(kProcs);
   std::atomic<int> received{0};
-  runSpmd(kProcs, [&](int pid) {
-    const int partner = pid ^ 1;
-    for (int r = 0; r < kRounds; ++r) {
-      if (pid % 2 == 0) {
-        f.send(pid, name(pid, r), TransferKind::Data, payload(r), partner);
-      } else {
-        f.postReceive(pid, name(partner, r), TransferKind::Data,
-                      [&](const Message&) {
-                        received.fetch_add(1, std::memory_order_relaxed);
-                      });
-      }
-      f.advance(pid, 0.5 + pid);
-      f.barrier(pid);
-    }
-  });
-  done.store(true, std::memory_order_release);
-  reader.join();
+  runWithMonitor(
+      f,
+      [&](int pid) {
+        const int partner = pid ^ 1;
+        for (int r = 0; r < kRounds; ++r) {
+          if (pid % 2 == 0) {
+            f.send(pid, name(pid, r), TransferKind::Data, payload(r),
+                   partner);
+          } else {
+            f.postReceive(pid, name(partner, r), TransferKind::Data,
+                          [&](const Message&) {
+                            received.fetch_add(1, std::memory_order_relaxed);
+                          });
+          }
+          f.advance(pid, 0.5 + pid);
+          f.barrier(pid);
+        }
+      },
+      [&] {
+        (void)f.makespan();
+        (void)f.totalStats();
+        (void)f.barrierWaiters();
+      },
+      /*step=*/0.25);
   EXPECT_EQ(received.load(), (kProcs / 2) * kRounds);
   EXPECT_EQ(f.barrierWaiters(), 0);
   // After each barrier all clocks align to max + barrierCost, so at the
@@ -274,12 +295,12 @@ TEST(FabricConcurrency, BarrierWithConcurrentReaders) {
     EXPECT_GE(f.clock(p), kRounds * f.model().barrierCost);
 }
 
-// Hot per-endpoint clock churn from every thread at once; totals must be
-// exact (each advance is applied under the endpoint lock).
+// Hot per-endpoint clock churn from every processor; totals must be
+// exact.
 TEST(FabricConcurrency, ClockAdvancesAreNotLost) {
   constexpr int kProcs = 4;
   constexpr int kTicks = 2000;
-  Fabric f(kProcs);
+  ClosureFabric f(kProcs);
   runSpmd(kProcs, [&](int pid) {
     for (int i = 0; i < kTicks; ++i) f.advance(pid, 1.0);
   });

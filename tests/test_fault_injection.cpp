@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "fabric_receives.hpp"
 #include "xdp/apps/jacobi.hpp"
-#include "xdp/net/fabric.hpp"
 #include "xdp/net/spmd.hpp"
 #include "xdp/rt/proc.hpp"
 #include "xdp/support/check.hpp"
@@ -60,10 +60,12 @@ TEST(FaultPlan, LossyPredicate) {
 
 TEST(FaultInjection, ZeroProbabilityPlanBehavesLikeNoPlan) {
   // A completion trace (receiver, payload) of a small mixed workload.
-  auto run = [](Fabric& f) {
+  auto run = [](ClosureFabric& f) {
     std::vector<std::pair<int, std::vector<std::byte>>> trace;
     auto rec = [&](int pid) {
-      return [&trace, pid](const Message& m) { trace.emplace_back(pid, m.payload); };
+      return [&trace, pid](const Message& m) {
+        trace.emplace_back(pid, m.payload.toVector());
+      };
     };
     f.postReceive(1, name(1, 1, 2), TransferKind::Data, rec(1));
     f.send(0, name(1, 1, 2), TransferKind::Data, bytes({1, 2}), 1);
@@ -73,10 +75,10 @@ TEST(FaultInjection, ZeroProbabilityPlanBehavesLikeNoPlan) {
     f.postReceive(1, name(3, 1, 1), TransferKind::Ownership, rec(1));
     return trace;
   };
-  Fabric plain(4);
+  ClosureFabric plain(4);
   auto wantTrace = run(plain);
 
-  Fabric faulty(4);
+  ClosureFabric faulty(4);
   faulty.setFaultPlan(FaultPlan{});  // installed but all probabilities zero
   EXPECT_TRUE(faulty.hasFaultPlan());
   EXPECT_FALSE(faulty.faultPlanLossy());
@@ -104,12 +106,12 @@ TEST(FaultInjection, DecisionsAreDeterministicUnderFixedSeed) {
   // Same plan, same sends => same delivery trace (receiver, payload,
   // virtual arrival), same net stats, same fault stats — twice over.
   auto run = [&plan] {
-    Fabric f(4);
+    ClosureFabric f(4);
     f.setFaultPlan(plan);
     std::vector<std::tuple<int, std::vector<std::byte>, double>> trace;
     auto rec = [&trace](int pid) {
       return [&trace, pid](const Message& m) {
-        trace.emplace_back(pid, m.payload, m.arrival);
+        trace.emplace_back(pid, m.payload.toVector(), m.arrival);
       };
     };
     for (int sym = 1; sym <= 8; ++sym)
@@ -153,7 +155,7 @@ TEST(FaultInjection, FaultDecisionsRepeatUnderConcurrentPairTraffic) {
   // Even pids send `kMsgs` direct messages to their partner (pid ^ 1);
   // odd pids post the matching receives.
   auto run = [&] {
-    Fabric f(kProcs);
+    ClosureFabric f(kProcs);
     f.setFaultPlan(plan);
     std::atomic<int> received{0};
     runSpmd(kProcs, [&](int pid) {
@@ -195,7 +197,7 @@ TEST(FaultInjection, FaultDecisionsRepeatUnderConcurrentPairTraffic) {
 TEST(FaultInjection, DroppedMessageIsCountedAndNeverDelivered) {
   FaultPlan plan;
   plan.dropProb = 1.0;
-  Fabric f(2);
+  ClosureFabric f(2);
   f.setFaultPlan(plan);
   EXPECT_TRUE(f.faultPlanLossy());
   int fired = 0;
@@ -212,7 +214,7 @@ TEST(FaultInjection, DroppedMessageIsCountedAndNeverDelivered) {
 TEST(FaultInjection, DuplicateCompletesExactlyOnceWhenReceiveIsPosted) {
   FaultPlan plan;
   plan.dupProb = 1.0;
-  Fabric f(2);
+  ClosureFabric f(2);
   f.setFaultPlan(plan);
   int fired = 0;
   f.postReceive(1, name(1, 1, 1), TransferKind::Data,
@@ -228,7 +230,7 @@ TEST(FaultInjection, DuplicateCompletesExactlyOnceWhenReceiveIsPosted) {
 TEST(FaultInjection, ParkedDuplicateTwinIsPurgedWhenOriginalCompletes) {
   FaultPlan plan;
   plan.dupProb = 1.0;
-  Fabric f(2);
+  ClosureFabric f(2);
   f.setFaultPlan(plan);
   f.send(0, name(1, 1, 1), TransferKind::Data, bytes({5}), 1);
   EXPECT_EQ(f.undeliveredCount(), 2u);  // original + copy parked unexpected
@@ -242,7 +244,7 @@ TEST(FaultInjection, ParkedDuplicateTwinIsPurgedWhenOriginalCompletes) {
 
 TEST(FaultInjection, DelayPushesVirtualArrivalBackDeterministically) {
   auto arrivalOf = [](const FaultPlan* plan) {
-    Fabric f(2);
+    ClosureFabric f(2);
     if (plan) f.setFaultPlan(*plan);
     double arrival = -1.0;
     f.postReceive(1, name(1, 1, 4), TransferKind::Data,
@@ -267,7 +269,7 @@ TEST(FaultInjection, DelayPushesVirtualArrivalBackDeterministically) {
 TEST(FaultInjection, ReorderSwapsAdjacentMessagesWithDifferentNames) {
   FaultPlan plan;
   plan.reorderProb = 1.0;
-  Fabric f(2);
+  ClosureFabric f(2);
   f.setFaultPlan(plan);
   std::vector<int> order;  // symbol ids in completion order
   for (int sym : {1, 2})
@@ -288,12 +290,14 @@ TEST(FaultInjection, SameNameMessagesNeverOvertake) {
   // value each receive observes stays well-defined.
   FaultPlan plan;
   plan.reorderProb = 1.0;
-  Fabric f(2);
+  ClosureFabric f(2);
   f.setFaultPlan(plan);
   std::vector<std::vector<std::byte>> payloads;
   for (int i = 0; i < 2; ++i)
     f.postReceive(1, name(1, 1, 1), TransferKind::Data,
-                  [&](const Message& m) { payloads.push_back(m.payload); });
+                  [&](const Message& m) {
+                    payloads.push_back(m.payload.toVector());
+                  });
   f.send(0, name(1, 1, 1), TransferKind::Data, bytes({1}), 1);  // held
   f.send(0, name(1, 1, 1), TransferKind::Data, bytes({2}), 1);
   f.flushHeldFaults();
@@ -310,12 +314,14 @@ TEST(FaultInjection, RendezvousMatchingStaysFcfsUnderDelayAndReorder) {
   plan.delayProb = 1.0;
   plan.maxDelay = 50.0;
   plan.reorderProb = 1.0;
-  Fabric f(4);
+  ClosureFabric f(4);
   f.setFaultPlan(plan);
   std::vector<std::pair<int, std::vector<std::byte>>> got;
   for (int pid : {3, 1, 2})  // posting order != pid order
     f.postReceive(pid, name(7, 1, 1), TransferKind::Data,
-                  [&got, pid](const Message& m) { got.emplace_back(pid, m.payload); });
+                  [&got, pid](const Message& m) {
+                    got.emplace_back(pid, m.payload.toVector());
+                  });
   for (int i = 1; i <= 3; ++i)
     f.send(0, name(7, 1, 1), TransferKind::Data, bytes({i}), std::nullopt);
   f.flushHeldFaults();
@@ -330,7 +336,7 @@ TEST(FaultInjection, RendezvousMatchingStaysFcfsUnderDelayAndReorder) {
 
 TEST(FaultInjection, StalledEndpointPaysFixedDelayPerSend) {
   auto arrivalOf = [](const FaultPlan* plan) {
-    Fabric f(2);
+    ClosureFabric f(2);
     if (plan) f.setFaultPlan(*plan);
     double arrival = -1.0;
     f.postReceive(1, name(1, 1, 1), TransferKind::Data,
@@ -343,7 +349,7 @@ TEST(FaultInjection, StalledEndpointPaysFixedDelayPerSend) {
   plan.stallPids = {0};
   plan.stallDelay = 3.0;
   EXPECT_DOUBLE_EQ(arrivalOf(&plan), base + 3.0);
-  Fabric f(2);
+  ClosureFabric f(2);
   f.setFaultPlan(plan);
   f.send(0, name(1, 1, 1), TransferKind::Data, bytes({1}), 1);
   f.send(0, name(1, 1, 1), TransferKind::Data, bytes({2}), 1);
@@ -355,7 +361,7 @@ TEST(FaultInjection, CrashedEndpointThrowsFaultAbortAfterItsBudget) {
   FaultPlan plan;
   plan.crashPids = {0};
   plan.crashAfterSends = 2;
-  Fabric f(2);
+  ClosureFabric f(2);
   f.setFaultPlan(plan);
   f.send(0, name(1, 1, 1), TransferKind::Data, bytes({1}), 1);
   f.send(0, name(1, 1, 1), TransferKind::Data, bytes({2}), 1);
@@ -377,7 +383,7 @@ TEST(FaultInjection, CrashedEndpointThrowsFaultAbortAfterItsBudget) {
 TEST(FaultInjection, ReplacingThePlanReleasesHeldMessages) {
   FaultPlan plan;
   plan.reorderProb = 1.0;
-  Fabric f(2);
+  ClosureFabric f(2);
   f.setFaultPlan(plan);
   int fired = 0;
   f.postReceive(1, name(1, 1, 1), TransferKind::Data,
@@ -395,7 +401,7 @@ TEST(FaultInjection, FaultScopeIsAdoptedByNewFabricsAndRestoredOnExit) {
   plan.dupProb = 1.0;
   {
     FaultScope faults(plan);
-    Fabric f(2);
+    ClosureFabric f(2);
     EXPECT_TRUE(f.hasFaultPlan());
     ASSERT_TRUE(currentGlobalFaultPlan().has_value());
     EXPECT_EQ(currentGlobalFaultPlan()->dupProb, 1.0);
@@ -408,7 +414,7 @@ TEST(FaultInjection, FaultScopeIsAdoptedByNewFabricsAndRestoredOnExit) {
     EXPECT_EQ(currentGlobalFaultPlan()->dupProb, 1.0);  // nesting restores
   }
   EXPECT_FALSE(currentGlobalFaultPlan().has_value());
-  Fabric f(2);
+  ClosureFabric f(2);
   EXPECT_FALSE(f.hasFaultPlan());
 }
 
@@ -416,7 +422,7 @@ TEST(FaultInjection, NestedScopeFabricKeepsItsPlanWhenScopesUnwind) {
   // A fabric snapshots the innermost plan at construction; the scopes
   // unwinding afterwards must not reach back into it.
   Fabric* made = nullptr;
-  std::optional<Fabric> f;
+  std::optional<ClosureFabric> f;
   {
     FaultPlan outer;
     outer.dupProb = 1.0;
@@ -483,7 +489,7 @@ TEST(FaultInjection, CrashBudgetExhaustsMidBurst) {
   FaultPlan plan;
   plan.crashPids = {0};
   plan.crashAfterSends = 2;
-  Fabric f(2);
+  ClosureFabric f(2);
   f.setFaultPlan(plan);
   std::vector<int> got;
   for (int i = 0; i < 4; ++i)

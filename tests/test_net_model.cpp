@@ -2,7 +2,7 @@
 // by the scenario tests.
 #include <gtest/gtest.h>
 
-#include "xdp/net/fabric.hpp"
+#include "fabric_receives.hpp"
 #include "xdp/net/spmd.hpp"
 
 namespace xdp::net {
@@ -27,16 +27,17 @@ TEST(NetModel, SendToSetAccumulatesPerDestination) {
   CostModel m;
   m.alpha = 1.0;
   m.beta = 0.0;
-  Fabric f(4, m);
+  ClosureFabric f(4, m);
   for (int p : {1, 2, 3})
     f.postReceive(p, nm(1), TransferKind::Data, [](const Message&) {});
   f.sendToSet(0, nm(1), TransferKind::Data,
-              std::vector<std::byte>(8, std::byte{0}), {1, 2, 3});
+              std::vector<std::byte>(8, std::byte{0}),
+              std::vector<int>{1, 2, 3});
   EXPECT_DOUBLE_EQ(f.clock(0), 3.0);  // one alpha per copy
 }
 
 TEST(NetModel, MakespanIsMaxClock) {
-  Fabric f(3);
+  ClosureFabric f(3);
   f.advance(0, 1.0);
   f.advance(1, 7.0);
   f.advance(2, 3.0);
@@ -46,7 +47,7 @@ TEST(NetModel, MakespanIsMaxClock) {
 }
 
 TEST(NetModel, SyncClockNeverMovesBackwards) {
-  Fabric f(1);
+  ClosureFabric f(1);
   f.advance(0, 10.0);
   f.syncClock(0, 4.0);
   EXPECT_DOUBLE_EQ(f.clock(0), 10.0);
@@ -65,7 +66,7 @@ TEST(NetModel, MultiSectionNamesCompareWholeSet) {
 }
 
 TEST(NetModel, StatsAccumulateAndReset) {
-  Fabric f(2);
+  ClosureFabric f(2);
   f.postReceive(1, nm(1), TransferKind::Data, [](const Message&) {});
   f.send(0, nm(1), TransferKind::Data, std::vector<std::byte>(4), 1);
   NetStats total = f.totalStats();
@@ -81,7 +82,7 @@ TEST(NetModel, StatsAccumulateAndReset) {
 TEST(NetModel, BarrierCostIsChargedOnce) {
   CostModel m;
   m.barrierCost = 5.0;
-  Fabric f(2, m);
+  ClosureFabric f(2, m);
   f.advance(0, 2.0);
   runSpmd(2, [&](int pid) { f.barrier(pid); });
   EXPECT_DOUBLE_EQ(f.clock(0), 7.0);
@@ -89,7 +90,7 @@ TEST(NetModel, BarrierCostIsChargedOnce) {
 }
 
 TEST(NetModel, ManyBarriersUnderContention) {
-  Fabric f(6);
+  ClosureFabric f(6);
   runSpmd(6, [&](int pid) {
     for (int i = 0; i < 200; ++i) {
       f.advance(pid, 0.001 * (pid + 1));

@@ -8,11 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <cstring>
 #include <random>
 #include <set>
-#include <thread>
 #include <utility>
 
 #include "xdp/apps/programs.hpp"
@@ -353,9 +351,9 @@ TEST(OwnershipFastPath, EpochInvalidatesCache) {
 }
 
 TEST(OwnershipFastPath, ConcurrentReadersAndCompletions) {
-  // TSan target: lock-free cache hits and shared-locked reads on reader
-  // threads racing receive initiation/completion and an await park/wake
-  // cycle, which run as two fibers of one runSpmd.
+  // Memo-cache hits and reads on three reader fibers interleaved with
+  // receive initiation/completion and an await park/wake cycle, all
+  // fibers of one runSpmd (a table is used by one thread at a time).
   const Section g{Triplet(0, 255)};
   ProcTable t(0, oneArray(g, Distribution(g, {DimSpec::block(1)})),
               /*debugChecks=*/false);
@@ -363,39 +361,23 @@ TEST(OwnershipFastPath, ConcurrentReadersAndCompletions) {
   const Section stable{Triplet(128, 191)}; // always accessible
   const Section foreign{Triplet(200, 255)};
   t.takeOwnershipOut(0, foreign, false);   // awaits on it must return false
-  std::atomic<bool> done{false};
-
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&, r] {
-      std::vector<std::byte> buf(
-          static_cast<std::size_t>(stable.count()) * sizeof(double));
-      std::uint64_t trues = 0;
-      for (int iter = 0; iter < 50 || !done.load(); ++iter) {
-        if (t.iown(0, churn)) ++trues;
-        t.accessible(0, churn);
-        EXPECT_TRUE(t.iown(0, stable));
-        EXPECT_TRUE(t.accessible(0, stable));
-        t.ownedRanges(0, g);
-        t.waitState();
-        if (r == 0) t.readElems(0, stable, buf.data());
-      }
-      EXPECT_GT(trues, 0u);  // ownership never changed, only accessibility
-    });
-  }
 
   // Fiber 0 awaits, fiber 1 writes; each step moves the fiber's clock
   // (two for an await, one for a begin or a completion) and hands over to
-  // the other once it is behind, so the awaiter finds a receive
-  // outstanding and parks until its completion.
-  std::array<double, 2> steps{};
+  // the others once it is behind, so the awaiter finds a receive
+  // outstanding and parks until its completion. Fibers 2-4 read, two
+  // clock units per round from 0.5 (half a unit ahead of the writer's
+  // cycle, so a completion never hands over to them before the writer's
+  // next begin), until both have finished.
+  std::array<double, 5> steps{0.0, 0.0, 0.5, 0.5, 0.5};
   int parksSeen = 0;
+  int finished = 0;
   net::runSpmd(
-      2,
+      5,
       [&](int pid) {
         FiberScheduler& sched = *FiberScheduler::current();
         auto step = [&] {
-          steps[static_cast<std::size_t>(pid)] += pid == 0 ? 2 : 1;
+          steps[static_cast<std::size_t>(pid)] += pid == 1 ? 1 : 2;
           sched.yieldIfBehind();
         };
         if (pid == 0) {
@@ -407,7 +389,8 @@ TEST(OwnershipFastPath, ConcurrentReadersAndCompletions) {
             parksSeen += pending ? 1 : 0;
             step();
           }
-        } else {
+          ++finished;
+        } else if (pid == 1) {
           std::vector<std::byte> payload(
               static_cast<std::size_t>(churn.count()) * sizeof(double));
           for (int i = 0; i < 400; ++i) {
@@ -416,12 +399,26 @@ TEST(OwnershipFastPath, ConcurrentReadersAndCompletions) {
             t.completeReceive(0, churn, payload.data(), 1.0 + i);
             step();
           }
+          ++finished;
+        } else {
+          std::vector<std::byte> buf(
+              static_cast<std::size_t>(stable.count()) * sizeof(double));
+          std::uint64_t trues = 0;
+          for (int iter = 0; iter < 50 || finished < 2; ++iter) {
+            if (t.iown(0, churn)) ++trues;
+            t.accessible(0, churn);
+            EXPECT_TRUE(t.iown(0, stable));
+            EXPECT_TRUE(t.accessible(0, stable));
+            t.ownedRanges(0, g);
+            t.waitState();
+            if (pid == 2) t.readElems(0, stable, buf.data());
+            step();
+          }
+          EXPECT_GT(trues, 0u);  // ownership never changed, only access
         }
       },
       [&](int pid) { return steps[static_cast<std::size_t>(pid)]; });
   EXPECT_GT(parksSeen, 0);
-  done.store(true);
-  for (auto& th : readers) th.join();
   EXPECT_TRUE(t.accessible(0, churn));
 }
 

@@ -18,7 +18,9 @@
 #include "analysis_programs.hpp"
 #include "xdp/apps/programs.hpp"
 #include "xdp/ckpt/io.hpp"
+#include "xdp/il/flat.hpp"
 #include "xdp/il/parser.hpp"
+#include "xdp/interp/bytecode.hpp"
 #include "xdp/interp/interpreter.hpp"
 #include "xdp/support/check.hpp"
 
@@ -41,9 +43,14 @@ il::Program loadExample(const std::string& name) {
 /// interior loop is a pure range-split site.
 constexpr const char* kServeHalo = "serve-halo";
 
-/// An example program by file name, or the serve halo text.
+/// The `serve` workload's ring: `-=>`/`<=-` block moves and an await
+/// rule, every one compiled to a hot transfer op.
+constexpr const char* kServeRing = "serve-ring";
+
+/// An example program by file name, or a serve text.
 il::Program loadProgram(const std::string& name) {
   if (name == kServeHalo) return il::parseProgram(testprog::haloText(2, 96, 60));
+  if (name == kServeRing) return il::parseProgram(testprog::ringText(3, 2, 24));
   return loadExample(name);
 }
 
@@ -353,7 +360,8 @@ TEST(Recovery, CheckpointingRunWithoutFaultsMatchesPlainRun) {
 /// boundary changes which worker reaches the matcher first, so its
 /// rendezvous pairs differ from the plain run's. The schedule is still a
 /// function of the program and the interval, so every repetition at one
-/// interval must report one makespan. At interval 1 the captures follow
+/// interval must report one makespan. The serve halo and ring run their
+/// transfers as hot VM ops. At interval 1 the captures follow
 /// each other back to back, so a capture that exported a machine still in
 /// motion would show up here as a mismatch. Pure split sites split under
 /// checkpointing too, so on the serve halo, whose only split site is
@@ -367,6 +375,11 @@ TEST_P(CaptureStress, CheckpointedRunsMatchPlainRun) {
   const RunResult base = baselineRun(prog, Backend::Bytecode);
   if (name == kServeHalo) {
     ASSERT_GT(base.stats.rangeSplits, 0u);
+  }
+  if (name == kServeHalo || name == kServeRing) {
+    const bc::Module m = bc::compile(il::flat::flatten(prog));
+    ASSERT_EQ(m.coldStmts, 1u);  // the fill kernel
+    ASSERT_GT(m.xfers.size(), 0u);
   }
   for (std::uint64_t interval : {1, 7, 64, 1024}) {
     std::optional<double> intervalMakespan;
@@ -408,7 +421,8 @@ TEST_P(CaptureStress, CheckpointedRunsMatchPlainRun) {
 INSTANTIATE_TEST_SUITE_P(Examples, CaptureStress,
                          ::testing::Values("vecadd.xdp", "jacobi.xdp",
                                            "cannon.xdp", "ownership.xdp",
-                                           "taskfarm.xdp", kServeHalo));
+                                           "taskfarm.xdp", kServeHalo,
+                                           kServeRing));
 
 double secondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -216,6 +216,181 @@ TEST(VmDifferential, ErrorSurfacesMatchAcrossBackends) {
   }
 }
 
+// Transfer corpus: every statement and intrinsic the VM compiles to a
+// hot transfer op (XferSite) — point and rank-1 sends with no, pid and
+// owner() destinations, strided sections, receives, both ownership
+// moves, statement / rule / expression awaits, iown and accessible rules
+// — and their empty sections, whose destination pids the walker never
+// evaluates (a division by zero here would surface otherwise).
+constexpr const char* kTransferCorpus = R"(procs 4
+array A f64 [0:15] (BLOCK)
+array B f64 [0:15] (CYCLIC)
+array H f64 [0:15] (BLOCK)
+array G f64 [0:7] (BLOCK)
+array R f64 [0:3] (BLOCK)
+array S f64 [0:3] (BLOCK)
+
+fill(A[0:15], B[0:15])
+do i = 0, 15
+  iown(A[i]) : { A[i] -> {owner(B[i])} }
+  iown(B[i]) : {
+    B[i] <- A[i]
+    await(B[i])
+  }
+enddo
+(mypid < nprocs - 1) : { A[4 * mypid : 4 * mypid + 3] -> {mypid + 1} }
+(mypid > 0) : { H[4 * mypid : 4 * mypid + 3] <- A[4 * mypid - 4 : 4 * mypid - 1] }
+A[4 * mypid : 4 * mypid + 3 : 2] -> {(mypid + 1) % nprocs, mypid}
+G[2 * mypid : 2 * mypid + 1] <- A[4 * ((mypid + 3) % 4) : 4 * ((mypid + 3) % 4) + 3 : 2]
+H[4 * mypid + 2 : 4 * mypid + 3] <- A[4 * mypid : 4 * mypid + 3 : 2]
+await(G[2 * mypid : 2 * mypid + 1]) : { G[2 * mypid] = G[2 * mypid] + G[2 * mypid + 1] }
+(mypid > 0) : {
+  w = await(H[4 * mypid : 4 * mypid + 3])
+  S[mypid] = w + iown(A[4 * mypid]) + accessible(A[4 * mypid + 1])
+}
+(mypid == 0) : { A[0] -> }
+(mypid == 3) : {
+  R[3] <- A[0]
+  await(R[3])
+}
+A[5:4] -> {1 / (mypid - mypid)}
+B[3:2] <- A[3:2]
+await(A[7:6])
+A[9:8] -=> {1 / (mypid - mypid)}
+A[9:8] <=-
+A[9:8] <=
+await(A[7:6]) : { S[mypid] = S[mypid] + 1.0 }
+(mypid == 0) : { A[2:3] -=> {1} }
+(mypid == 1) : {
+  A[2:3] <=-
+  await(A[2:3]) : { A[2] = A[2] + 1.0 }
+}
+(mypid == 2) : { A[8:9] => {3} }
+(mypid == 3) : { A[8:9] <= }
+(mypid == 1) : { A[4] -=> }
+(mypid == 2) : {
+  A[4] <=-
+  accessible(A[4]) : { A[4] = A[4] * 3.0 }
+}
+)";
+
+TEST(VmDifferential, TransferCorpusMatchesOracle) {
+  const il::Program prog = il::parseProgram(kTransferCorpus);
+  // Every statement but the fill kernel compiles hot.
+  const bc::Module m = bc::compile(il::flat::flatten(prog));
+  EXPECT_EQ(m.coldStmts, 1u);
+  EXPECT_GT(m.xfers.size(), 20u);
+  expectBackendsAgree(prog, "transfer corpus");
+}
+
+TEST(VmDifferential, TransferErrorsSurfaceAtTheSameStep) {
+  // Each case fails inside a hot transfer op; both engines must raise the
+  // same diagnostic after the same number of step-hook calls.
+  const std::string head = R"(procs 2
+array A f64 [0:7] (BLOCK)
+array B f64 [0:7] (BLOCK)
+x = 1
+y = x + 1
+)";
+  const std::pair<std::string, const char*> cases[] = {
+      {"A[x + 0.5] -> {1}", "non-integral value in index context"},
+      {"(mypid == 0) : { A[0:3:(mypid - mypid)] -> {1} }",
+       "triplet stride must be >= 1"},
+      {"(mypid == 0) : { A[0] -> {7} }", "pid 7 out of range"},
+      {"(mypid == 1) : { B[0] <- A[0] }", "receive into unowned section"},
+      {"(mypid == 0) : { A[0] -> {owner(B[2:5])} }",
+       "bound destination section spans processors"},
+      {"(mypid == 0) : { iown(A[0:3:y - 2]) : { x = 2 } }",
+       "triplet stride must be >= 1"},
+  };
+  for (const auto& [stmt, msg] : cases) {
+    const il::Program prog = il::parseProgram(head + stmt + "\n");
+    auto run = [&](Backend be, std::uint64_t& steps) -> std::string {
+      rt::RuntimeOptions opts;
+      opts.debugChecks = true;
+      InterpOptions io;
+      io.backend = be;
+      io.stepHook = [&steps](rt::Proc&) { ++steps; };
+      Interpreter in(prog, opts, io);
+      try {
+        in.run();
+      } catch (const xdp::Error& e) {
+        return e.what();
+      }
+      return "";
+    };
+    std::uint64_t tSteps = 0, vSteps = 0;
+    const std::string t = run(Backend::TreeWalk, tSteps);
+    const std::string v = run(Backend::Bytecode, vSteps);
+    EXPECT_NE(t.find(msg), std::string::npos) << stmt << " tree: " << t;
+    EXPECT_NE(v.find(msg), std::string::npos) << stmt << " vm: " << v;
+    EXPECT_EQ(tSteps, vSteps) << stmt;
+  }
+}
+
+TEST(VmDifferential, ResidencyHookKeepsTheElementLease) {
+  // A step hook that reads the table on every step (serve's quota hook
+  // samples residentBytes) leaves pure loops their element lease; the run
+  // must match the hookless one exactly.
+  const il::Program prog = il::parseProgram(R"(procs 2
+array A f64 [1:64] (BLOCK)
+array B f64 [1:64] (BLOCK)
+
+fill(A[1:64], B[1:64])
+do t = 1, 20
+  do i = 32 * mypid + 1, 32 * mypid + 32
+    A[i] = A[i] * 0.5 + B[i]
+  enddo
+  do i = 1, 64
+    iown(A[i]) : { B[i] = B[i] + A[i] }
+  enddo
+  (mypid == 0) : { A[32] -> {1} }
+  (mypid == 1) : {
+    B[33] <- A[32]
+    await(B[33])
+  }
+enddo
+)");
+  auto run = [&](bool hook, std::uint64_t& digest, net::NetStats& net,
+                 InterpStats& stats, double& makespan) {
+    std::size_t resident = 0;
+    InterpOptions io;
+    if (hook)
+      io.stepHook = [&resident](rt::Proc& p) {
+        resident += p.table().residentBytes();
+      };
+    Interpreter in(prog, {}, io);
+    apps::registerFillKernel(in, 42);
+    in.run();
+    digest = digestState(in.runtime());
+    net = in.runtime().fabric().totalStats();
+    stats = in.totalStats();
+    makespan = in.runtime().fabric().makespan();
+    if (hook) {
+      EXPECT_GT(resident, 0u);
+    }
+  };
+  std::uint64_t d0 = 0, d1 = 0;
+  net::NetStats n0, n1;
+  InterpStats s0, s1;
+  double m0 = 0.0, m1 = 0.0;
+  run(false, d0, n0, s0, m0);
+  run(true, d1, n1, s1, m1);
+  EXPECT_EQ(d0, d1);
+  EXPECT_EQ(n0.messagesSent, n1.messagesSent);
+  EXPECT_EQ(n0.bytesSent, n1.bytesSent);
+  EXPECT_EQ(n0.messagesReceived, n1.messagesReceived);
+  EXPECT_EQ(n0.directSends, n1.directSends);
+  EXPECT_EQ(n0.unexpectedMessages, n1.unexpectedMessages);
+  EXPECT_EQ(s0.stmtsExecuted, s1.stmtsExecuted);
+  EXPECT_EQ(s0.loopIterations, s1.loopIterations);
+  EXPECT_EQ(s0.rulesEvaluated, s1.rulesEvaluated);
+  EXPECT_EQ(s0.rulesTrue, s1.rulesTrue);
+  EXPECT_EQ(s0.elemAssigns, s1.elemAssigns);
+  EXPECT_EQ(s0.rangeSplits, s1.rangeSplits);
+  EXPECT_EQ(m0, m1);
+}
+
 TEST(VmDifferential, ServeSessionsMatchAcrossBackends) {
   // Sessions run the VM; the reference walker runs the same program (the
   // session's pipeline applied by hand) outside the server.
