@@ -12,7 +12,10 @@
 // undecidable), a rendezvous task farm whose matching is one large group,
 // and serve's analysis gate on its halo (b-element blocks, 20 sweeps) and
 // ownership ring (32-element blocks, n steps), two processors each, whose
-// inner element loops the verifier summarizes.
+// inner element loops the verifier summarizes. BM_AnalyzeUpdate is one
+// `compile` job's analysis of the rank-1 update at length n on four
+// processors and six placements: one verifyProgram plus one analyzeCost.
+// Its transfer loops are summarized, so n should not set its cost.
 //
 // Reported counters (per run):
 //   stmts             abstract statements charged across all processors
@@ -23,6 +26,7 @@
 //                     the ring's one await-ordering warning counts)
 #include <benchmark/benchmark.h>
 
+#include "xdp/analysis/cost.hpp"
 #include "xdp/analysis/verifier.hpp"
 #include "xdp/apps/programs.hpp"
 #include "xdp/il/parser.hpp"
@@ -106,6 +110,27 @@ void BM_VerifyOblivious(benchmark::State& state) {
             opts);
 }
 BENCHMARK(BM_VerifyOblivious);
+
+void BM_AnalyzeUpdate(benchmark::State& state) {
+  const il::Program pre = il::parseProgram(testprog::rank1UpdateText(
+      state.range(0), 4,
+      {"BLOCK", "CYCLIC", "CYCLIC(4)", "CYCLIC(2)", "CYCLIC(8)",
+       "CYCLIC(16)"}));
+  il::Program prog = pre;
+  for (const opt::Pass& p : opt::standardPipeline()) prog = p.fn(prog);
+  std::uint64_t stmts = 0, loops = 0;
+  for (auto _ : state) {
+    analysis::VerifyResult r = analysis::verifyProgram(prog);
+    analysis::CostReport c = analysis::analyzeCost(prog, pre);
+    benchmark::DoNotOptimize(c);
+    stmts += r.stmtsAnalyzed;
+    loops += r.loopsSummarized;
+  }
+  const double runs = static_cast<double>(state.iterations());
+  state.counters["stmts"] = static_cast<double>(stmts) / runs;
+  state.counters["loops_summarized"] = static_cast<double>(loops) / runs;
+}
+BENCHMARK(BM_AnalyzeUpdate)->Arg(197)->Arg(19700)->Unit(benchmark::kMillisecond);
 
 void BM_VerifyFarm(benchmark::State& state) {
   const sec::Index jobs = state.range(0);

@@ -286,7 +286,7 @@ class SweepScanner {
     const Section v{Triplet(vlo, vhi)};
     int populated = 0;
     for (int pid = 0; pid < prog_.nprocs; ++pid) {
-      const sec::RegionList part = decl.dist.localPart(pid);
+      const sec::RegionList part = decl.dist.localPart(pid, /*compact=*/true);
       for (const Section& piece : part.sections()) {
         if (piece.rank() == 1 && !Section::intersect(piece, v).empty()) {
           ++populated;

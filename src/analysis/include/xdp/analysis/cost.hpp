@@ -10,7 +10,9 @@
 //      message per destination. When the abstract execution is exhaustive
 //      and every event is definite, CostReport::exact is true and
 //      bytesMoved/messages equal the runtime's bytesSent/messagesSent on
-//      any backend — the analyzer doubles as a differential oracle.
+//      any backend — the analyzer doubles as a differential oracle. A
+//      loop the verifier summarizes contributes one aggregated event per
+//      send statement and loop execution, with the same sums.
 //
 //   2. placement-oblivious mode — initial ownership, partition queries
 //      and owner-routed destinations are unknown, so the only sends that

@@ -10,9 +10,11 @@
 // interpretation is usually *exact*: per (pid, symbol) it tracks the owned
 // region set (including transitional subsections), the pending receive
 // initiations, and the regions whose ownership was transferred away.
-// A loop of element assignments only is checked once per owned iteration
-// set rather than per iteration when that proves it clean; any loop that
-// could raise a diagnostic is unrolled.
+// A loop whose body is a run of iown-guarded element assignments, point
+// sends and receives and awaits -- the shape the standard pipeline emits --
+// is checked once per owned iteration set, at section granularity, rather
+// than per iteration when that proves it clean; its transfers match as
+// section events. Any loop that could raise a diagnostic is unrolled.
 // Wherever exactness is lost — a data-dependent rule or loop bound — the
 // state joins to Top and the verifier goes silent on the affected facts
 // rather than risk a false positive; VerifyResult::exhaustive reports
@@ -97,7 +99,10 @@ enum class CostClass { Data, Own, OwnVal };
 /// accounting mirrors the runtime exactly (src/rt/proc.cpp): Data and
 /// OwnVal messages carry elems*elemSize payload bytes per message, pure
 /// Own messages are header-only (0 bytes, still one message). `messages`
-/// is the fan-out (one per destination for send-to-set data sends).
+/// is the fan-out (one per destination for send-to-set data sends); for a
+/// send in a summarized loop the one event of the loop execution carries
+/// the fan-out times the iterations that ran it, and `elems` stays the
+/// payload of one message (DESIGN.md §10.1).
 /// `definite` means the trace provably emits exactly this event: not under
 /// an undecidable guard or widened loop, and — for ownership sends — the
 /// sender provably owns the section (an unowned ownership send is a

@@ -19,9 +19,12 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <variant>
@@ -125,7 +128,7 @@ bool meets(const Section& p, const Section& s) {
 
 bool pendingOverlaps(const std::vector<Section>& pending, const Section& s) {
   if (pending.empty()) return false;
-  if (s.count() == 1) {
+  if (s.isPoint()) {
     const Point pt = s.origin();
     return std::any_of(pending.begin(), pending.end(),
                        [&](const Section& p) { return p.contains(pt); });
@@ -135,7 +138,7 @@ bool pendingOverlaps(const std::vector<Section>& pending, const Section& s) {
 }
 
 void completePendingOver(std::vector<Section>& pending, const Section& s) {
-  if (s.count() == 1) {
+  if (s.isPoint()) {
     const Point pt = s.origin();
     std::erase_if(pending, [&](const Section& p) { return p.contains(pt); });
   } else {
@@ -230,6 +233,11 @@ struct Event {
   EvClass cls = EvClass::Data;
   bool isSend = false;
   bool conditional = false;  ///< recorded under an unknown guard / widening
+  /// A summarized transfer (DESIGN.md §7): every point of `name` stands
+  /// for `copies` messages of its own. Otherwise the event is one message
+  /// whose name is the whole section.
+  bool perPoint = false;
+  Index copies = 1;
 };
 
 /// Unconditional receive initiation viewed from the destination side, for
@@ -237,7 +245,7 @@ struct Event {
 struct RecvInit {
   int sym = -1;
   Section sec;
-  int seq = 0;
+  std::int64_t seq = 0;
   SrcLoc loc;
 };
 
@@ -247,27 +255,54 @@ struct RecvInit {
 struct AwaitRec {
   int sym = -1;
   Section sec;
-  int seq = 0;
+  std::int64_t seq = 0;
   bool conditional = false;
   StmtPtr stmt;
 };
 
+// --- loop shapes ------------------------------------------------------------
+
+/// One item of a summarizable loop body: an iown/accessible guard of a
+/// literal point over simple statements, or a run of unguarded simple
+/// statements.
+struct LoopItem {
+  const StmtPtr* guard = nullptr;  ///< the Guarded statement, if any
+  std::uint64_t nodes = 0;  ///< steps a running guarded instance adds
+  std::vector<const StmtPtr*> stmts;  ///< simple statements, in order
+};
+
+/// A loop body the summary can take (DESIGN.md §7 "Loop summaries").
+struct LoopShape {
+  std::uint64_t perIter = 0;  ///< steps every iteration is charged
+  std::vector<LoopItem> items;
+  bool transfers = false;  ///< some statement sends or receives
+};
+
 struct Shared {
-  explicit Shared(const Program& prog) : scalars(prog) {}
+  Shared(const Program& prog, bool summarizeTransfers)
+      : scalars(prog), summarizeTransfers(summarizeTransfers) {}
 
   il::ScalarIds scalars;
+  /// False on the re-run that answers for events that did not cancel:
+  /// loops that send or receive then unroll.
+  bool summarizeTransfers;
   std::uint64_t steps = 0;
   std::vector<Event> events;   ///< recorded only when matchComm is set
   std::set<int> poisonedSyms;  ///< name symbol had an unevaluable section
   std::set<std::pair<int, const Stmt*>> seenDiags;
   bool incomplete = false;  ///< some pid's abstract run aborted
-  /// Local parts per (distribution, pid), computed on first use.
+  /// Local parts per (distribution, pid), computed on first use, with
+  /// block-cyclic dimensions held as strided triplets so their size does
+  /// not grow with the array.
   std::map<std::pair<const dist::Distribution*, int>, RegionList> parts;
+  /// The summary's shape decision per loop statement (nullopt: unroll).
+  std::unordered_map<const Stmt*, std::optional<LoopShape>> shapes;
 
   const RegionList& localPart(const dist::Distribution& d, int pid) {
     const auto key = std::make_pair(&d, pid);
     auto it = parts.find(key);
-    if (it == parts.end()) it = parts.emplace(key, d.localPart(pid)).first;
+    if (it == parts.end())
+      it = parts.emplace(key, d.localPart(pid, /*compact=*/true)).first;
     return it->second;
   }
 };
@@ -437,6 +472,17 @@ class PidExec {
     }
   }
 
+  /// Put back every slot and symbol state the innermost region wrote.
+  void undoRegion() {
+    const Region& r = regions_.back();
+    for (std::size_t k = r.slotMark; k < slotTrail_.size(); ++k)
+      frame_.slots[static_cast<std::size_t>(slotTrail_[k].index)] =
+          slotTrail_[k].value;
+    for (std::size_t k = r.symMark; k < symTrail_.size(); ++k)
+      frame_.syms[static_cast<std::size_t>(symTrail_[k].index)] =
+          symTrail_[k].value;
+  }
+
   void closeRegion() {
     const Region r = regions_.back();
     regions_.pop_back();
@@ -559,7 +605,7 @@ class PidExec {
     (void)rhs;
     std::optional<Section> pt = evalSection(s->sym, s->lhs);
     if (!pt) return;
-    if (pt->count() != 1) {
+    if (!pt->isPoint()) {
       diag(DiagKind::TransferMismatch, Severity::Error, s,
            "element assignment target " + secOf(s->sym, *pt) +
                " is not a single point");
@@ -621,14 +667,19 @@ class PidExec {
 
   // --- loop summaries ----------------------------------------------------
   //
-  // A loop body of blocks and element assignments, under at most one
-  // iown/accessible guard of a literal point, changes no ownership state:
-  // every iteration meets the state the loop started in. Its iterations
-  // are then checked a section at a time (paper §3.1): the guard's owned
-  // pieces are pulled back to iteration sets, each set is pushed through
-  // every subscript, and each image gets one covers and one
-  // pending-overlap test. The summary is taken only when every test
-  // passes, so it never has a diagnostic to raise; any other loop unrolls.
+  // A loop body that is a run of items -- an iown/accessible guard of a
+  // literal point over simple statements, or a run of unguarded simple
+  // statements -- is verified a section at a time (paper §3.1). Each item runs once per
+  // iteration set: a guard's owned pieces are pulled back to iteration
+  // sets, each set is pushed through every affine subscript, and each
+  // image gets one covers and one pending-overlap test, while operands
+  // that do not depend on the loop variable are evaluated and applied
+  // once. An item must leave the state as it found it; then every
+  // instance of every item meets the loop-entry state and the order of
+  // the iterations cannot matter. Sends and receives become section
+  // events, sends one aggregated cost event per statement. The summary is
+  // taken only when every test passes, so it never has a diagnostic to
+  // raise; any other loop unrolls.
 
   /// a * v + b in the loop variable v.
   struct Affine {
@@ -636,18 +687,7 @@ class PidExec {
     Index b = 0;
   };
 
-  /// An element reference of a summarizable body.
-  struct Access {
-    int sym;
-    const il::SectionExpr* point;
-  };
-
-  struct LoopShape {
-    const Stmt* guard = nullptr;   ///< the iown/accessible guard, if any
-    std::uint64_t perIter = 0;     ///< steps every iteration is charged
-    std::uint64_t perGuarded = 0;  ///< steps a guarded iteration adds
-    std::vector<Access> accesses;  ///< element reads and writes
-  };
+  using AffinePoint = std::array<Affine, sec::kMaxRank>;
 
   static bool isLiteralPoint(const SectionExprPtr& se) {
     if (!se || se->kind != SecExprKind::Literal || se->dims.empty() ||
@@ -659,9 +699,43 @@ class PidExec {
                        });
   }
 
-  /// Collect the element reads of `e`; false on an expression kind whose
-  /// evaluation queries or changes ownership state.
-  static bool collectReads(const ExprPtr& e, std::vector<Access>& out) {
+  /// True iff `e` does not read the loop variable `var` and evaluates
+  /// without querying or changing ownership state.
+  bool invariant(const ExprPtr& e, int var) const {
+    if (!e) return true;
+    switch (e->kind) {
+      case ExprKind::IntConst:
+      case ExprKind::RealConst:
+      case ExprKind::MyPid:
+      case ExprKind::NProcs:
+        return true;
+      case ExprKind::ScalarRef:
+        return sh_.scalars.ofRef(e.get()) != var;
+      case ExprKind::Bin:
+        return invariant(e->lhs, var) && invariant(e->rhs, var);
+      case ExprKind::Neg:
+      case ExprKind::Not:
+        return invariant(e->lhs, var);
+      default:
+        return false;
+    }
+  }
+
+  bool invariantSection(const SectionExprPtr& se, int var) const {
+    if (!se || se->kind != SecExprKind::Literal || se->dims.empty() ||
+        se->dims.size() > static_cast<std::size_t>(sec::kMaxRank))
+      return false;
+    return std::all_of(se->dims.begin(), se->dims.end(),
+                       [&](const il::TripletExpr& t) {
+                         return t.lb && invariant(t.lb, var) &&
+                                invariant(t.ub, var) &&
+                                invariant(t.stride, var);
+                       });
+  }
+
+  /// True iff every element read of `e` names a literal point and nothing
+  /// else in it queries or changes ownership state.
+  static bool pointReads(const ExprPtr& e) {
     if (!e) return true;
     switch (e->kind) {
       case ExprKind::IntConst:
@@ -671,58 +745,117 @@ class PidExec {
       case ExprKind::NProcs:
         return true;
       case ExprKind::Bin:
-        return collectReads(e->lhs, out) && collectReads(e->rhs, out);
+        return pointReads(e->lhs) && pointReads(e->rhs);
       case ExprKind::Neg:
       case ExprKind::Not:
-        return collectReads(e->lhs, out);
+        return pointReads(e->lhs);
       case ExprKind::Elem:
-        if (!isLiteralPoint(e->section)) return false;
-        out.push_back(Access{e->sym, e->section.get()});
-        return true;
+        return isLiteralPoint(e->section);
       default:
         return false;
     }
   }
 
-  /// Count the statements of a tree of blocks and element assignments and
-  /// collect its element references; false on any other statement.
-  static bool collectBody(const StmtPtr& s, std::uint64_t& nodes,
-                          std::vector<Access>& out) {
-    if (!s) return true;
-    ++nodes;
-    if (s->kind == StmtKind::Block) {
-      for (const auto& c : s->stmts)
-        if (!collectBody(c, nodes, out)) return false;
-      return true;
+  template <class Fn>
+  static void forEachRead(const ExprPtr& e, Fn& fn) {
+    if (!e) return;
+    if (e->kind == ExprKind::Elem) {
+      fn(*e);
+      return;
     }
-    if (s->kind != StmtKind::ElemAssign || !isLiteralPoint(s->lhs))
-      return false;
-    out.push_back(Access{s->sym, s->lhs.get()});
-    return collectReads(s->rhs, out);
+    forEachRead(e->lhs, fn);
+    forEachRead(e->rhs, fn);
   }
 
-  /// Single-statement blocks down to an optional guard (the VM's split
-  /// shape, DESIGN.md §9.3), then only blocks and element assignments.
-  static bool loopShape(const StmtPtr& body, LoopShape& sh) {
-    const StmtPtr* at = &body;
-    std::uint64_t chain = 0;
-    while (*at && (*at)->kind == StmtKind::Block &&
-           (*at)->stmts.size() == 1) {
-      ++chain;
-      at = &(*at)->stmts.front();
-    }
-    if (*at && (*at)->kind == StmtKind::Guarded) {
-      const ExprPtr& rule = (*at)->rule;
-      if (!rule ||
-          (rule->kind != ExprKind::Iown &&
-           rule->kind != ExprKind::Accessible) ||
-          !isLiteralPoint(rule->section))
+  /// A statement the summary runs at section granularity: an element
+  /// assignment of literal points, a data send of a literal point (bound,
+  /// if at all, to invariant pids or to the owner of a literal point), a
+  /// data receive of a literal point into an invariant section, or an
+  /// await of an invariant section.
+  bool simpleStmt(const Stmt& s, int var, LoopShape& shape) const {
+    switch (s.kind) {
+      case StmtKind::ElemAssign:
+        return isLiteralPoint(s.lhs) && pointReads(s.rhs);
+      case StmtKind::SendData:
+        shape.transfers = true;
+        if (!isLiteralPoint(s.lhs)) return false;
+        switch (s.dest.kind) {
+          case DestSpec::Kind::None:
+            return true;
+          case DestSpec::Kind::Pids:
+            return std::all_of(s.dest.pids.begin(), s.dest.pids.end(),
+                               [&](const ExprPtr& e) {
+                                 return invariant(e, var);
+                               });
+          case DestSpec::Kind::OwnerOf:
+            return isLiteralPoint(s.dest.section);
+        }
         return false;
-      sh.guard = at->get();
-      sh.perIter = chain + 1;
-      return collectBody((*at)->body, sh.perGuarded, sh.accesses);
+      case StmtKind::RecvData:
+        shape.transfers = true;
+        return invariantSection(s.lhs, var) && isLiteralPoint(s.sec2);
+      case StmtKind::Await:
+        return invariantSection(s.lhs, var);
+      default:
+        return false;
     }
-    return collectBody(body, sh.perIter, sh.accesses);
+  }
+
+  /// A guard body: blocks and simple statements, counted as unrolling
+  /// charges them.
+  bool collectGuardBody(const StmtPtr& s, int var, LoopShape& shape,
+                        LoopItem& item) const {
+    if (!s) return true;
+    ++item.nodes;
+    if (s->kind == StmtKind::Block) {
+      for (const auto& c : s->stmts)
+        if (!collectGuardBody(c, var, shape, item)) return false;
+      return true;
+    }
+    if (!simpleStmt(*s, var, shape)) return false;
+    item.stmts.push_back(&s);
+    return true;
+  }
+
+  /// A loop body through its blocks, as a run of items.
+  bool collectItems(const StmtPtr& s, int var, LoopShape& shape) const {
+    if (!s) return true;
+    ++shape.perIter;
+    if (s->kind == StmtKind::Block) {
+      for (const auto& c : s->stmts)
+        if (!collectItems(c, var, shape)) return false;
+      return true;
+    }
+    if (s->kind != StmtKind::Guarded) {
+      // Unguarded statements in a row run on the same iterations, so they
+      // form one item (a receive and its await leave the state as found).
+      if (!simpleStmt(*s, var, shape)) return false;
+      if (shape.items.empty() || shape.items.back().guard)
+        shape.items.emplace_back();
+      shape.items.back().stmts.push_back(&s);
+      return true;
+    }
+    const ExprPtr& rule = s->rule;
+    if (!rule ||
+        (rule->kind != ExprKind::Iown && rule->kind != ExprKind::Accessible) ||
+        !isLiteralPoint(rule->section))
+      return false;
+    LoopItem item;
+    item.guard = &s;
+    if (!collectGuardBody(s->body, var, shape, item)) return false;
+    shape.items.push_back(std::move(item));
+    return true;
+  }
+
+  /// The summary's shape of `loop`, decided once per statement and run.
+  const LoopShape* shapeOf(const StmtPtr& loop) {
+    auto [it, fresh] = sh_.shapes.try_emplace(loop.get());
+    if (fresh) {
+      LoopShape shape;
+      if (collectItems(loop->body, bindOf(loop), shape))
+        it->second = std::move(shape);
+    }
+    return it->second ? &*it->second : nullptr;
   }
 
   /// `e` as a * v + b, v the loop variable `var` running from lb to last:
@@ -808,7 +941,7 @@ class PidExec {
 
   /// The subscripts of a literal point as affine maps; false if one is not.
   bool pointAffine(const il::SectionExpr& se, int var, Index lb, Index last,
-                   std::array<Affine, sec::kMaxRank>& out) const {
+                   AffinePoint& out) const {
     for (std::size_t d = 0; d < se.dims.size(); ++d) {
       const std::optional<Affine> f = affineOf(se.dims[d].lb, var, lb, last);
       if (!f) return false;
@@ -822,7 +955,7 @@ class PidExec {
   /// b where a = 0. nullopt if an image stride or the element count
   /// leaves Index.
   static std::optional<Section> hullOf(
-      const std::array<Affine, sec::kMaxRank>& f, int rank,
+      const AffinePoint& f, int rank,
       const Triplet& it) {
     std::array<Triplet, sec::kMaxRank> dims{};
     __int128 count = 1;
@@ -843,87 +976,445 @@ class PidExec {
     return Section(rank, dims);
   }
 
+  /// One loop execution under summary: the loop, and what running its
+  /// items records, held back until every item has passed. One object per
+  /// executor is reused, so a summary allocates nothing in steady state.
+  struct Summary {
+    Triplet loop;
+    int var = -1;
+    std::vector<Triplet> sets;      ///< every item's iterations, in order
+    std::vector<std::size_t> ends;  ///< per item: the end of its sets
+    std::vector<char> conds;        ///< per item: its guard is undecidable
+    unsigned __int128 steps = 0;    ///< steps of the guarded instances
+    std::int64_t seq = 0;           ///< sends, receives and awaits run
+    bool inexact = false;
+    std::vector<Event> events;
+    std::vector<CostEvent> costs;
+    std::vector<const Stmt*> completing;  ///< awaits that completed
+
+    void reset(const Triplet& l, int v) {
+      loop = l;
+      var = v;
+      sets.clear();
+      ends.clear();
+      conds.clear();
+      steps = 0;
+      seq = 0;
+      inexact = false;
+      events.clear();
+      costs.clear();
+      completing.clear();
+    }
+
+    std::span<const Triplet> setsOf(std::size_t item) const {
+      const std::size_t first = item ? ends[item - 1] : 0;
+      return {sets.data() + first, ends[item] - first};
+    }
+  };
+
+  /// The points a literal point names over the iterations `it`: their
+  /// bounding section, whether that is exactly the points named (at most
+  /// one subscript varies), and how many iterations name each point.
+  struct Image {
+    Section hull;
+    bool exact = false;
+    Index copies = 1;
+  };
+
+  std::optional<Image> imageOf(const il::SectionExpr& se, const Summary& sum,
+                               const Triplet& it) const {
+    AffinePoint f{};
+    if (!pointAffine(se, sum.var, sum.loop.lb(), sum.loop.ub(), f))
+      return std::nullopt;
+    const int rank = static_cast<int>(se.dims.size());
+    std::optional<Section> hull = hullOf(f, rank, it);
+    if (!hull) return std::nullopt;
+    const auto varying = std::count_if(
+        f.begin(), f.begin() + rank, [](const Affine& m) { return m.a != 0; });
+    return Image{*hull, varying <= 1, varying == 0 ? it.count() : 1};
+  }
+
+  /// Call fn(t) for each piece of `region`, with t the iterations of `it`
+  /// whose point under `f` lies in that piece. False when a piece's rank
+  /// differs or an image leaves Index.
+  template <class Fn>
+  bool pullBack(const AffinePoint& f, int rank, const RegionList& region,
+                const Summary& sum, const Triplet& it, Fn&& fn) const {
+    for (int d = 0; d < rank; ++d)
+      if (f[d].a != 0 &&
+          !Triplet::affineImageFits(f[d].a, f[d].b, sum.loop.lb(),
+                                    sum.loop.ub(), sum.loop.stride()))
+        return false;
+    for (const Section& piece : region.sections())
+      if (piece.rank() != rank) return false;
+    const std::optional<Section> hull = hullOf(f, rank, it);
+    if (!hull) return false;
+    for (const Section& piece : region.intersect(*hull)) {
+      Triplet t = it;
+      for (int d = 0; d < rank && !t.empty(); ++d)
+        if (f[d].a != 0)
+          t = Triplet::intersect(
+              t, piece.dim(d).affinePreimage(f[d].a, f[d].b));
+      if (!t.empty()) fn(t);
+    }
+    return true;
+  }
+
+  /// The iterations that run `item`: all of them, or its guard's owned
+  /// pieces pulled back through the guard's subscripts. A guard on a Top
+  /// array is undecidable on every iteration: `cond` is set and the item
+  /// runs conditionally over the whole loop, as unrolling runs it.
+  bool itemSets(const LoopItem& item, const Summary& sum,
+                std::vector<Triplet>& sets, bool& cond) const {
+    cond = false;
+    if (!item.guard) {
+      sets.push_back(sum.loop);
+      return true;
+    }
+    const il::Expr& rule = *(*item.guard)->rule;
+    const int rank = static_cast<int>(rule.section->dims.size());
+    AffinePoint f{};
+    if (!pointAffine(*rule.section, sum.var, sum.loop.lb(), sum.loop.ub(), f))
+      return false;
+    const SymState& g = sym(rule.sym);
+    if (g.top) {
+      cond = true;
+      sets.push_back(sum.loop);
+      return true;
+    }
+    if (rule.kind == ExprKind::Accessible && !g.pending.empty()) return false;
+    return pullBack(f, rank, g.owned, sum, sum.loop,
+                    [&](const Triplet& t) { sets.push_back(t); });
+  }
+
+  /// True iff every point of `img` is provably Accessible, or the state is
+  /// Top (where unrolling is silent too).
+  bool accessibleAll(int symbol, const Section& img) const {
+    const SymState& ss = sym(symbol);
+    return ss.top ||
+           (ss.owned.covers(img) && !pendingOverlaps(ss.pending, img));
+  }
+
+  /// Add `messages` to the loop's one cost event of statement `s`.
+  bool addCost(Summary& sum, const StmtPtr& s, int symbol, Index messages) {
+    if (!opts_.collectCost) return true;
+    for (CostEvent& ce : sum.costs)
+      if (ce.stmt == s)
+        return !__builtin_add_overflow(ce.messages, messages, &ce.messages);
+    CostEvent ce;
+    ce.pid = pid_;
+    ce.sym = symbol;
+    ce.stmt = s;
+    ce.loc = s->loc;
+    ce.cls = CostClass::Data;
+    ce.elems = 1;
+    ce.messages = messages;
+    ce.definite = condDepth_ == 0;
+    sum.costs.push_back(std::move(ce));
+    return true;
+  }
+
+  /// A section event of `s` over the iterations `it`, naming the points
+  /// `se` maps them to. False when those points are not one section.
+  bool addEvent(Summary& sum, const StmtPtr& s, const il::SectionExpr& se,
+                const Triplet& it, int symbol, bool isSend, int dest,
+                bool conditional) {
+    if (!opts_.matchComm) return true;
+    const std::optional<Image> name = imageOf(se, sum, it);
+    if (!name || !name->exact) return false;
+    Event ev;
+    ev.stmt = &s;
+    ev.name = name->hull;
+    ev.pid = pid_;
+    ev.sym = symbol;
+    ev.dest = dest;
+    ev.isSend = isSend;
+    ev.conditional = conditional;
+    ev.perPoint = true;
+    ev.copies = name->copies;
+    sum.events.push_back(std::move(ev));
+    return true;
+  }
+
+  /// Run simple statement `s` once for the iterations `it`. False when
+  /// some instance could raise a diagnostic or leave a record the summary
+  /// does not reproduce: the loop then unrolls.
+  bool runSimple(const StmtPtr& s, const Triplet& it, Summary& sum) {
+    switch (s->kind) {
+      case StmtKind::ElemAssign: {
+        if (guardDepth_ == 0) return true;  // exempt, as in execElemAssign
+        bool ok = true;
+        auto check = [&](int symbol, const il::SectionExpr& se) {
+          const std::optional<Image> img = imageOf(se, sum, it);
+          ok = ok && img && accessibleAll(symbol, img->hull);
+        };
+        auto read = [&](const il::Expr& e) { check(e.sym, *e.section); };
+        forEachRead(s->rhs, read);
+        check(s->sym, *s->lhs);
+        return ok;
+      }
+      case StmtKind::SendData:
+        return runSend(s, it, sum);
+      case StmtKind::RecvData:
+        return runRecv(s, it, sum);
+      case StmtKind::Await:
+        return runAwait(s, it.count(), sum);
+      default:
+        return false;
+    }
+  }
+
+  bool runSend(const StmtPtr& s, const Triplet& it, Summary& sum) {
+    const std::optional<Image> img = imageOf(*s->lhs, sum, it);
+    if (!img || !accessibleAll(s->sym, img->hull)) return false;
+    // The iterations per destination; the matcher routes unbound sends.
+    std::vector<std::pair<Triplet, int>> dests;
+    bool known = true;
+    const DestSpec& d = s->dest;
+    switch (d.kind) {
+      case DestSpec::Kind::None:
+        dests.emplace_back(it, kAnyDest);
+        break;
+      case DestSpec::Kind::Pids:
+        if (d.pids.empty()) dests.emplace_back(it, kNoDest);
+        for (const auto& e : d.pids) {
+          const std::optional<Index> v = knownInt(evalValue(e));
+          if (!v || *v < 0 || *v >= prog_.nprocs) return false;
+          dests.emplace_back(it, static_cast<int>(*v));
+        }
+        break;
+      case DestSpec::Kind::OwnerOf: {
+        if (opts_.obliviousPlacement) {
+          sum.inexact = true;  // as in resolveDest
+          known = false;
+          dests.emplace_back(it, kAnyDest);
+          break;
+        }
+        const dist::Distribution& dd =
+            d.distOverride ? *d.distOverride : prog_.decl(d.sym).dist;
+        AffinePoint f{};
+        if (!pointAffine(*d.section, sum.var, sum.loop.lb(), sum.loop.ub(),
+                         f))
+          return false;
+        const int rank = static_cast<int>(d.section->dims.size());
+        Index owned = 0;
+        for (int q = 0; q < prog_.nprocs; ++q)
+          if (!pullBack(f, rank, sh_.localPart(dd, q), sum, it,
+                        [&](const Triplet& t) {
+                          owned += t.count();
+                          dests.emplace_back(t, q);
+                        }))
+            return false;
+        if (owned != it.count()) return false;  // an owner query fails
+        break;
+      }
+    }
+    Index messages = 0;
+    if (__builtin_mul_overflow(fanoutOf(*s), it.count(), &messages) ||
+        !addCost(sum, s, s->sym, messages))
+      return false;
+    sum.seq += it.count();
+    for (const auto& [t, dest] : dests)
+      if (!addEvent(sum, s, *s->lhs, t, s->sym, true, dest,
+                    condDepth_ > 0 || !known))
+        return false;
+    return true;
+  }
+
+  bool runRecv(const StmtPtr& s, const Triplet& it, Summary& sum) {
+    const std::optional<Section> dst = evalSection(s->sym, s->lhs);
+    if (!dst || !imageOf(*s->sec2, sum, it) || !dst->isPoint() ||
+        prog_.decl(s->sym).type != prog_.decl(s->sym2).type)
+      return false;
+    if (!sym(s->sym).top) {
+      if (!sym(s->sym).owned.covers(*dst)) return false;
+      SymState& ss = symMut(s->sym);
+      completePendingOver(ss.pending, *dst);
+      ss.pending.push_back(*dst);
+    }
+    // An initiation only matters to an earlier trivial await of the same
+    // section (checkAwaitOrdering); leave those loops to unrolling.
+    if (condDepth_ == 0 &&
+        std::any_of(awaits_.begin(), awaits_.end(), [&](const AwaitRec& a) {
+          return a.sym == s->sym && meets(a.sec, *dst);
+        }))
+      return false;
+    sum.seq += it.count();
+    return addEvent(sum, s, *s->sec2, it, s->sym2, false, kAnyDest,
+                    condDepth_ > 0);
+  }
+
+  bool runAwait(const StmtPtr& s, Index instances, Summary& sum) {
+    const std::optional<Section> sec = evalSection(s->sym, s->lhs);
+    if (!sec) return false;
+    const SymState& ss = sym(s->sym);
+    if (sec->empty() || ss.top) return true;
+    if (!ss.owned.covers(*sec)) return false;
+    if (pendingOverlaps(ss.pending, *sec)) {
+      completePendingOver(symMut(s->sym).pending, *sec);
+      sum.completing.push_back(s.get());
+    } else if (condDepth_ == 0) {
+      return false;  // a trivial await leaves a record for later receives
+    }
+    sum.seq += instances;
+    return true;
+  }
+
+  /// Run every item over its iteration sets; false as soon as one could
+  /// raise a diagnostic or does not leave the state as it found it.
+  bool runItems(const LoopShape& shape, Summary& sum) {
+    for (const LoopItem& item : shape.items) {
+      bool cond = false;
+      const std::size_t first = sum.sets.size();
+      if (!itemSets(item, sum, sum.sets, cond)) return false;
+      sum.ends.push_back(sum.sets.size());
+      sum.conds.push_back(cond);
+      sum.inexact = sum.inexact || cond;
+      condDepth_ += cond;
+      guardDepth_ += item.guard != nullptr;
+      bool ok = true;
+      for (std::size_t k = first; k < sum.sets.size(); ++k) {
+        const Triplet it = sum.sets[k];
+        sum.steps += static_cast<unsigned __int128>(it.count()) * item.nodes;
+        for (const StmtPtr* st : item.stmts)
+          if (!(ok = runSimple(*st, it, sum))) break;
+        if (!ok || !(ok = !regionChanged())) break;
+      }
+      condDepth_ -= cond;
+      guardDepth_ -= item.guard != nullptr;
+      if (!ok) return false;
+    }
+    return true;
+  }
+
+  /// Iterations of `sets` whose value is at most `x`.
+  static Index countAtMost(std::span<const Triplet> sets, Index x) {
+    Index n = 0;
+    for (const Triplet& t : sets)
+      if (x >= t.ub())
+        n += t.count();
+      else if (x >= t.lb())
+        n += (x - t.lb()) / t.stride() + 1;
+    return n;
+  }
+
+  /// Charge the nodes of `s` in unrolled order for iteration `i` of a
+  /// summarized loop, counting the simple statements that run in `ran`;
+  /// false once `left` steps are spent.
+  bool walkIteration(const StmtPtr& s, const LoopShape& shape,
+                     const Summary& sum, Index i, std::uint64_t& left,
+                     std::unordered_map<const Stmt*, Index>& ran) const {
+    if (!s) return true;
+    if (left == 0) return false;
+    --left;
+    if (s->kind == StmtKind::Block) {
+      for (const auto& c : s->stmts)
+        if (!walkIteration(c, shape, sum, i, left, ran)) return false;
+      return true;
+    }
+    if (s->kind == StmtKind::Guarded) {
+      std::size_t j = 0;  // unguarded runs are items too: skip them
+      while (!shape.items[j].guard || shape.items[j].guard->get() != s.get())
+        ++j;
+      const std::span<const Triplet> sets = sum.setsOf(j);
+      const bool runs =
+          sum.conds[j] || std::any_of(sets.begin(), sets.end(),
+                                      [&](const Triplet& t) {
+                                        return t.contains(i);
+                                      });
+      return !runs || walkIteration(s->body, shape, sum, i, left, ran);
+    }
+    ++ran[s.get()];
+    return true;
+  }
+
+  /// Statement `s`'s fan-out: one message per listed destination.
+  static Index fanoutOf(const Stmt& s) {
+    return s.dest.kind == DestSpec::Kind::Pids
+               ? static_cast<Index>(s.dest.pids.size())
+               : 1;
+  }
+
+  /// The loop's charge crosses the step budget, so unrolling stops at its
+  /// step room + 1. Every instance passed the summary's checks, so none
+  /// before that step raises a diagnostic: record the cost events and
+  /// completed awaits of those instances, and stop where unrolling stops.
+  [[noreturn]] void stopInside(const StmtPtr& loopStmt, const LoopShape& shape,
+                               Summary& sum, std::uint64_t room) {
+    using U128 = unsigned __int128;
+    const Triplet& loop = sum.loop;
+    auto charge = [&](Index k) {  // steps of the first k iterations
+      U128 c = U128{static_cast<std::uint64_t>(k)} * shape.perIter;
+      if (k == 0) return c;
+      const Index x = loop.at(k - 1);
+      for (std::size_t j = 0; j < shape.items.size(); ++j)
+        c += U128{static_cast<std::uint64_t>(countAtMost(sum.setsOf(j), x))} *
+             shape.items[j].nodes;
+      return c;
+    };
+    Index k = 0, hi = loop.count() - 1;  // the iteration the budget ends in
+    while (k < hi) {
+      const Index mid = k + (hi - k) / 2;
+      if (charge(mid + 1) > room)
+        hi = mid;
+      else
+        k = mid + 1;
+    }
+    std::unordered_map<const Stmt*, Index> ran;
+    for (std::size_t j = 0; j < shape.items.size(); ++j)
+      for (const StmtPtr* st : shape.items[j].stmts)
+        ran[st->get()] = k ? countAtMost(sum.setsOf(j), loop.at(k - 1)) : 0;
+    std::uint64_t left = room - static_cast<std::uint64_t>(charge(k));
+    walkIteration(loopStmt->body, shape, sum, loop.at(k), left, ran);
+    for (CostEvent& ce : sum.costs) {
+      const Index n = ran[ce.stmt.get()];
+      if (n == 0) continue;
+      ce.messages = fanoutOf(*ce.stmt) * n;
+      res_.costEvents.push_back(std::move(ce));
+    }
+    for (const Stmt* a : sum.completing)
+      if (ran[a] > 0) noteCompletingAwait(a);
+    sh_.steps += room + 1;
+    res_.stmtsAnalyzed += room + 1;
+    throw BudgetExceeded{};
+  }
+
   /// Verify the loop lb:ub:step of `s` at section granularity. True when
-  /// every check passed: the steps unrolling would take are charged and
-  /// the loop variable holds its last value. False, with nothing
-  /// changed, when the loop must unroll.
+  /// every check passed: the steps, sequence numbers, events and cost
+  /// unrolling would produce are recorded and the loop variable holds its
+  /// last value. False, with nothing changed, when the loop must unroll.
   bool summarizeLoop(const StmtPtr& s, Index lb, Index ub, Index step) {
     using U128 = unsigned __int128;
     if (lb > ub) return false;
-    LoopShape shape;
-    if (!loopShape(s->body, shape)) return false;
+    const LoopShape* shape = shapeOf(s);
+    if (!shape || (shape->transfers && !sh_.summarizeTransfers)) return false;
     const auto ustep = static_cast<std::uint64_t>(step);
     const std::uint64_t trips = (static_cast<std::uint64_t>(ub) -
                                  static_cast<std::uint64_t>(lb)) / ustep + 1;
     const std::uint64_t room = opts_.maxSteps - sh_.steps;
-    if (U128{trips} * shape.perIter > room) return false;
     const auto last = static_cast<Index>(static_cast<std::uint64_t>(lb) +
                                          (trips - 1) * ustep);
     if (__int128{last} - lb > std::numeric_limits<Index>::max())
       return false;
-    const Triplet loop(lb, last, step);
-    const int var = bindOf(s);
-
-    // The iterations that run the body: all of them, or the guard's
-    // owned pieces pulled back through its subscripts.
-    std::vector<Triplet> sets;
-    std::uint64_t guarded = 0;
-    if (!shape.guard) {
-      sets.push_back(loop);
-    } else {
-      const il::Expr& rule = *shape.guard->rule;
-      const SymState& g = sym(rule.sym);
-      if (g.top) return false;  // the guard is undecidable on every iteration
-      if (rule.kind == ExprKind::Accessible && !g.pending.empty())
-        return false;
-      const int rank = static_cast<int>(rule.section->dims.size());
-      std::array<Affine, sec::kMaxRank> f{};
-      if (!pointAffine(*rule.section, var, lb, last, f)) return false;
-      for (int d = 0; d < rank; ++d)
-        if (f[d].a != 0 &&
-            !Triplet::affineImageFits(f[d].a, f[d].b, lb, last, step))
-          return false;
-      const std::optional<Section> image = hullOf(f, rank, loop);
-      if (!image) return false;
-      for (const Section& piece : g.owned.sections())
-        if (piece.rank() != rank) return false;
-      for (const Section& piece : g.owned.intersect(*image)) {
-        Triplet it = loop;
-        for (int d = 0; d < rank && !it.empty(); ++d)
-          if (f[d].a != 0)
-            it = Triplet::intersect(
-                it, piece.dim(d).affinePreimage(f[d].a, f[d].b));
-        if (it.empty()) continue;
-        guarded += static_cast<std::uint64_t>(it.count());
-        sets.push_back(it);
-      }
-    }
-
-    // Every access of every running iteration must be Accessible. An
-    // unguarded element assignment outside any guard is exempt, as in
-    // execElemAssign. A Top array owns nothing here, so its covers test
-    // fails and the loop unrolls, silent as before.
-    if (shape.guard || guardDepth_ > 0) {
-      for (const Access& acc : shape.accesses) {
-        const SymState& x = sym(acc.sym);
-        const int rank = static_cast<int>(acc.point->dims.size());
-        std::array<Affine, sec::kMaxRank> f{};
-        if (!pointAffine(*acc.point, var, lb, last, f)) return false;
-        for (const Triplet& it : sets) {
-          const std::optional<Section> hull = hullOf(f, rank, it);
-          if (!hull || !x.owned.covers(*hull) ||
-              pendingOverlaps(x.pending, *hull))
-            return false;
-        }
-      }
-    }
-
-    const U128 total =
-        U128{trips} * shape.perIter + U128{guarded} * shape.perGuarded;
-    if (total > room) return false;
-    sh_.steps += static_cast<std::uint64_t>(total);
-    res_.stmtsAnalyzed += static_cast<std::uint64_t>(total);
-    slotMut(var) = Slot{true, Value(last)};
+    Summary& sum = summary_;
+    sum.reset(Triplet(lb, last, step), bindOf(s));
+    openRegion();
+    const bool ok = runItems(*shape, sum);
+    if (!ok) undoRegion();
+    closeRegion();
+    if (!ok) return false;
+    if (U128{trips} * shape->perIter + sum.steps > room)
+      stopInside(s, *shape, sum, room);
+    const auto total =
+        static_cast<std::uint64_t>(U128{trips} * shape->perIter + sum.steps);
+    sh_.steps += total;
+    res_.stmtsAnalyzed += total;
+    seq_ += sum.seq;
+    if (sum.inexact) res_.exhaustive = false;
+    for (Event& ev : sum.events) sh_.events.push_back(std::move(ev));
+    for (CostEvent& ce : sum.costs) res_.costEvents.push_back(std::move(ce));
+    for (const Stmt* a : sum.completing) noteCompletingAwait(a);
+    slotMut(sum.var) = Slot{true, Value(last)};
     ++res_.loopsSummarized;
     return true;
   }
@@ -961,10 +1452,7 @@ class PidExec {
                /*expandToSet=*/true);
     // Fan-out is structural: a send-to-set emits one message per listed
     // destination even when a pid expression is not compile-time known.
-    const Index fanout = s->dest.kind == DestSpec::Kind::Pids
-                             ? static_cast<Index>(s->dest.pids.size())
-                             : 1;
-    recordCost(s, CostClass::Data, s->sym, e->count(), fanout,
+    recordCost(s, CostClass::Data, s->sym, e->count(), fanoutOf(*s),
                /*definite=*/condDepth_ == 0);
   }
 
@@ -1246,7 +1734,7 @@ class PidExec {
         int owner = -1;
         bool unique = true;
         try {
-          if (sec->count() == 1) {
+          if (sec->isPoint()) {
             owner = dd.ownerOf(sec->origin());
           } else {
             sec->forEach([&](const Point& p) {
@@ -1377,7 +1865,7 @@ class PidExec {
   AbsVal evalElem(const ExprPtr& e) {
     std::optional<Section> pt = evalSection(e->sym, e->section);
     if (!pt) return std::nullopt;
-    if (pt->count() != 1) {
+    if (!pt->isPoint()) {
       diag(DiagKind::TransferMismatch, Severity::Error, *curStmt_,
            "element reference " + secOf(e->sym, *pt) +
                " is not a single point");
@@ -1561,7 +2049,15 @@ class PidExec {
     const dist::Distribution& d = over ? *over : prog_.decl(symbol).dist;
     const RegionList& part = sh_.localPart(d, pid);
     if (part.empty()) return emptyOfRank(d.rank());
-    if (part.sections().size() != 1) {
+    // One piece per block is the rule: a block-cyclic dimension held as
+    // one strided triplet of several blocks is still several sections.
+    bool single = part.sections().size() == 1;
+    for (int k = 0; single && k < d.rank(); ++k) {
+      const dist::DimSpec& spec = d.specs()[static_cast<std::size_t>(k)];
+      single = spec.kind != dist::DistKind::BlockCyclic ||
+               part.sections()[0].dim(k).count() <= spec.blockSize;
+    }
+    if (!single) {
       diag(DiagKind::TransferMismatch, Severity::Error, *curStmt_,
            "partition of '" + symName(symbol) +
                "' is not a single section (CYCLIC(k) local parts cannot "
@@ -1623,7 +2119,7 @@ class PidExec {
   int guardDepth_ = 0;
   int ruleDepth_ = 0;
   int condDepth_ = 0;
-  int seq_ = 0;
+  std::int64_t seq_ = 0;
   const StmtPtr* curStmt_ = nullptr;
   std::vector<RecvInit> recvInits_;
   std::vector<AwaitRec> awaits_;
@@ -1635,6 +2131,7 @@ class PidExec {
   std::vector<int> slotStamp_;
   std::vector<int> symStamp_;
   int lastRegionId_ = 0;
+  Summary summary_;  ///< scratch of summarizeLoop, which never nests
 };
 
 // --- communication matching --------------------------------------------------
@@ -1822,15 +2319,126 @@ void reportGroup(const Program& prog, const Group& g,
   }
 }
 
+Index floorDiv(Index a, Index b) { return a / b - (a % b != 0 && a < 0); }
+
+/// True iff the point events of one (class, name symbol) cancel: with
+/// multiplicity, every point has as many sends as receives per
+/// destination pid when every send is bound, or in total when every send
+/// is unbound. Balanced counts mean a perfect matching exists, so the
+/// name's groups have no matching diagnostic (and a group skipped for a
+/// conditional event reports nothing either way). False also when the
+/// events are not in a form this test decides: mixed bound and unbound
+/// sends, a send bound to no pid, or names that vary in more than one
+/// dimension.
+///
+/// Each name is split into residue classes modulo the lcm L of the
+/// strides, where its points form an interval of x div L; the events
+/// cancel iff the signed counts entering and leaving those intervals net
+/// to zero at every endpoint.
+bool cancels(const std::vector<const Event*>& evs) {
+  bool bound = false, unbound = false;
+  int varying = -1;
+  Index lcm = 1;
+  for (const Event* e : evs) {
+    if (e->name.rank() != evs.front()->name.rank()) return false;
+    if (e->isSend) {
+      if (e->dest == kNoDest) return false;
+      (e->dest == kAnyDest ? unbound : bound) = true;
+    }
+    for (int d = 0; d < e->name.rank(); ++d) {
+      const Triplet& t = e->name.dim(d);
+      if (t.lb() == t.ub()) continue;
+      if (varying >= 0 && varying != d) return false;
+      varying = d;
+      const Index g = std::gcd(lcm, t.stride());
+      if (__builtin_mul_overflow(lcm / g, t.stride(), &lcm) ||
+          lcm > (Index{1} << 20))
+        return false;
+    }
+  }
+  if (bound && unbound) return false;
+  struct Edge {
+    int key;  ///< destination pid when bound, else 0
+    std::array<Index, sec::kMaxRank> at;  ///< fixed subscripts, residue
+    Index coord;
+    __int128 delta;
+  };
+  std::vector<Edge> edges;
+  const int vd = std::max(varying, 0);
+  for (const Event* e : evs) {
+    const int key = bound ? (e->isSend ? e->dest : e->pid) : 0;
+    const __int128 w = (e->isSend ? 1 : -1) *
+                       static_cast<__int128>(e->perPoint ? e->copies : 1);
+    Edge edge{key, {}, 0, 0};
+    for (int d = 0; d < e->name.rank(); ++d)
+      edge.at[static_cast<std::size_t>(d)] = e->name.dim(d).lb();
+    const Triplet& t = e->name.rank() ? e->name.dim(vd) : Triplet(0);
+    auto interval = [&](Index first, Index n) {  // n points, stride L
+      edge.at[static_cast<std::size_t>(vd)] = first - floorDiv(first, lcm) * lcm;
+      edge.coord = floorDiv(first, lcm);
+      edge.delta = w;
+      edges.push_back(edge);
+      edge.coord += n;
+      edge.delta = -w;
+      edges.push_back(edge);
+    };
+    const Index per = lcm / t.stride();  // residue classes t meets
+    if (per >= t.count()) {
+      for (Index k = 0; k < t.count(); ++k) interval(t.at(k), 1);
+    } else {
+      for (Index r = 0; r < per; ++r) {
+        const Index first = t.lb() + r * t.stride();
+        interval(first, (t.ub() - first) / lcm + 1);
+      }
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return std::tie(a.key, a.at, a.coord) < std::tie(b.key, b.at, b.coord);
+  });
+  for (std::size_t i = 0; i < edges.size();) {
+    __int128 net = 0;
+    std::size_t j = i;
+    for (; j < edges.size() && edges[j].key == edges[i].key &&
+           edges[j].at == edges[i].at && edges[j].coord == edges[i].coord;
+         ++j)
+      net += edges[j].delta;
+    if (net != 0) return false;
+    i = j;
+  }
+  return true;
+}
+
 /// Maximum bipartite matching between the sends and receives of each
 /// (class, symbol, name-section) group, honoring bound destinations.
-void matchEvents(const Program& prog, const Shared& sh, VerifyResult& res) {
+/// The point events of a name that summarized loops send or receive are
+/// tested together by cancels() instead; false when they do not cancel,
+/// and the call must then be answered by an unrolled run.
+bool matchEvents(const Program& prog, const Shared& sh, VerifyResult& res) {
+  auto nameKey = [](const Event& ev) {
+    return std::make_pair(static_cast<int>(ev.cls), ev.sym);
+  };
+  std::set<std::pair<int, int>> summarized;
+  for (const Event& ev : sh.events)
+    if (ev.perPoint && !sh.poisonedSyms.count(ev.sym))
+      summarized.insert(nameKey(ev));
+  auto bySummary = [&](const Event& ev) {
+    return (ev.perPoint || ev.name.isPoint()) &&
+           summarized.count(nameKey(ev)) > 0;
+  };
+  if (!summarized.empty()) {
+    std::map<std::pair<int, int>, std::vector<const Event*>> points;
+    for (const Event& ev : sh.events)
+      if (!sh.poisonedSyms.count(ev.sym) && bySummary(ev))
+        points[nameKey(ev)].push_back(&ev);
+    for (const auto& [key, evs] : points)
+      if (!cancels(evs)) return false;
+  }
   // Groups in first-seen order, events in program order within each.
   std::unordered_map<const Event*, std::size_t, GroupKeyHash, GroupKeyEq>
       groupOf;
   std::vector<Group> groups;
   for (const Event& ev : sh.events) {
-    if (sh.poisonedSyms.count(ev.sym)) continue;
+    if (sh.poisonedSyms.count(ev.sym) || bySummary(ev)) continue;
     auto [it, fresh] = groupOf.emplace(&ev, groups.size());
     if (fresh) groups.emplace_back();
     Group& g = groups[it->second];
@@ -1857,6 +2465,32 @@ void matchEvents(const Program& prog, const Shared& sh, VerifyResult& res) {
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (auto& [key, diags] : reports)
     for (Diagnostic& d : diags) res.diagnostics.push_back(std::move(d));
+  return true;
+}
+
+/// One abstract execution of every processor, then the matching. Events
+/// of summarized loops that do not cancel are answered by running the
+/// whole call again with those loops unrolled, so the matching
+/// diagnostics are always the per-iteration ones.
+VerifyResult verifyRun(const Program& prog, const VerifyOptions& opts,
+                       bool summarizeTransfers) {
+  VerifyResult res;
+  Shared sh(prog, summarizeTransfers);
+  for (int pid = 0; pid < prog.nprocs; ++pid) {
+    PidExec ex(prog, opts, sh, res, pid);
+    ex.run();
+  }
+  if (opts.matchComm && !sh.incomplete && !matchEvents(prog, sh, res))
+    return verifyRun(prog, opts, /*summarizeTransfers=*/false);
+  res.stmtsAnalyzed = sh.steps;
+  std::stable_sort(res.diagnostics.begin(), res.diagnostics.end(),
+                   [](const Diagnostic& a, const Diagnostic& b) {
+                     if (a.loc.line != b.loc.line)
+                       return a.loc.line < b.loc.line;
+                     if (a.loc.col != b.loc.col) return a.loc.col < b.loc.col;
+                     return a.pid < b.pid;
+                   });
+  return res;
 }
 
 }  // namespace
@@ -1894,24 +2528,9 @@ std::size_t VerifyResult::count(Severity s) const {
 
 VerifyResult verifyProgram(const il::Program& prog,
                            const VerifyOptions& opts) {
-  VerifyResult res;
   XDP_CHECK(prog.body != nullptr, "program has no body");
   XDP_CHECK(prog.nprocs > 0, "program needs at least one processor");
-  Shared sh(prog);
-  for (int pid = 0; pid < prog.nprocs; ++pid) {
-    PidExec ex(prog, opts, sh, res, pid);
-    ex.run();
-  }
-  if (opts.matchComm && !sh.incomplete) matchEvents(prog, sh, res);
-  res.stmtsAnalyzed = sh.steps;
-  std::stable_sort(res.diagnostics.begin(), res.diagnostics.end(),
-                   [](const Diagnostic& a, const Diagnostic& b) {
-                     if (a.loc.line != b.loc.line)
-                       return a.loc.line < b.loc.line;
-                     if (a.loc.col != b.loc.col) return a.loc.col < b.loc.col;
-                     return a.pid < b.pid;
-                   });
-  return res;
+  return verifyRun(prog, opts, /*summarizeTransfers=*/true);
 }
 
 std::string formatDiagnostic(const il::Program& prog, const Diagnostic& d,

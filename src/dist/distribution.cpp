@@ -89,7 +89,8 @@ std::array<int, sec::kMaxRank> Distribution::coordsOf(int pid) const {
   return c;
 }
 
-std::vector<Triplet> Distribution::dimLocal(int d, int c) const {
+std::vector<Triplet> Distribution::dimLocal(int d, int c,
+                                            bool compact) const {
   const DimSpec& s = specs_[static_cast<unsigned>(d)];
   const Triplet& t = global_.dim(d);
   std::vector<Triplet> out;
@@ -110,9 +111,16 @@ std::vector<Triplet> Distribution::dimLocal(int d, int c) const {
       break;
     }
     case DistKind::BlockCyclic: {
-      Index b = s.blockSize;
-      for (Index start = t.lb() + c * b; start <= t.ub();
-           start += static_cast<Index>(s.procs) * b) {
+      const Index b = s.blockSize;
+      const Index period = static_cast<Index>(s.procs) * b;
+      const Index first = t.lb() + c * b;
+      if (compact && first <= t.ub() && (t.ub() - first) / period >= b) {
+        // More blocks than elements per block: offset o of every block.
+        for (Index o = 0; o < b && first + o <= t.ub(); ++o)
+          out.emplace_back(first + o, t.ub(), period);
+        break;
+      }
+      for (Index start = first; start <= t.ub(); start += period) {
         out.emplace_back(start, std::min(t.ub(), start + b - 1));
       }
       break;
@@ -121,7 +129,7 @@ std::vector<Triplet> Distribution::dimLocal(int d, int c) const {
   return out;
 }
 
-RegionList Distribution::localPart(int pid) const {
+RegionList Distribution::localPart(int pid, bool compact) const {
   // A distribution may use fewer processors than the machine has; the
   // remaining processors simply own nothing initially.
   if (pid >= nprocs_) return RegionList();
@@ -129,7 +137,7 @@ RegionList Distribution::localPart(int pid) const {
   // Cartesian product of the per-dimension triplet lists.
   std::vector<Section> product{Section(std::vector<Triplet>{})};
   for (int d = 0; d < rank(); ++d) {
-    auto trips = dimLocal(d, coords[static_cast<unsigned>(d)]);
+    auto trips = dimLocal(d, coords[static_cast<unsigned>(d)], compact);
     std::vector<Section> next;
     for (const Section& partial : product) {
       for (const Triplet& t : trips) {

@@ -70,15 +70,19 @@ class Distribution {
   int dimCoordOf(int d, Index i) const;
 
   /// Index set owned by arrangement coordinate c in dimension d, as
-  /// disjoint triplets (a single triplet except for BlockCyclic).
-  std::vector<Triplet> dimLocal(int d, int c) const;
+  /// disjoint triplets (a single triplet except for BlockCyclic). With
+  /// `compact`, a BlockCyclic coordinate holding more blocks than its
+  /// block size b is given as b triplets of stride P*b instead of one per
+  /// block, so the list does not grow with the extent.
+  std::vector<Triplet> dimLocal(int d, int c, bool compact = false) const;
 
   /// Arrangement coordinates of processor pid (first distributed dimension
   /// fastest); entry is 0 for collapsed dimensions.
   std::array<int, sec::kMaxRank> coordsOf(int pid) const;
 
-  /// All elements owned by pid, as disjoint sections.
-  RegionList localPart(int pid) const;
+  /// All elements owned by pid, as disjoint sections (`compact`: see
+  /// dimLocal; the runtime's segments keep one piece per block).
+  RegionList localPart(int pid, bool compact = false) const;
 
   /// "(*, BLOCK)"-style rendering, as in the paper's Figure 2.
   std::string str() const;

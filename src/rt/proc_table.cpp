@@ -260,7 +260,7 @@ int ProcTable::stateOf(int sym, const Section& s, double* arrival) const {
   // Accessibility is then a per-section property: no uncompleted receive
   // may overlap the query. The arrival fold is skipped unless asked for.
   const Entry& e = entry(sym);
-  if (s.rank() > 0 && s.count() == 1) {
+  if (s.rank() > 0 && s.isPoint()) {
     // A point is covered iff one segment contains it.
     const int idx = segmentAt(e, s.origin());
     if (idx < 0) return -1;
@@ -463,7 +463,7 @@ void ProcTable::readElemsOf(const Entry& e, int sym, const Section& s,
     XDP_USAGE_FAIL(os.str());
   }
   Index covered = 0;
-  if (s.rank() > 0 && s.count() == 1) {
+  if (s.rank() > 0 && s.isPoint()) {
     const Point p = s.origin();
     const int idx = segmentAt(e, p);
     if (idx >= 0) {
@@ -585,7 +585,7 @@ void ProcTable::writeElems(int sym, const Section& s, const std::byte* in) {
     XDP_USAGE_FAIL(os.str());
   }
   Index covered = 0;
-  if (s.rank() > 0 && s.count() == 1) {
+  if (s.rank() > 0 && s.isPoint()) {
     const Point p = s.origin();
     const int idx = segmentAt(e, p);
     if (idx >= 0) {
@@ -617,7 +617,7 @@ void ProcTable::beginReceive(int sym, const Section& s) {
   Entry& e = entry(sym);
   if (debugChecks_) {
     Index covered = 0;
-    if (s.rank() > 0 && s.count() == 1) {
+    if (s.rank() > 0 && s.isPoint()) {
       covered = segmentAt(e, s.origin()) >= 0 ? 1 : 0;
     } else {
       for (const SegmentDesc& seg : e.segs)
@@ -639,7 +639,7 @@ void ProcTable::completeReceive(int sym, const Section& s,
                                 double arrivalTime) {
   Entry& e = entry(sym);
   const std::size_t sz = e.pool.elemSz;
-  if (s.rank() > 0 && s.count() == 1) {
+  if (s.rank() > 0 && s.isPoint()) {
     const Point p = s.origin();
     const int idx = segmentAt(e, p);
     if (idx >= 0) {

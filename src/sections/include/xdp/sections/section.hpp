@@ -71,17 +71,33 @@ class Section {
   }
   void setDim(int d, const Triplet& t);
 
-  /// Number of elements (product over dims; 1 for rank 0).
+  /// Number of elements (product over dims; 1 for rank 0). Raises
+  /// UsageError when the product leaves Index.
   Index count() const {
+    if (empty()) return 0;
     Index n = 1;
     for (int d = 0; d < rank_; ++d)
-      n *= dims_[static_cast<unsigned>(d)].count();
+      if (__builtin_mul_overflow(n, dims_[static_cast<unsigned>(d)].count(),
+                                 &n))
+        countOverflow();
     return n;
   }
-  bool empty() const { return count() == 0; }
+  bool empty() const {
+    for (int d = 0; d < rank_; ++d)
+      if (dims_[static_cast<unsigned>(d)].empty()) return true;
+    return false;
+  }
+  /// True iff the section holds exactly one element (count() == 1).
+  bool isPoint() const {
+    for (int d = 0; d < rank_; ++d)
+      if (dims_[static_cast<unsigned>(d)].lb() !=
+          dims_[static_cast<unsigned>(d)].ub())
+        return false;
+    return true;
+  }
 
   /// The point of per-dimension lower bounds: the first element in
-  /// Fortran order, and the only one when count() == 1.
+  /// Fortran order, and the only one when isPoint().
   Point origin() const {
     std::array<Index, kMaxRank> idx{};
     for (int d = 0; d < rank_; ++d)
@@ -121,6 +137,8 @@ class Section {
   std::string str() const;
 
  private:
+  [[noreturn]] void countOverflow() const;
+
   int rank_;
   std::array<Triplet, kMaxRank> dims_{};
 };

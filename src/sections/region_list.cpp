@@ -29,9 +29,9 @@ bool RegionList::contains(const Point& p) const {
 }
 
 bool RegionList::covers(const Section& query) const {
+  if (query.empty()) return true;
+  if (query.isPoint()) return contains(query.origin());
   const Index n = query.count();
-  if (n == 0) return true;
-  if (n == 1) return contains(query.origin());
   Index covered = 0;
   for (const Section& s : sections_) {
     if (s.rank() != query.rank()) continue;
@@ -42,9 +42,8 @@ bool RegionList::covers(const Section& query) const {
 }
 
 bool RegionList::overlaps(const Section& query) const {
-  const Index n = query.count();
-  if (n == 0) return false;
-  if (n == 1) return contains(query.origin());
+  if (query.empty()) return false;
+  if (query.isPoint()) return contains(query.origin());
   for (const Section& s : sections_) {
     if (s.rank() != query.rank()) continue;
     if (!Section::intersect(s, query).empty()) return true;

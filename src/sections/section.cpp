@@ -49,6 +49,11 @@ void Section::setDim(int d, const Triplet& t) {
   dims_[static_cast<unsigned>(d)] = t;
 }
 
+void Section::countOverflow() const {
+  throw UsageError("element count of section " + str() +
+                   " overflows 64-bit indexing");
+}
+
 bool Section::containsAll(const Section& inner) const {
   if (inner.empty()) return true;
   if (inner.rank() != rank_) return false;

@@ -5,8 +5,11 @@
 // program spotless.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <utility>
 
+#include "xdp/analysis/cost.hpp"
 #include "xdp/analysis/verifier.hpp"
 #include "xdp/il/parser.hpp"
 #include "xdp/il/printer.hpp"
@@ -680,6 +683,286 @@ TEST(AnalysisLoopSummary, RandomLoopsMatchTheirUnrolledForm) {
   }
   // Enough of the corpus takes the summary for the comparison to bite.
   EXPECT_GE(programs, 100u) << summarized;
+}
+
+/// Faults seeded into a transfer loop (see transferLoop).
+enum class Fault {
+  None,
+  MissingAwait,  // the consumer reads T0 before awaiting it
+  SendUnowned,   // a sender sends its neighbour's point
+  RecvUnowned,   // the consumer receives into T0[0]
+  WrongOwner,    // a send bound to the owner of a later consumer
+  SurplusRecv,   // the consumer receives its first name twice
+  TrivialAwait,  // await(T0[mypid]) before the loop, receives inside it
+};
+
+/// A random loop of the shape the standard pipeline emits -- sender items
+/// `iown(S[i + o]) : { S[i + o] -> dest }` and a consumer item guarded by
+/// iown(X[i + c]) that receives each name into T<j>[mypid], awaits it and
+/// assigns X[i + c] -- with one seeded fault, and its control form: every
+/// guard written `rule && (1 == 1)`, which the summary does not take but
+/// unrolling runs identically. Some loops also carry an unguarded item at a
+/// random place. Every statement has a line of its own,
+/// so both forms put each one at the same position.
+std::pair<std::string, std::string> transferLoop(std::uint64_t seed,
+                                                 Fault fault) {
+  Rng rng(seed);
+  static const char* kDists[] = {"BLOCK", "CYCLIC", "CYCLIC(2)", "CYCLIC(3)",
+                                 "CYCLIC(4)"};
+  static const char* kArrays[] = {"X", "Y", "Z"};
+  const int procs = static_cast<int>(rng.range(1, 4));
+  const sec::Index n = rng.range(12, 48);
+  const std::string N = std::to_string(n);
+  auto at = [](sec::Index o) {
+    return o == 0   ? std::string("i")
+           : o > 0 ? "i + " + std::to_string(o)
+                   : "i - " + std::to_string(-o);
+  };
+  const std::string perPid = " f64 [0:" + std::to_string(procs - 1) +
+                             "] (BLOCK)\n";
+  std::string head = "procs " + std::to_string(procs) + "\n";
+  for (const char* a : kArrays)
+    head += std::string("array ") + a + " f64 [1:" + N + "] (" +
+            kDists[rng.below(5)] + ")\n";
+  const int transfers = static_cast<int>(rng.range(1, 3));
+  for (int j = 0; j < transfers; ++j)
+    head += "array T" + std::to_string(j) + perPid;
+  std::string init = "\nfill(X[1:" + N + "], Y[1:" + N + "], Z[1:" + N + "])\n";
+  if (fault == Fault::TrivialAwait) init += "await(T0[mypid])\n";
+  const std::string consumer = "X[" + at(rng.range(-2, 2)) + "]";
+  struct Item {
+    std::string guard;
+    std::vector<std::string> body;
+  };
+  std::vector<Item> items;
+  Item use{"iown(" + consumer + ")", {}};
+  std::vector<std::string> awaits;
+  std::string rhs = "0.5 * " + consumer;
+  for (int j = 0; j < transfers; ++j) {
+    const std::string t = "T" + std::to_string(j);
+    const std::string name =
+        std::string(kArrays[rng.below(3)]) + "[" + at(rng.range(-2, 2)) + "]";
+    std::string dest = " ->";  // unbound: the matcher routes it
+    switch (rng.below(4)) {
+      case 0:
+        break;
+      case 3:
+        dest += " {" + std::to_string(rng.below(procs)) + "}";
+        break;
+      default:
+        dest += " {owner(" + consumer + ")}";
+        break;
+    }
+    std::string sent = name;
+    if (j == 0 && fault == Fault::SendUnowned)
+      sent = name.substr(0, name.size() - 1) + " + 1]";
+    if (j == 0 && fault == Fault::WrongOwner)
+      dest = " -> {owner(X[" + at(3) + "])}";
+    items.push_back({"iown(" + name + ")", {sent + dest}});
+    const std::string into =
+        j == 0 && fault == Fault::RecvUnowned ? t + "[0]" : t + "[mypid]";
+    use.body.insert(use.body.begin(), into + " <- " + name);
+    if (j == 0 && fault == Fault::SurplusRecv)
+      use.body.insert(use.body.begin(), into + " <- " + name);
+    if (j != 0 || fault != Fault::MissingAwait)
+      awaits.push_back("await(" + into + ")");
+    rhs += " + 0.25 * " + into;
+  }
+  use.body.insert(use.body.end(), awaits.begin(), awaits.end());
+  use.body.push_back(consumer + " = " + rhs);
+  items.push_back(use);
+  if (items.size() < 4 && rng.below(2)) {
+    const std::string y = "Y[" + at(rng.range(-2, 2)) + "]";
+    items.push_back({"iown(" + y + ")", {y + " = 0.5 * " + y}});
+  }
+  const std::string loop = "do i = 3, " + std::to_string(n - 2) + ", " +
+                           std::to_string(rng.range(1, 2)) + "\n";
+  // Drawn last, so the draws above are those of loops without one. An
+  // unguarded item: an element assignment (exempt at the top level), or a
+  // receive and await of a name whose owner sends it to every processor.
+  Item unguarded;
+  switch (rng.below(3)) {
+    case 1:
+      unguarded.body = {"Z[" + at(rng.range(-2, 2)) + "] = 0.0"};
+      break;
+    case 2: {
+      const std::string name = "Y[" + at(rng.range(-2, 2)) + "]";
+      std::string all;
+      for (int p = 0; p < procs; ++p)
+        all += (p ? ", " : "") + std::to_string(p);
+      items.insert(items.begin() + static_cast<std::ptrdiff_t>(
+                                       rng.below(items.size() + 1)),
+                   Item{"iown(" + name + ")", {name + " -> {" + all + "}"}});
+      head += "array R" + perPid;
+      unguarded.body = {"R[mypid] <- " + name, "await(R[mypid])"};
+      break;
+    }
+    default:
+      break;
+  }
+  if (!unguarded.body.empty())
+    items.insert(
+        items.begin() + static_cast<std::ptrdiff_t>(rng.below(items.size() + 1)),
+        unguarded);
+  std::string text = head + init + loop, control = head + init + loop;
+  for (const Item& it : items) {
+    std::string body;
+    for (const std::string& line : it.body)
+      body += (it.guard.empty() ? "  " : "    ") + line + "\n";
+    if (it.guard.empty()) {
+      text += body;
+      control += body;
+      continue;
+    }
+    text += "  " + it.guard + " : {\n" + body + "  }\n";
+    control += "  " + it.guard + " && (1 == 1) : {\n" + body + "  }\n";
+  }
+  text += "enddo\n";
+  control += "enddo\n";
+  return {text, control};
+}
+
+/// Messages and payload elements per (pid, position, class, definite).
+std::map<std::string, std::pair<sec::Index, sec::Index>> costSums(
+    const VerifyResult& r) {
+  std::map<std::string, std::pair<sec::Index, sec::Index>> out;
+  for (const CostEvent& ev : r.costEvents) {
+    auto& [msgs, elems] =
+        out["p" + std::to_string(ev.pid) + " " + std::to_string(ev.loc.line) +
+            ":" + std::to_string(ev.loc.col) + " " +
+            std::to_string(static_cast<int>(ev.cls)) +
+            (ev.definite ? " definite" : " conditional")];
+    msgs += ev.messages;
+    elems += ev.messages * ev.elems;
+  }
+  return out;
+}
+
+/// Compare a program with its control form on every analysis output under
+/// a step budget; returns the loops the program's verification summarized.
+std::uint64_t expectSameAnalysis(const std::string& text,
+                                 const std::string& control,
+                                 std::uint64_t maxSteps = 4'000'000) {
+  const il::Program a = il::parseProgram(text), b = il::parseProgram(control);
+  VerifyOptions opts;
+  opts.maxSteps = maxSteps;
+  const VerifyResult ra = verifyProgram(a, opts), rb = verifyProgram(b, opts);
+  EXPECT_EQ(rb.loopsSummarized, 0u) << control;
+  EXPECT_EQ(linesOf(ra), linesOf(rb)) << text;
+  EXPECT_EQ(ra.stmtsAnalyzed, rb.stmtsAnalyzed) << text;
+  EXPECT_EQ(ra.exhaustive, rb.exhaustive) << text;
+  if (maxSteps == VerifyOptions{}.maxSteps) {
+    EXPECT_EQ(costReportJson(a, analyzeCost(a)),
+              costReportJson(b, analyzeCost(b)))
+        << text;
+  }
+  for (bool oblivious : {false, true}) {
+    VerifyOptions c = opts;
+    c.collectCost = true;
+    c.matchComm = false;
+    c.obliviousPlacement = oblivious;
+    const VerifyResult ca = verifyProgram(a, c), cb = verifyProgram(b, c);
+    EXPECT_EQ(costSums(ca), costSums(cb)) << oblivious << "\n" << text;
+    EXPECT_EQ(ca.stmtsAnalyzed, cb.stmtsAnalyzed) << oblivious << "\n" << text;
+    EXPECT_EQ(ca.exhaustive, cb.exhaustive) << oblivious << "\n" << text;
+  }
+  return ra.loopsSummarized;
+}
+
+TEST(AnalysisLoopSummary, RandomTransferLoopsMatchTheirUnrolledForm) {
+  std::uint64_t programs = 0, mixed = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    const auto [text, control] = transferLoop(seed, Fault::None);
+    const bool summarized = expectSameAnalysis(text, control) > 0;
+    programs += summarized;
+    mixed += summarized && (text.find("\n  Z[") != std::string::npos ||
+                            text.find("\n  R[") != std::string::npos);
+  }
+  // Enough of the corpus takes the summary for the comparison to bite,
+  // also on bodies with an unguarded item.
+  EXPECT_GE(programs, 100u);
+  EXPECT_GE(mixed, 50u) << programs;
+}
+
+TEST(AnalysisLoopSummary, SeededFaultsInTransferLoopsFallBack) {
+  // Each fault gives the unrolled diagnostics, never a summary's: the
+  // loop unrolls, or its events do not cancel and the call re-runs
+  // unrolled. Each fault is flagged in some program of the sample.
+  for (Fault fault : {Fault::MissingAwait, Fault::SendUnowned,
+                      Fault::RecvUnowned, Fault::WrongOwner,
+                      Fault::SurplusRecv, Fault::TrivialAwait}) {
+    std::uint64_t flagged = 0;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+      const auto [text, control] = transferLoop(seed, fault);
+      expectSameAnalysis(text, control);
+      flagged += !verifySrc(text).diagnostics.empty();
+    }
+    EXPECT_GT(flagged, 0u) << static_cast<int>(fault);
+  }
+}
+
+TEST(AnalysisLoopSummary, BudgetRunningOutInsideATransferLoop) {
+  // A summary whose charge crosses the budget stops where unrolling
+  // stops, with the cost events of the instances that ran before it.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const auto [text, control] = transferLoop(seed, Fault::None);
+    const VerifyResult whole = verifySrc(control);
+    for (std::uint64_t budget = 1; budget <= whole.stmtsAnalyzed;
+         budget += 1 + budget / 7)
+      expectSameAnalysis(text, control, budget);
+  }
+}
+
+TEST(AnalysisLoopSummary, BudgetRunningOutInsideAMixedLoop) {
+  // Unguarded items -- an element assignment, a receive and its await --
+  // ahead of guarded ones: the walk of the iteration the budget ends in
+  // passes them on its way to each guard. `@` marks where the control
+  // form's guards read `rule && (1 == 1)`; each statement has a line of
+  // its own, so both forms put it at the same position.
+  const char* sources[] = {
+      R"(procs 2
+array A f64 [1:40] (CYCLIC(3))
+
+fill(A[1:40])
+do i = 1, 40
+  A[i] = 0.0
+  iown(A[i])@ : {
+    A[i] = 0.5 * A[i]
+  }
+enddo
+)",
+      R"(procs 3
+array S f64 [1:40] (CYCLIC(2))
+array A f64 [1:40] (BLOCK)
+array R f64 [0:2] (BLOCK)
+
+fill(S[1:40], A[1:40])
+do i = 2, 39
+  R[mypid] <- S[i - 1]
+  await(R[mypid])
+  iown(S[i - 1])@ : {
+    S[i - 1] -> {0, 1, 2}
+  }
+  A[i] = 0.0
+  iown(A[i])@ : {
+    A[i] = 0.5 * A[i] + R[mypid]
+  }
+enddo
+)"};
+  auto withGuards = [](std::string s, const std::string& tail) {
+    for (std::size_t at; (at = s.find('@')) != std::string::npos;)
+      s.replace(at, 1, tail);
+    return s;
+  };
+  for (const char* src : sources) {
+    const std::string text = withGuards(src, ""),
+                      control = withGuards(src, " && (1 == 1)");
+    ASSERT_GT(expectSameAnalysis(text, control), 0u) << text;
+    const VerifyResult whole = verifySrc(control);
+    ASSERT_TRUE(whole.exhaustive);
+    for (std::uint64_t budget = 1; budget <= whole.stmtsAnalyzed; ++budget)
+      expectSameAnalysis(text, control, budget);
+  }
 }
 
 }  // namespace

@@ -248,6 +248,26 @@ array A f64 [1:2000000000000000000] (BLOCK)
   EXPECT_THROW(analyzeCost(prog), UsageError);
 }
 
+TEST(CostModel, OverflowingSectionIsNotAnExactZero) {
+  // 2^32 x 2^32 elements per transfer: the element count leaves Index.
+  // Both analyzers must go inexact rather than skip the send and the
+  // receive as empty and claim an exact 0 bytes.
+  il::Program prog = il::parseProgram(R"(procs 2
+array A f64 [0:4294967295, 0:4294967295] (BLOCK, *)
+array B f64 [0:4294967295, 0:4294967295] (BLOCK, *)
+
+(mypid == 0) : { A[0:4294967295, 0:4294967295] -> {1} }
+(mypid == 1) : {
+  B[0:4294967295, 0:4294967295] <- A[0:4294967295, 0:4294967295]
+}
+)");
+  const CostReport r = analyzeCost(prog);
+  EXPECT_FALSE(r.exact);
+  EXPECT_NE(formatCostReport(prog, r).find("lower estimate"),
+            std::string::npos);
+  EXPECT_FALSE(verifyProgram(prog).exhaustive);
+}
+
 TEST(CostModel, ExtremeLoopBoundsDoNotOverflow) {
   // Trip counts and widened sweep ends past INT64 range: a trip count
   // beyond Index makes the loop unanalyzable, and the sweep window is

@@ -30,7 +30,8 @@ struct FuzzCase {
   int nprocs = 0;
   std::uint64_t seed = 0;
   std::vector<dist::Distribution> dists;  // one per array (lhs first)
-  std::vector<int> rhsSyms;               // arrays read at [i]
+  std::vector<int> rhsSyms;               // arrays read at [i + offset]
+  std::vector<Index> rhsOffsets;          // empty: every offset is 0
 };
 
 dist::Distribution randomDist(Rng& rng, const Section& g, int nprocs) {
@@ -63,6 +64,16 @@ FuzzCase randomCase(std::uint64_t seed) {
   return fc;
 }
 
+/// randomCase's program with each read at X[i - 1], X[i] or X[i + 1],
+/// drawn from a stream of its own so randomCase's draws do not move.
+FuzzCase randomOffsetCase(std::uint64_t seed) {
+  FuzzCase fc = randomCase(seed);
+  Rng rng(seed ^ 0x5bd1e995u);
+  for (std::size_t t = 0; t < fc.rhsSyms.size(); ++t)
+    fc.rhsOffsets.push_back(rng.range(-1, 1));
+  return fc;
+}
+
 il::Program buildCase(const FuzzCase& fc) {
   il::Program prog;
   prog.nprocs = fc.nprocs;
@@ -77,12 +88,18 @@ il::Program buildCase(const FuzzCase& fc) {
     fills.emplace_back(static_cast<int>(a), whole);
   il::ExprPtr i = il::scalar("i");
   il::ExprPtr rhs = il::realConst(0.25);
-  for (int sym : fc.rhsSyms)
-    rhs = il::add(rhs, il::elem(sym, il::secPoint({il::scalar("i")})));
+  for (std::size_t t = 0; t < fc.rhsSyms.size(); ++t) {
+    const Index o = fc.rhsOffsets.empty() ? 0 : fc.rhsOffsets[t];
+    il::ExprPtr at = il::scalar("i");
+    if (o != 0) at = il::add(at, il::intConst(o));
+    rhs = il::add(rhs, il::elem(fc.rhsSyms[t], il::secPoint({at})));
+  }
+  // Offset reads stay inside the arrays.
+  const Index edge = fc.rhsOffsets.empty() ? 0 : 1;
   std::vector<il::StmtPtr> body;
   body.push_back(il::kernel("fill", fills));
   body.push_back(
-      il::forLoop("i", il::intConst(1), il::intConst(fc.n),
+      il::forLoop("i", il::intConst(1 + edge), il::intConst(fc.n - edge),
                   il::block({il::elemAssign(0, il::secPoint({i}), rhs)})));
   prog.body = il::block(std::move(body));
   return prog;
@@ -148,6 +165,26 @@ TEST_P(CostFuzz, StaticModelMatchesNetStatsOnBothBackends) {
     il::Program full = pm.run(seq, nullptr);
     checkCase(full, seq, fc, "pipeline");
   }
+}
+
+TEST_P(CostFuzz, OffsetReadsMatchNetStatsAfterThePipeline) {
+  // Reads at X[i - 1] and X[i + 1] give names with consumers on two
+  // processors; the lowered stage can then deadlock (ROADMAP item 2), so
+  // only the final pipeline stage runs. Its transfer loops take the
+  // verifier's summary, whose aggregated cost events must still equal
+  // NetStats exactly.
+  std::uint64_t summarized = 0;
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    FuzzCase fc = randomOffsetCase(GetParam() * 1000 + k);
+    il::Program seq = buildCase(fc);
+    opt::PassManager pm;
+    for (const opt::Pass& p : opt::standardPipeline()) pm.add(p.name, p.fn);
+    il::Program full = pm.run(seq, nullptr);
+    EXPECT_TRUE(analyzeCost(full, seq).exact) << il::printProgram(full);
+    checkCase(full, seq, fc, "pipeline");
+    summarized += verifyProgram(full).loopsSummarized;
+  }
+  EXPECT_GT(summarized, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CostFuzz,

@@ -56,6 +56,24 @@ TEST(Section, EmptyIfAnyDimEmpty) {
   EXPECT_EQ(s.count(), 0);
 }
 
+TEST(Section, CountOverflowRaisesAndEmptyStaysExact) {
+  // 2^32 x 2^32 elements: the product leaves Index. The section is not
+  // empty, and its count raises instead of wrapping to 0.
+  const Section big{Triplet(0, 4294967295), Triplet(0, 4294967295)};
+  EXPECT_FALSE(big.empty());
+  EXPECT_FALSE(big.isPoint());
+  EXPECT_THROW(big.count(), UsageError);
+  const Section withEmpty{Triplet(0, 4294967295), Triplet(0, 4294967295),
+                          Triplet()};
+  EXPECT_TRUE(withEmpty.empty());
+  EXPECT_EQ(withEmpty.count(), 0);
+  const Section point{Triplet(7), Triplet(4294967295)};
+  EXPECT_TRUE(point.isPoint());
+  EXPECT_EQ(point.count(), 1);
+  EXPECT_FALSE((Section{Triplet(1, 3, 2)}.isPoint()));
+  EXPECT_TRUE(Section().isPoint());  // rank 0: one element
+}
+
 TEST(Section, Contains) {
   Section s{Triplet(1, 10, 3), Triplet(5, 5)};
   EXPECT_TRUE(s.contains(Point{4, 5}));
