@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis_programs.hpp"
 #include "xdp/serve/server.hpp"
 
 using namespace xdp;
@@ -106,8 +107,48 @@ void BM_Serve(benchmark::State& state) {
   state.SetLabel(hostile ? "5% hostile" : "clean");
 }
 
+/// perfbench's `serve` halo shape (4 processors, a block of `block`
+/// elements each, 256 x 20 or 1024 x 8 sweeps) through a one-worker
+/// server with default quotas, kSessions sessions in flight per round:
+/// the session wall is the split interior loop's.
+void BM_ServeHalo(benchmark::State& state) {
+  constexpr int kSessions = 8;
+  const sec::Index block = state.range(0);
+  serve::SessionRequest req;
+  req.name = "halo";
+  req.source = testprog::haloText(4, block, block >= 1024 ? 8 : 20);
+  serve::ServerConfig cfg;
+  cfg.workers = 1;
+  serve::Server server(cfg);
+  std::vector<double> lat;
+  std::uint64_t completed = 0;
+  for (auto _ : state) {
+    std::vector<std::future<serve::SessionReport>> futs;
+    for (int i = 0; i < kSessions; ++i) futs.push_back(server.submit(req));
+    for (auto& f : futs) {
+      const serve::SessionReport r = f.get();
+      lat.push_back(r.wallMs);
+      if (r.outcome == serve::SessionOutcome::Completed) ++completed;
+    }
+  }
+  server.shutdown();
+  std::sort(lat.begin(), lat.end());
+  state.counters["sessions_per_s"] = benchmark::Counter(
+      static_cast<double>(kSessions) * state.iterations(),
+      benchmark::Counter::kIsRate);
+  state.counters["p50_ms"] = lat.empty() ? 0.0 : lat[lat.size() / 2];
+  state.counters["completed"] =
+      static_cast<double>(completed) / state.iterations();
+}
+
 }  // namespace
 
+BENCHMARK(BM_ServeHalo)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime();
 BENCHMARK(BM_Serve)
     ->ArgsProduct({{64, 256, 1024}, {0, 1}})
     ->Unit(benchmark::kMillisecond)

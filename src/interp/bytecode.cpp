@@ -11,8 +11,12 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -435,7 +439,7 @@ class FlatEval {
       return;
     }
     if (type == rt::ElemType::I64) {
-      const std::int64_t w = static_cast<std::int64_t>(std::llround(v));
+      const std::int64_t w = arith::storeI64(v);
       proc_.table().writeElems(sym, pt,
                                reinterpret_cast<const std::byte*>(&w));
       return;
@@ -487,6 +491,41 @@ class FlatEval {
 // =========================================================================
 // Compiler
 // =========================================================================
+
+/// Size limits of one loop kernel: tape nodes (per tape) and accesses.
+constexpr std::size_t kKernelNodes = 32;
+constexpr std::size_t kKernelAccesses = 16;
+
+/// (a, b) of subscript node `nd` as a * v + b, from its operands' and, for
+/// an invariant leaf, its value `leaf`: wrapping like the per-op
+/// evaluation, so a * v + b equals the subscript modulo 2^64.
+std::pair<Index, Index> affineNode(const KernelSite::Node& nd,
+                                   const Index* sa, const Index* sb,
+                                   Index leaf) {
+  using N = KernelSite::Node;
+  switch (nd.kind) {
+    case N::Var:
+      return {1, 0};
+    case N::Add:
+      return {arith::wrapAdd(sa[nd.l], sa[nd.r]),
+              arith::wrapAdd(sb[nd.l], sb[nd.r])};
+    case N::Sub:
+      return {arith::wrapSub(sa[nd.l], sa[nd.r]),
+              arith::wrapSub(sb[nd.l], sb[nd.r])};
+    case N::Mul:  // one side is invariant (a == 0)
+      return {arith::wrapAdd(arith::wrapMul(sa[nd.l], sb[nd.r]),
+                             arith::wrapMul(sb[nd.l], sa[nd.r])),
+              arith::wrapMul(sb[nd.l], sb[nd.r])};
+    case N::Neg:
+      return {arith::wrapNeg(sa[nd.l]), arith::wrapNeg(sb[nd.l])};
+    case N::Min:  // invariant operands
+      return {0, std::min(sb[nd.l], sb[nd.r])};
+    case N::Max:
+      return {0, std::max(sb[nd.l], sb[nd.r])};
+    default:
+      return {0, leaf};
+  }
+}
 
 class Compiler {
  public:
@@ -986,6 +1025,7 @@ class Compiler {
         // trip sequence.
         const auto iR = allocTemp();
         const auto enter = emit({Op::ForEnter, 0, iR, lbR, ubR, 0});
+        std::optional<std::size_t> kernel = emitKernel(s.body, s.scalarId, -1);
         const auto head = static_cast<std::int32_t>(m_.code.size());
         emit({Op::ForIter, 0, static_cast<std::uint16_t>(s.scalarId), iR, 0,
               0});
@@ -997,12 +1037,17 @@ class Compiler {
           m_.splits[*site].naivePc = enter;
           m_.splits[*site].exitPc = end;
         }
-        // Pure-loop flag (ForEnter.rank = 1): the body runs only register
-        // ops and point element accesses — no modeled cost, no cold
-        // callbacks — so the VM may hold one table lease across all
-        // iterations (see rt::ProcTable::ElemLease).
-        if (pureSpan(static_cast<std::size_t>(head), m_.code.size() - 1))
-          m_.code[static_cast<std::size_t>(enter)].rank = 1;
+        if (kernel) {
+          XDP_CHECK(pureSpan(static_cast<std::size_t>(head),
+                             m_.code.size() - 1),
+                    "loop kernel over an impure body");
+          KernelSite& ks = m_.kernels[*kernel];
+          ks.var = static_cast<std::uint16_t>(s.scalarId);
+          ks.iR = iR;
+          ks.ub = ubR;
+          ks.step = stR;
+          ks.exitPc = end;
+        }
         break;
       }
       case StmtKind::Guarded: {
@@ -1052,7 +1097,8 @@ class Compiler {
   }
 
   /// No instruction in [from, to) needs more than register ops and
-  /// point element accesses (see the pure-loop flag).
+  /// point element accesses: the code cannot block, cost modeled time or
+  /// call out (see SplitSite::pure and KernelSite).
   bool pureSpan(std::size_t from, std::size_t to) const {
     for (std::size_t k = from; k < to; ++k) {
       switch (m_.code[k].op) {
@@ -1334,6 +1380,7 @@ class Compiler {
       site.dims.push_back(
           emitAffine(fp().triplets[se.dimsOff + k].lb, loop.scalarId));
     emit({Op::SplitRun, 0, 0, 0, 0, d});
+    const bool fused = emitKernel(sh.guard->body, loop.scalarId, d).has_value();
     site.bodyPc = static_cast<std::int32_t>(m_.code.size());
     // The copy is the same statements again: hot/cold count them once.
     const auto hot = m_.hotStmts, cold = m_.coldStmts;
@@ -1345,8 +1392,282 @@ class Compiler {
     emit({Op::SplitNext, 0, 0, 0, 0, d});
     site.pure =
         pureSpan(static_cast<std::size_t>(site.bodyPc), m_.code.size() - 1);
+    XDP_CHECK(site.pure || !fused, "loop kernel over an impure body");
     m_.splits[idx] = std::move(site);
     return idx;
+  }
+
+  // --- loop kernels (DESIGN.md §9.2) -------------------------------------
+  //
+  // A pure loop whose body is a few rank-1 element assignments runs as one
+  // LoopKernel op in front of its per-op copy. The recognizer builds two
+  // tapes: the subscripts, affine in the loop scalar, and the values.
+
+  static constexpr std::size_t kMaxKernelAssigns = 4;
+  static constexpr std::size_t kMaxKernelSteps = 8;
+
+  /// Emit LoopKernel for a loop over `body` in scalar `var` if the body
+  /// has the kernel shape (see KernelSite); `split` names the split site
+  /// of a split copy, -1 for a plain loop. Returns the kernel's index.
+  std::optional<std::size_t> emitKernel(StmtRef body, int var,
+                                        std::int32_t split) {
+    KernelSite ks;
+    if (!kernelStmt(body, var, ks) || ks.assigns.empty()) return std::nullopt;
+    using N = KernelSite::Node;
+    ks.fixedValues = true;
+    for (const KernelSite::Assign& a : ks.assigns)
+      ks.fixedValues = ks.fixedValues && a.termsLen != 0;
+    for (const N& nd : ks.values)
+      ks.fixedValues = ks.fixedValues && nd.kind != N::Scalar &&
+                       nd.kind != N::MyPid && nd.kind != N::NProcs &&
+                       nd.kind != N::Var;
+    for (KernelSite::Term& t : ks.terms) {
+      if (t.coef < 0) continue;
+      const N& c = ks.values[static_cast<std::size_t>(t.coef)];
+      if (c.kind == N::IntC)
+        t.c = static_cast<double>(m_.ipool[static_cast<std::size_t>(c.arg)]);
+      else if (c.kind == N::RealC)
+        t.c = m_.rpool[static_cast<std::size_t>(c.arg)];
+    }
+    ks.split = split;
+    const std::size_t k = m_.kernels.size();
+    m_.kernels.push_back(std::move(ks));
+    emit({Op::LoopKernel, 0, 0, 0, 0, static_cast<std::int32_t>(k)});
+    return k;
+  }
+
+  bool kernelStmt(StmtRef sr, int var, KernelSite& ks) {
+    const flat::Stmt& s = fp()[sr];
+    if (ks.plan.size() == kMaxKernelSteps) return false;
+    if (s.kind == StmtKind::Block) {
+      ks.plan.push_back(-1);
+      for (std::uint32_t k = 0; k < s.kidsLen; ++k)
+        if (!kernelStmt(fp().stmtKids[s.kidsOff + k], var, ks)) return false;
+      return true;
+    }
+    if (s.kind != StmtKind::ElemAssign ||
+        ks.assigns.size() == kMaxKernelAssigns)
+      return false;
+    KernelSite::Assign a;
+    const auto store = kernelAccess(s.sym, s.lhs, var, ks);
+    if (!store) return false;
+    a.store = *store;
+    const auto value = kernelValue(s.rhs, var, ks);
+    if (!value) return false;
+    a.value = *value;
+    a.termsOff = static_cast<std::uint8_t>(ks.terms.size());
+    if (!sumTerms(*value, ks, false))
+      ks.terms.resize(a.termsOff);  // not the sum form: run the tape
+    a.termsLen = static_cast<std::uint8_t>(ks.terms.size() - a.termsOff);
+    ks.plan.push_back(static_cast<std::int8_t>(ks.assigns.size()));
+    ks.assigns.push_back(a);
+    return true;
+  }
+
+  /// A rank-1 element access whose subscript is affine in `var`; its
+  /// subscript goes to the `subs` tape.
+  std::optional<std::uint8_t> kernelAccess(int sym, SecRef sr, int var,
+                                           KernelSite& ks) {
+    if (!elemTypeOk(sym) ||
+        fp().arrays[static_cast<std::size_t>(sym)].global.rank() != 1 ||
+        ks.accesses.size() == kKernelAccesses)
+      return std::nullopt;
+    const flat::Sec& se = fp()[sr];
+    if (se.kind != SecExprKind::Literal || se.dimsLen != 1)
+      return std::nullopt;
+    const flat::TripletRef& t = fp().triplets[se.dimsOff];
+    if (t.ub.valid() || t.stride.valid() || !affineInVar(t.lb, var))
+      return std::nullopt;
+    const std::size_t mark = ks.subs.size();
+    auto sub = kernelNode(t.lb, var, ks, ks.subs);
+    if (!sub) return std::nullopt;
+    foldSubscript(ks, mark, sub);
+    KernelSite::Access acc;
+    const auto known = std::find(ks.syms.begin(), ks.syms.end(), sym);
+    acc.sym = static_cast<std::uint8_t>(known - ks.syms.begin());
+    if (known == ks.syms.end()) ks.syms.push_back(sym);
+    acc.i64 = m_.elemTypes[static_cast<std::size_t>(sym)] == rt::ElemType::I64;
+    acc.sub = *sub;
+    ks.accesses.push_back(acc);
+    return static_cast<std::uint8_t>(ks.accesses.size() - 1);
+  }
+
+  /// Fold the subscript tree appended to `ks.subs` from `mark` into one
+  /// Fixed node when its leaves are the loop scalar and literals only.
+  void foldSubscript(KernelSite& ks, std::size_t mark,
+                     std::optional<std::uint8_t>& root) {
+    using N = KernelSite::Node;
+    std::array<Index, kKernelNodes> sa{}, sb{};
+    for (std::size_t n = mark; n < ks.subs.size(); ++n) {
+      const N& nd = ks.subs[n];
+      if (nd.kind == N::Scalar || nd.kind == N::MyPid ||
+          nd.kind == N::NProcs || nd.kind == N::Fixed)
+        return;
+      const Index leaf =
+          nd.kind == N::IntC ? m_.ipool[static_cast<std::size_t>(nd.arg)] : 0;
+      std::tie(sa[n], sb[n]) = affineNode(nd, sa.data(), sb.data(), leaf);
+    }
+    N fixed;
+    fixed.kind = N::Fixed;
+    fixed.arg = ipool(sa[*root]);
+    fixed.arg2 = ipool(sb[*root]);
+    ks.subs.resize(mark);
+    ks.subs.push_back(fixed);
+    root = static_cast<std::uint8_t>(mark);
+  }
+
+  /// The value tape: + - * / and negation over element reads, literals,
+  /// scalars and the loop scalar. A division whose operands can only be
+  /// ints would be an int division, which can trap: the loop declines.
+  std::optional<std::uint8_t> kernelValue(ExprRef er, int var,
+                                          KernelSite& ks) {
+    const flat::Expr& e = fp()[er];
+    if (e.kind == ExprKind::Bin) {
+      if (e.op != BinOp::Add && e.op != BinOp::Sub && e.op != BinOp::Mul &&
+          e.op != BinOp::Div)
+        return std::nullopt;
+      if (e.op == BinOp::Div && onlyInt(e.lhs, var) && onlyInt(e.rhs, var))
+        return std::nullopt;
+    }
+    return kernelNode(er, var, ks, ks.values);
+  }
+
+  /// No leaf of `e` can be real: no element read, real literal or scalar
+  /// other than the loop scalar.
+  bool onlyInt(ExprRef er, int var) const {
+    const flat::Expr& e = fp()[er];
+    switch (e.kind) {
+      case ExprKind::IntConst:
+      case ExprKind::MyPid:
+      case ExprKind::NProcs:
+        return true;
+      case ExprKind::ScalarRef:
+        return e.scalarId == var;
+      case ExprKind::Neg:
+        return onlyInt(e.lhs, var);
+      case ExprKind::Bin:
+        return onlyInt(e.lhs, var) && onlyInt(e.rhs, var);
+      default:
+        return false;
+    }
+  }
+
+  /// Append `e`'s subtree to `tape` in evaluation order; the operators
+  /// `kernelValue` and `affineInVar` admit were checked by the caller.
+  std::optional<std::uint8_t> kernelNode(ExprRef er, int var, KernelSite& ks,
+                                         std::vector<KernelSite::Node>& tape) {
+    using N = KernelSite::Node;
+    const flat::Expr& e = fp()[er];
+    N n;
+    switch (e.kind) {
+      case ExprKind::IntConst:
+        n.kind = N::IntC;
+        n.arg = ipool(e.intVal);
+        break;
+      case ExprKind::RealConst:
+        n.kind = N::RealC;
+        n.arg = rpool(e.realVal);
+        break;
+      case ExprKind::ScalarRef:
+        n.kind = e.scalarId == var ? N::Var : N::Scalar;
+        n.arg = e.scalarId;
+        break;
+      case ExprKind::MyPid:
+        n.kind = N::MyPid;
+        break;
+      case ExprKind::NProcs:
+        n.kind = N::NProcs;
+        break;
+      case ExprKind::Elem: {
+        if (&tape != &ks.values) return std::nullopt;
+        const auto acc = kernelAccess(e.sym, e.section, var, ks);
+        if (!acc) return std::nullopt;
+        n.kind = N::Load;
+        n.arg = *acc;
+        break;
+      }
+      case ExprKind::Neg: {
+        const auto l = &tape == &ks.values ? kernelValue(e.lhs, var, ks)
+                                           : kernelNode(e.lhs, var, ks, tape);
+        if (!l) return std::nullopt;
+        n.kind = N::Neg;
+        n.l = *l;
+        break;
+      }
+      case ExprKind::Bin: {
+        switch (e.op) {
+          case BinOp::Add: n.kind = N::Add; break;
+          case BinOp::Sub: n.kind = N::Sub; break;
+          case BinOp::Mul: n.kind = N::Mul; break;
+          case BinOp::Div: n.kind = N::Div; break;
+          case BinOp::Min: n.kind = N::Min; break;
+          case BinOp::Max: n.kind = N::Max; break;
+          default:
+            return std::nullopt;
+        }
+        const bool value = &tape == &ks.values;
+        const auto l = value ? kernelValue(e.lhs, var, ks)
+                             : kernelNode(e.lhs, var, ks, tape);
+        if (!l) return std::nullopt;
+        const auto r = value ? kernelValue(e.rhs, var, ks)
+                             : kernelNode(e.rhs, var, ks, tape);
+        if (!r) return std::nullopt;
+        n.l = *l;
+        n.r = *r;
+        break;
+      }
+      default:
+        return std::nullopt;
+    }
+    if (tape.size() == kKernelNodes) return std::nullopt;
+    tape.push_back(n);
+    return static_cast<std::uint8_t>(tape.size() - 1);
+  }
+
+  /// Record value node `n` as the sum-of-scaled-loads form, left-
+  /// associated: terms `c * X[..]`, `X[..] * c` or `X[..]` with c a
+  /// literal or an invariant scalar, joined by + and -. A term may scale
+  /// the loop scalar instead of a load; the form then holds only when
+  /// every operator turns out real-typed on entry.
+  bool sumTerms(std::uint8_t n, KernelSite& ks, bool minus) {
+    using N = KernelSite::Node;
+    const N& nd = ks.values[n];
+    if (nd.kind == N::Add || nd.kind == N::Sub) {
+      if (!sumTerms(nd.l, ks, false) || !scaledLoad(nd.r, ks)) return false;
+      ks.terms.back().minus = nd.kind == N::Sub;
+      return true;
+    }
+    return !minus && scaledLoad(n, ks);
+  }
+
+  bool scaledLoad(std::uint8_t n, KernelSite& ks) {
+    using N = KernelSite::Node;
+    const N& nd = ks.values[n];
+    auto coef = [&](std::uint8_t k) {
+      const N::Kind c = ks.values[k].kind;
+      return c == N::IntC || c == N::RealC || c == N::Scalar ||
+             c == N::MyPid || c == N::NProcs;
+    };
+    // A load, or the loop scalar (KernelSite::kVarTerm).
+    auto operand = [&](std::uint8_t k, std::uint8_t& access) {
+      const N& o = ks.values[k];
+      if (o.kind != N::Load && o.kind != N::Var) return false;
+      access = o.kind == N::Load ? static_cast<std::uint8_t>(o.arg)
+                                 : KernelSite::kVarTerm;
+      return true;
+    };
+    KernelSite::Term t;
+    if (operand(n, t.access)) {
+    } else if (nd.kind == N::Mul && coef(nd.l) && operand(nd.r, t.access)) {
+      t.coef = nd.l;
+      t.coefFirst = true;
+    } else if (nd.kind == N::Mul && coef(nd.r) && operand(nd.l, t.access)) {
+      t.coef = nd.r;
+    } else {
+      return false;
+    }
+    ks.terms.push_back(t);
+    return true;
   }
 
   std::uint16_t toIndexTemp(std::uint16_t src) {
@@ -1390,7 +1711,425 @@ struct SplitCursor {
     at += stride;
     return true;
   }
+
+  /// Skip to the last owned iteration.
+  void toLast() {
+    if (order.empty()) {
+      at = end;
+      return;
+    }
+    pos = order.size() - 1;
+    at = order[pos];
+  }
+
+  /// Call fn(first, last, step) on the owned iterations as ranges, in
+  /// order, until it returns false: the one set, or the maximal runs of
+  /// the loop step in several sets. True iff every call returned true.
+  template <class Fn>
+  bool forEachRange(Index loopStep, Fn&& fn) const {
+    if (order.empty()) return fn(at, end, stride);
+    for (std::size_t k = 0; k < order.size();) {
+      std::size_t j = k;
+      while (j + 1 < order.size() &&
+             static_cast<std::uint64_t>(order[j + 1]) -
+                     static_cast<std::uint64_t>(order[j]) ==
+                 static_cast<std::uint64_t>(loopStep))
+        ++j;
+      if (!fn(order[k], order[j], loopStep)) return false;
+      k = j + 1;
+    }
+    return true;
+  }
 };
+
+/// The loop kernel's per-element helpers are lambdas over its locals; an
+/// out-of-line copy would make every local escape and reload per element.
+#define XDP_KERNEL_INLINE __attribute__((always_inline))
+
+/// Iterations in first, first + step, ..., last (first <= last, step > 0).
+/// A unit step skips the division, which costs a short loop's entry more
+/// than the rest of its bookkeeping.
+std::uint64_t iterCount(Index first, Index last, Index step) {
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(last) - static_cast<std::uint64_t>(first);
+  return (step == 1 ? span : span / static_cast<std::uint64_t>(step)) + 1;
+}
+
+/// LoopKernel's work (DESIGN.md §9.2), out of line so the dispatch loop
+/// stays small. `ranges(fn)` calls fn(first, last, step) on each range of
+/// the loop's iterations in order until fn returns false. Entry holds when
+/// every subscript coefficient is an Int, every value leaf is defined, no
+/// division is an int division, and on every range each access's image
+/// fits int64 inside one table window. Then it runs the iterations (all
+/// but the last with `keepLast`) with the per-op copy's hook calls and
+/// counters, in its order, and returns true; otherwise it returns false
+/// having changed nothing.
+template <class Ranges>
+[[gnu::noinline]] bool runKernel(const Module& m, const KernelSite& ks,
+                                 const Slot* regs, rt::Proc& proc,
+                                 InterpStats& stats, const StepHook* hook,
+                                 Ranges&& ranges, bool keepLast) {
+  using N = KernelSite::Node;
+  using I128 = __int128;
+  constexpr std::ptrdiff_t kElem = 8;  // f64 and i64 elements
+  // Subscripts: a * v + b per node; every invariant leaf must be an Int.
+  std::array<Index, kKernelNodes> sa, sb;
+  for (std::size_t n = 0; n < ks.subs.size(); ++n) {
+    const N& nd = ks.subs[n];
+    Index leaf = 0;
+    switch (nd.kind) {
+      case N::Fixed:
+        sa[n] = m.ipool[static_cast<std::size_t>(nd.arg)];
+        sb[n] = m.ipool[static_cast<std::size_t>(nd.arg2)];
+        continue;
+      case N::IntC:
+        leaf = m.ipool[static_cast<std::size_t>(nd.arg)];
+        break;
+      case N::Scalar: {
+        const Slot& v = regs[nd.arg];
+        if (v.tag != Tag::Int) return false;
+        leaf = v.i;
+        break;
+      }
+      case N::MyPid:
+        leaf = proc.mypid();
+        break;
+      case N::NProcs:
+        leaf = proc.nprocs();
+        break;
+      default:
+        break;
+    }
+    std::tie(sa[n], sb[n]) = affineNode(nd, sa.data(), sb.data(), leaf);
+  }
+  // Values: leaves resolved once, each operator typed like the per-op
+  // Slot arithmetic (int iff both operands are). An int node keeps its
+  // value in both arrays, so real operators read `vr` without a test.
+  enum Rop : std::uint8_t { Leaf, VarI, Load, AddI, SubI, MulI, NegI,
+                            AddR, SubR, MulR, DivR, NegR };
+  std::array<Index, kKernelNodes> vi;
+  std::array<double, kKernelNodes> vr;
+  std::array<bool, kKernelNodes> isInt;
+  std::array<Rop, kKernelNodes> rop;
+  for (std::size_t n = 0; !ks.fixedValues && n < ks.values.size(); ++n) {
+    const N& nd = ks.values[n];
+    Rop o = Leaf;
+    bool in = true;
+    const bool ints = nd.kind >= N::Add && isInt[nd.l] && isInt[nd.r];
+    switch (nd.kind) {
+      case N::IntC:
+        vi[n] = m.ipool[static_cast<std::size_t>(nd.arg)];
+        break;
+      case N::RealC:
+        vr[n] = m.rpool[static_cast<std::size_t>(nd.arg)];
+        in = false;
+        break;
+      case N::Scalar: {
+        const Slot& v = regs[nd.arg];
+        if (v.tag == Tag::Undef) return false;
+        in = v.tag == Tag::Int;
+        if (in)
+          vi[n] = v.i;
+        else
+          vr[n] = asReal(v);
+        break;
+      }
+      case N::MyPid:
+        vi[n] = proc.mypid();
+        break;
+      case N::NProcs:
+        vi[n] = proc.nprocs();
+        break;
+      case N::Var:
+        o = VarI;
+        break;
+      case N::Load:
+        o = Load;
+        in = false;
+        break;
+      case N::Add:
+        o = ints ? AddI : AddR;
+        in = ints;
+        break;
+      case N::Sub:
+        o = ints ? SubI : SubR;
+        in = ints;
+        break;
+      case N::Mul:
+        o = ints ? MulI : MulR;
+        in = ints;
+        break;
+      case N::Div:
+        if (ints) return false;  // an int division can trap
+        o = DivR;
+        in = false;
+        break;
+      case N::Neg:
+        in = isInt[nd.l];
+        o = in ? NegI : NegR;
+        break;
+      default:
+        return false;
+    }
+    if (in && o == Leaf) vr[n] = static_cast<double>(vi[n]);
+    rop[n] = o;
+    isInt[n] = in;
+  }
+  // Each term owns a distinct leaf node of the value tape, so the terms
+  // are at most kKernelNodes (a bare loop-scalar term takes no access).
+  std::array<double, kKernelNodes> coef;
+  for (std::size_t t = 0; t < ks.terms.size(); ++t)
+    if (ks.terms[t].coef >= 0)
+      coef[t] = ks.fixedValues
+                    ? ks.terms[t].c
+                    : vr[static_cast<std::size_t>(ks.terms[t].coef)];
+
+  // Windows: one per symbol and range, over the images of all the
+  // symbol's accesses, checked before anything runs. The first range's
+  // are kept for the run.
+  const std::size_t nacc = ks.accesses.size(), nsym = ks.syms.size();
+  std::array<std::byte*, kKernelAccesses> win, rangeWin;
+  std::array<Index, kKernelAccesses> winLo, rangeLo;
+  auto windows = [&](Index first, Index last, std::byte** w, Index* wlo) {
+    std::array<Index, kKernelAccesses> hi;
+    for (std::size_t g = 0; g < nsym; ++g) {
+      wlo[g] = std::numeric_limits<Index>::max();
+      hi[g] = std::numeric_limits<Index>::min();
+    }
+    for (std::size_t j = 0; j < nacc; ++j) {
+      const KernelSite::Access& acc = ks.accesses[j];
+      const I128 a = sa[acc.sub], b = sb[acc.sub];
+      const I128 x = a * first + b, y = a * last + b;
+      const I128 mn = std::min(x, y), mx = std::max(x, y);
+      if (mn < std::numeric_limits<Index>::min() ||
+          mx > std::numeric_limits<Index>::max())
+        return false;
+      wlo[acc.sym] = std::min(wlo[acc.sym], static_cast<Index>(mn));
+      hi[acc.sym] = std::max(hi[acc.sym], static_cast<Index>(mx));
+    }
+    for (std::size_t g = 0; g < nsym; ++g) {
+      w[g] = proc.table().window1(ks.syms[g], wlo[g], hi[g]);
+      if (w[g] == nullptr) return false;
+    }
+    return true;
+  };
+  std::uint64_t total = 0;
+  bool firstRange = true;
+  const bool fits = ranges([&](Index first, Index last, Index step) {
+    if (!windows(first, last, firstRange ? win.data() : rangeWin.data(),
+                 firstRange ? winLo.data() : rangeLo.data()))
+      return false;
+    firstRange = false;
+    const std::uint64_t count = iterCount(first, last, step);
+    total += count;
+    return count != 0;  // 0: all 2^64 int64 values, which no run finishes
+  });
+  if (!fits) return false;
+
+  stats.fusedLoops += 1;
+  // The loop stores through byte pointers, which may alias anything the
+  // compiler cannot prove private, so the shape is copied into locals.
+  struct LAssign {
+    std::uint8_t store, from, value, termsOff, termsLen;
+    bool sum;  ///< the sum form applies: no operator is int-typed
+  };
+  const std::size_t nplan = ks.plan.size();
+  std::array<std::int8_t, 8> plan{};
+  std::copy(ks.plan.begin(), ks.plan.end(), plan.begin());
+  std::array<LAssign, 4> las;
+  for (std::size_t k = 0, from = 0; k < ks.assigns.size(); ++k) {
+    const KernelSite::Assign& a = ks.assigns[k];
+    bool sum = a.termsLen != 0;
+    for (std::size_t n = from; !ks.fixedValues && n <= a.value; ++n)
+      sum = sum && (rop[n] < AddI || rop[n] > NegI);
+    las[k] = {a.store, static_cast<std::uint8_t>(from), a.value, a.termsOff,
+              a.termsLen, sum};
+    from = a.value + 1u;
+  }
+  std::array<bool, kKernelAccesses> i64;
+  for (std::size_t j = 0; j < nacc; ++j) i64[j] = ks.accesses[j].i64;
+  std::array<std::uint8_t, kKernelNodes> nl, nr, narg;
+  for (std::size_t n = 0; !ks.fixedValues && n < ks.values.size(); ++n) {
+    nl[n] = ks.values[n].l;
+    nr[n] = ks.values[n].r;
+    narg[n] = static_cast<std::uint8_t>(ks.values[n].arg);
+  }
+  std::array<std::uint8_t, kKernelNodes> tacc;
+  std::array<std::int8_t, kKernelNodes> top;  // 0 bare, 1 c*x, 2 x*c
+  std::array<bool, kKernelNodes> tminus;
+  for (std::size_t t = 0; t < ks.terms.size(); ++t) {
+    const KernelSite::Term& tm = ks.terms[t];
+    tacc[t] = tm.access;
+    top[t] = tm.coef < 0 ? 0 : (tm.coefFirst ? 1 : 2);
+    tminus[t] = tm.minus;
+  }
+  const std::uint64_t perIterLoops = ks.split < 0 ? 1 : 0;
+  const std::size_t nassign = ks.assigns.size();
+  std::array<std::byte*, kKernelAccesses> ptr;
+  std::array<std::ptrdiff_t, kKernelAccesses> dp;
+  Index iv = 0;
+
+  // One assignment of the current iteration: value, then store.
+  auto assign = [&](const LAssign& as) XDP_KERNEL_INLINE {
+    auto load = [&](std::size_t j) XDP_KERNEL_INLINE {
+      if (i64[j]) {
+        std::int64_t x;
+        std::memcpy(&x, ptr[j], sizeof x);
+        return static_cast<double>(x);
+      }
+      double x;
+      std::memcpy(&x, ptr[j], sizeof x);
+      return x;
+    };
+    auto term = [&](std::size_t t) XDP_KERNEL_INLINE {
+      const double x = tacc[t] == KernelSite::kVarTerm
+                           ? static_cast<double>(iv)
+                           : load(tacc[t]);
+      return top[t] == 0 ? x : top[t] == 1 ? coef[t] * x : x * coef[t];
+    };
+    double v;
+    if (as.sum) {
+      v = term(as.termsOff);
+      for (std::size_t t = as.termsOff + 1u; t < as.termsOff + as.termsLen;
+           ++t)
+        v = tminus[t] ? v - term(t) : v + term(t);
+    } else {
+      for (std::size_t n = as.from; n <= as.value; ++n) {
+        const std::size_t l = nl[n], r = nr[n];
+        switch (rop[n]) {
+          case Leaf:
+            break;
+          case VarI:
+            vi[n] = iv;
+            vr[n] = static_cast<double>(iv);
+            break;
+          case Load:
+            vr[n] = load(narg[n]);
+            break;
+          case AddI:
+            vi[n] = arith::wrapAdd(vi[l], vi[r]);
+            vr[n] = static_cast<double>(vi[n]);
+            break;
+          case SubI:
+            vi[n] = arith::wrapSub(vi[l], vi[r]);
+            vr[n] = static_cast<double>(vi[n]);
+            break;
+          case MulI:
+            vi[n] = arith::wrapMul(vi[l], vi[r]);
+            vr[n] = static_cast<double>(vi[n]);
+            break;
+          case NegI:
+            vi[n] = arith::wrapNeg(vi[l]);
+            vr[n] = static_cast<double>(vi[n]);
+            break;
+          case AddR:
+            vr[n] = vr[l] + vr[r];
+            break;
+          case SubR:
+            vr[n] = vr[l] - vr[r];
+            break;
+          case MulR:
+            vr[n] = vr[l] * vr[r];
+            break;
+          case DivR:
+            vr[n] = vr[l] / vr[r];
+            break;
+          case NegR:
+            vr[n] = -vr[l];
+            break;
+        }
+      }
+      v = vr[as.value];
+    }
+    if (i64[as.store]) {
+      const std::int64_t w = arith::storeI64(v);
+      std::memcpy(ptr[as.store], &w, sizeof w);
+    } else {
+      std::memcpy(ptr[as.store], &v, sizeof v);
+    }
+  };
+  // `count` iterations from the current pointers. With a hook, the
+  // counters move step by step as in the per-op copy, so a throwing hook
+  // leaves them exact. Without one, blocks do nothing but count and only
+  // a store can throw: the iteration runs its assignments alone, and the
+  // counters are credited afterwards, the failing step included.
+  std::array<std::uint8_t, 4> stepOf{};  // plan position of each assignment
+  for (std::size_t p = 0; p < nplan; ++p)
+    if (plan[p] >= 0)
+      stepOf[static_cast<std::size_t>(plan[p])] = static_cast<std::uint8_t>(p);
+  auto advance = [&](Index step) XDP_KERNEL_INLINE {
+    for (std::size_t j = 0; j < nacc; ++j) ptr[j] += dp[j];
+    iv = arith::wrapAdd(iv, step);
+  };
+  auto runHooked = [&](std::uint64_t count, Index step) {
+    for (std::uint64_t k = 0; k < count; ++k) {
+      stats.loopIterations += perIterLoops;
+      for (std::size_t p = 0; p < nplan; ++p) {
+        (*hook)(proc);
+        stats.stmtsExecuted += 1;
+        if (plan[p] < 0) continue;
+        stats.elemAssigns += 1;
+        assign(las[static_cast<std::size_t>(plan[p])]);
+      }
+      advance(step);
+    }
+  };
+  auto runBare = [&](std::uint64_t count, Index step) {
+    std::uint64_t k = 0;
+    std::size_t a = 0;
+    auto credit = [&](std::size_t steps) {
+      stats.loopIterations += perIterLoops * (k + (steps != 0));
+      stats.stmtsExecuted += nplan * k + steps;
+      stats.elemAssigns += nassign * k + a + (steps != 0);
+    };
+    try {
+      if (nassign == 1 && las[0].sum) {
+        // The common shape, one sum, has a loop of its own: specialized
+        // to it, the compiler keeps the tape and the assignment loop out
+        // (a quarter less time per BM_LoopGuardedSplit run).
+        for (; k < count; ++k) {
+          assign(las[0]);
+          advance(step);
+        }
+      } else {
+        for (; k < count; ++k) {
+          for (a = 0; a < nassign; ++a) assign(las[a]);
+          advance(step);
+        }
+      }
+    } catch (...) {
+      credit(stepOf[a] + 1u);
+      throw;
+    }
+    a = 0;
+    credit(0);
+  };
+
+  std::uint64_t budget = keepLast ? total - 1 : total;
+  firstRange = true;
+  ranges([&](Index first, Index last, Index step) {
+    if (budget == 0) return false;
+    const std::uint64_t count = std::min(iterCount(first, last, step), budget);
+    budget -= count;
+    if (!firstRange) windows(first, last, win.data(), winLo.data());
+    for (std::size_t j = 0; j < nacc; ++j) {
+      const KernelSite::Access& acc = ks.accesses[j];
+      // The image fits int64, so the wrapped form is exact.
+      const Index a = sa[acc.sub];
+      const Index at = arith::wrapAdd(arith::wrapMul(a, first), sb[acc.sub]);
+      ptr[j] = win[acc.sym] + (at - winLo[acc.sym]) * kElem;
+      dp[j] = count > 1 ? a * step * kElem : 0;
+    }
+    firstRange = false;
+    iv = first;
+    if (hook != nullptr)
+      runHooked(count, step);
+    else
+      runBare(count, step);
+    return true;
+  });
+  return true;
+}
 
 /// SplitRun's work, out of line so the dispatch loop stays small. Decide
 /// the split: every coefficient an Int, every varying subscript's image
@@ -1597,22 +2336,10 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
     return s;
   };
 
-  // Pure-loop element lease (see ProcTable::ElemLease): taken at the
-  // outermost pure ForEnter, dropped when that loop exits or on the
-  // first access the lease cannot serve. A step hook may read the table
-  // meanwhile but must not change it (see StepHook).
-  std::optional<rt::ProcTable::ElemLease> lease;
-  std::int32_t leaseOwner = -1;
-  auto dropLease = [&] {
-    lease.reset();
-    leaseOwner = -1;
-  };
-
-  // Element access shared by LoadElem/LoadElem1/StoreElem: the held
-  // lease, else the table's point path.
+  // Element access shared by LoadElem/LoadElem1/StoreElem: the table's
+  // point path.
   auto loadAt = [&](int rank, const std::array<sec::Index, sec::kMaxRank>& idx,
                     std::int32_t sym) -> Slot {
-    const Point p(rank, idx);
     const auto type = m.elemTypes[static_cast<std::size_t>(sym)];
     // Zero-initialized like the tree walker's vector-backed read: with
     // debug checks off, an unowned element reads as 0 on both engines
@@ -1622,48 +2349,27 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
     std::byte* bytes = type == rt::ElemType::F64
                            ? reinterpret_cast<std::byte*>(&vr)
                            : reinterpret_cast<std::byte*>(&vi);
-    bool done = false;
-    if (lease) {
-      done = lease->tryRead(static_cast<int>(sym), p, bytes);
-      // A leased loop that touches an unowned or transitional point
-      // needs the generic semantics; drop to the per-element path.
-      if (!done) dropLease();
-    }
-    if (!done) {
-      std::array<Triplet, sec::kMaxRank> dims{};
-      for (int k = 0; k < rank; ++k)
-        dims[static_cast<std::size_t>(k)] =
-            Triplet(idx[static_cast<std::size_t>(k)]);
-      proc.table().readElems(static_cast<int>(sym), Section(rank, dims),
-                             bytes);
-    }
+    std::array<Triplet, sec::kMaxRank> dims{};
+    for (int k = 0; k < rank; ++k)
+      dims[static_cast<std::size_t>(k)] =
+          Triplet(idx[static_cast<std::size_t>(k)]);
+    proc.table().readElems(static_cast<int>(sym), Section(rank, dims), bytes);
     return type == rt::ElemType::F64 ? Slot::ofReal(vr)
                                      : Slot::ofReal(static_cast<double>(vi));
   };
   auto storeAt = [&](int rank,
                      const std::array<sec::Index, sec::kMaxRank>& idx,
                      std::int32_t sym, double v) {
-    const Point p(rank, idx);
     const auto type = m.elemTypes[static_cast<std::size_t>(sym)];
-    const std::int64_t w =
-        type == rt::ElemType::F64 ? 0
-                                  : static_cast<std::int64_t>(std::llround(v));
+    const std::int64_t w = type == rt::ElemType::F64 ? 0 : arith::storeI64(v);
     const std::byte* bytes = type == rt::ElemType::F64
                                  ? reinterpret_cast<const std::byte*>(&v)
                                  : reinterpret_cast<const std::byte*>(&w);
-    bool done = false;
-    if (lease) {
-      done = lease->tryWrite(static_cast<int>(sym), p, bytes);
-      if (!done) dropLease();
-    }
-    if (!done) {
-      std::array<Triplet, sec::kMaxRank> dims{};
-      for (int k = 0; k < rank; ++k)
-        dims[static_cast<std::size_t>(k)] =
-            Triplet(idx[static_cast<std::size_t>(k)]);
-      proc.table().writeElems(static_cast<int>(sym), Section(rank, dims),
-                              bytes);
-    }
+    std::array<Triplet, sec::kMaxRank> dims{};
+    for (int k = 0; k < rank; ++k)
+      dims[static_cast<std::size_t>(k)] =
+          Triplet(idx[static_cast<std::size_t>(k)]);
+    proc.table().writeElems(static_cast<int>(sym), Section(rank, dims), bytes);
   };
 
   std::vector<SplitCursor> cursors(m.splits.size());
@@ -1677,8 +2383,7 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
   // ExecFlat), except inside a pure split copy, and a restart point is
   // published before every instruction that can block (the cold calls
   // into the flat walker, StepXfer for its statement, an awaiting
-  // XQuery). The lease is dropped before parking: the table may change
-  // while this fiber is parked.
+  // XQuery).
   std::size_t pc = 0;
   auto makeImage = [&](bool unsafe) {
     ckpt::ContImage img;
@@ -1704,14 +2409,9 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
   bool inSplitCopy = false;
   auto boundary = [&] {
     if (inSplitCopy) return;
-    if (ctrl->signal() != 0) {
-      dropLease();
-      ctrl->deliverSignal(pid, makeImage(false));
-    }
-    if (stats.stmtsExecuted >= ctrl->nextParkAt(pid)) {
-      dropLease();
+    if (ctrl->signal() != 0) ctrl->deliverSignal(pid, makeImage(false));
+    if (stats.stmtsExecuted >= ctrl->nextParkAt(pid))
       ctrl->parkAtBoundary(pid, makeImage(false));
-    }
   };
   if (ctrl != nullptr && ctrl->hasResume(pid)) {
     ckpt::ContImage img = ctrl->takeResume(pid);
@@ -1887,10 +2587,6 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
           pc = static_cast<std::size_t>(in.d);
           continue;
         }
-        if (in.rank != 0 && !lease) {
-          lease.emplace(proc.table());
-          leaseOwner = static_cast<std::int32_t>(pc) + 1;
-        }
         regs[in.a] = Slot::ofInt(lb);
         break;
       }
@@ -1905,9 +2601,6 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
           pc = static_cast<std::size_t>(in.d);
           continue;
         }
-        // ForNext.d is its loop's head = enter pc + 1: release the lease
-        // exactly when the owning loop terminates.
-        if (lease && in.d == leaseOwner) dropLease();
         break;
       }
       case Op::CountLoopIter:
@@ -1931,20 +2624,6 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
       }
       case Op::StoreElem: {
         const double v = asReal(val(in.a));
-        if (in.rank == 1 && lease) {
-          const Index x = regs[in.b].i;
-          const auto type = m.elemTypes[static_cast<std::size_t>(in.d)];
-          const std::int64_t w =
-              type == rt::ElemType::F64
-                  ? 0
-                  : static_cast<std::int64_t>(std::llround(v));
-          const std::byte* bytes =
-              type == rt::ElemType::F64
-                  ? reinterpret_cast<const std::byte*>(&v)
-                  : reinterpret_cast<const std::byte*>(&w);
-          if (lease->tryWrite1(static_cast<int>(in.d), x, bytes)) break;
-          dropLease();
-        }
         std::array<sec::Index, sec::kMaxRank> idx{};
         for (int k = 0; k < in.rank; ++k)
           idx[static_cast<std::size_t>(k)] = regs[in.b + k].i;
@@ -1998,23 +2677,6 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
         break;
       case Op::LoadElem1: {
         const Index x = arith::wrapAdd(asInt(val(in.b)), ipool[in.c]);
-        if (lease) {
-          // Inline window-hit path (see ElemLease::tryRead1); both element
-          // types are 8 bytes, reinterpreted to real exactly like loadAt.
-          const auto type = m.elemTypes[static_cast<std::size_t>(in.d)];
-          std::int64_t vi = 0;
-          double vr = 0.0;
-          std::byte* bytes = type == rt::ElemType::F64
-                                 ? reinterpret_cast<std::byte*>(&vr)
-                                 : reinterpret_cast<std::byte*>(&vi);
-          if (lease->tryRead1(static_cast<int>(in.d), x, bytes)) {
-            regs[in.a] = type == rt::ElemType::F64
-                             ? Slot::ofReal(vr)
-                             : Slot::ofReal(static_cast<double>(vi));
-            break;
-          }
-          dropLease();
-        }
         std::array<sec::Index, sec::kMaxRank> idx{};
         idx[0] = x;
         regs[in.a] = loadAt(1, idx, in.d);
@@ -2051,10 +2713,6 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
           continue;
         }
         regs[site.var] = Slot::ofInt(cur.at);
-        if (site.pure && !lease) {
-          lease.emplace(proc.table());
-          leaseOwner = site.bodyPc;
-        }
         // No boundary inside the copy: no park and no signal delivery.
         // The first boundary after the loop observes them, exactly: the
         // split credited the loop's logical counters up front, so there
@@ -2070,7 +2728,6 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
           pc = static_cast<std::size_t>(site.bodyPc);
           continue;
         }
-        if (lease && leaseOwner == site.bodyPc) dropLease();
         inSplitCopy = false;
         regs[site.var] = Slot::ofInt(cur.last);
         pc = static_cast<std::size_t>(site.exitPc);
@@ -2101,6 +2758,48 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
         runXfer(m, m.xfers[static_cast<std::size_t>(in.d)], regs.data(), proc,
                 pidBuf);
         break;
+      case Op::LoopKernel: {
+        // The per-op copy at pc + 1 is the fallback, from the first
+        // iteration. Under a checkpoint controller a split copy leaves
+        // its last iteration to it, so the temporaries hold what the
+        // per-op copy leaves, and a plain loop runs per-op: its
+        // statement boundaries are observed one by one.
+        const KernelSite& ks = m.kernels[static_cast<std::size_t>(in.d)];
+        const StepHook* hook = iopts.stepHook ? &iopts.stepHook : nullptr;
+        if (ks.split >= 0) {
+          const auto si = static_cast<std::size_t>(ks.split);
+          const SplitSite& site = m.splits[si];
+          SplitCursor& cur = cursors[si];
+          const Index step = regs[site.step].i;
+          const bool keepLast = ctrl != nullptr;
+          if (!runKernel(m, ks, regs.data(), proc, stats, hook,
+                         [&](auto&& fn) { return cur.forEachRange(step, fn); },
+                         keepLast))
+            break;
+          if (keepLast) {
+            cur.toLast();
+            regs[site.var] = Slot::ofInt(cur.at);
+            break;
+          }
+          inSplitCopy = false;
+          regs[site.var] = Slot::ofInt(cur.last);
+          pc = static_cast<std::size_t>(site.exitPc);
+          continue;
+        }
+        if (ctrl != nullptr) break;
+        const Index lb = regs[ks.iR].i, step = regs[ks.step].i;
+        const Index last = static_cast<Index>(
+            static_cast<std::uint64_t>(lb) +
+            (iterCount(lb, regs[ks.ub].i, step) - 1) *
+                static_cast<std::uint64_t>(step));
+        if (!runKernel(m, ks, regs.data(), proc, stats, hook,
+                       [&](auto&& fn) { return fn(lb, last, step); }, false))
+          break;
+        regs[ks.iR] = Slot::ofInt(last);
+        regs[ks.var] = Slot::ofInt(last);
+        pc = static_cast<std::size_t>(ks.exitPc);
+        continue;
+      }
       case Op::XQuery: {
         const XferSite& x = m.xfers[static_cast<std::size_t>(in.d)];
         const Section sect = sectionOf(x.sec, regs.data());
@@ -2135,7 +2834,7 @@ std::string disassemble(const Module& m) {
       "EvalFlat", "EvalRule", "ExecFlat",
       "ForIter", "StepElem", "StepRule", "LoadElem1", "IdxAff",
       "SplitEnter", "SplitRun", "SplitNext", "StepXfer", "CheckStride",
-      "XferSkip", "Xfer", "XQuery",
+      "XferSkip", "Xfer", "XQuery", "LoopKernel",
   };
   std::ostringstream os;
   os << "regs=" << m.numRegs << " scalars=" << m.fp.numScalars()

@@ -102,6 +102,10 @@ enum class Op : std::uint8_t {
   Xfer,        ///< the transfer (with the empty check, unless XferSkip ran)
   XQuery,      ///< a = iown/accessible/await of the site's section; an
                ///< await publishes (restart here) before it may block
+  // Loop kernel (DESIGN.md §9.2); d is the KernelSite index. It heads the
+  // per-op copy of its loop, which stays as the fallback.
+  LoopKernel,  ///< run the whole loop fused and leave it, or fall into
+               ///< the per-op copy (pc + 1) from the first iteration
 };
 
 /// One fixed-size instruction. `a`/`b`/`c` are register indices, `rank`
@@ -125,7 +129,8 @@ static_assert(sizeof(Insn) == 12, "Insn packs to 12 bytes");
 struct SplitSite {
   std::int32_t sym = -1;        ///< the rule's array
   bool accessible = false;      ///< rule is accessible(), not iown()
-  bool pure = false;            ///< body copy may hold a table lease
+  bool pure = false;            ///< body copy cannot block (register ops
+                                ///< and point element accesses only)
   std::uint16_t var = 0;        ///< loop scalar register
   std::uint16_t lb = 0, ub = 0, step = 0;  ///< loop bound registers
   std::uint32_t chain = 0;      ///< skipped statements per iteration
@@ -133,6 +138,72 @@ struct SplitSite {
   std::int32_t bodyPc = 0, naivePc = 0, exitPc = 0;
   /// Per subscript: registers of a and b in a * v + b.
   std::vector<std::pair<std::uint16_t, std::uint16_t>> dims;
+};
+
+/// One fused pure loop: the body copy of a pure split site, or a plain
+/// loop of register ops and point element accesses, whose body is,
+/// through blocks, one to four element assignments to rank-1 arrays with
+/// subscripts affine in the loop scalar and values built by + - * / and
+/// negation from element reads, literals, loop-invariant scalars and the
+/// loop scalar. Its code is
+///   SplitRun; LoopKernel; <body copy>; SplitNext     (split copy)
+///   ForEnter; LoopKernel; ForIter; <body>; ForNext   (plain loop)
+/// On entry LoopKernel evaluates the subscripts' coefficients and every
+/// invariant leaf, and asks the table for one window per array and owned
+/// range, over the images of all the array's accesses
+/// (ProcTable::window1). If any of that fails it falls into
+/// the per-op copy; otherwise it runs every iteration over the windows
+/// with the per-op copy's hook calls and counters, in order.
+struct KernelSite {
+  /// A tape node; operands precede their users, the root is last.
+  struct Node {
+    enum Kind : std::uint8_t {
+      Var, IntC, RealC, Scalar, MyPid, NProcs, Load,  // leaves
+      Fixed,  ///< a subscript folded at compile time: a * v + b
+      Add, Sub, Mul, Div, Neg, Min, Max,
+    };
+    Kind kind = Var;
+    std::uint8_t l = 0, r = 0;  ///< operand nodes
+    std::int32_t arg = 0;  ///< IntC/RealC: pool index; Scalar: register;
+                           ///< Load: access index; Fixed: a's pool index
+    std::int32_t arg2 = 0;  ///< Fixed: b's pool index
+  };
+  /// An element access; its subscript is a subtree of `subs`.
+  struct Access {
+    std::uint8_t sym = 0;  ///< index into `syms`
+    bool i64 = false;
+    std::uint8_t sub = 0;  ///< root node in `subs`
+  };
+  /// One addend of the sum-of-scaled-loads form c0*X[..] + c1*Y[..] - ...
+  struct Term {
+    std::uint8_t access = 0;   ///< or kVarTerm: the loop scalar
+    std::int16_t coef = -1;    ///< leaf node in `values`; -1: a bare load
+    bool coefFirst = false;    ///< c * X rather than X * c
+    bool minus = false;        ///< subtracted (never the first term)
+    double c = 0.0;            ///< a literal coefficient's real value
+  };
+  struct Assign {
+    std::uint8_t store = 0;    ///< the target's access
+    std::uint8_t value = 0;    ///< root node in `values`
+    std::uint8_t termsOff = 0, termsLen = 0;  ///< len 0: run the tape
+  };
+  static constexpr std::uint8_t kVarTerm = 0xFF;
+  std::vector<Node> subs;    ///< subscript tapes (affine in the scalar)
+  std::vector<Node> values;  ///< value tapes
+  std::vector<std::int32_t> syms;  ///< the arrays accessed, one window each
+  std::vector<Access> accesses;
+  std::vector<Term> terms;
+  std::vector<Assign> assigns;
+  /// The steps of one iteration in order: -1 a block, k >= 0 assignment k.
+  std::vector<std::int8_t> plan;
+  /// Every assignment is in the sum form over loads, with literal
+  /// coefficients: entry resolves no value at all.
+  bool fixedValues = false;
+  std::int32_t split = -1;  ///< SplitSite of a split copy; -1 plain loop
+  /// Plain loop: scalar, counter and bound registers, and the pc past
+  /// its ForNext.
+  std::uint16_t var = 0, iR = 0, ub = 0, step = 0;
+  std::int32_t exitPc = 0;
 };
 
 /// A rank-1 literal section whose bounds live in index registers; without
@@ -170,6 +241,7 @@ struct Module {
   std::vector<rt::ElemType> elemTypes;  ///< by symbol index
   std::vector<SplitSite> splits;        ///< by SplitEnter/Run/Next.d
   std::vector<XferSite> xfers;          ///< by StepXfer/XferSkip/Xfer/XQuery.d
+  std::vector<KernelSite> kernels;      ///< by LoopKernel.d
   std::uint16_t numRegs = 0;            ///< scalars + consts + temporaries
   std::uint32_t hotStmts = 0;           ///< statements fully compiled
   std::uint32_t coldStmts = 0;          ///< statements left to ExecFlat

@@ -50,6 +50,10 @@ struct InterpStats {
   std::uint64_t rangeSplits = 0;
   /// Per-iteration guard evaluations those splits replaced.
   std::uint64_t guardedItersSaved = 0;
+  /// Loop executions the VM ran through a fused loop kernel. Like the two
+  /// above, not a logical counter; checkpoint continuations do not carry
+  /// it.
+  std::uint64_t fusedLoops = 0;
 
   InterpStats& operator+=(const InterpStats& o);
 };

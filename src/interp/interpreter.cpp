@@ -70,6 +70,7 @@ InterpStats& InterpStats::operator+=(const InterpStats& o) {
   guardCacheHits += o.guardCacheHits;
   rangeSplits += o.rangeSplits;
   guardedItersSaved += o.guardedItersSaved;
+  fusedLoops += o.fusedLoops;
   return *this;
 }
 
@@ -411,7 +412,7 @@ class Exec {
       return;
     }
     if (type == rt::ElemType::I64) {
-      const std::int64_t w = static_cast<std::int64_t>(std::llround(v));
+      const std::int64_t w = arith::storeI64(v);
       proc_.table().writeElems(sym, pt,
                                reinterpret_cast<const std::byte*>(&w));
       return;

@@ -35,7 +35,6 @@
 
 #include <array>
 #include <cstddef>
-#include <cstring>
 #include <span>
 #include <vector>
 
@@ -93,69 +92,14 @@ class ProcTable {
   /// Scatter `in` (Fortran order of `s`) into the owned elements of `s`.
   void writeElems(int sym, const Section& s, const std::byte* in);
 
-
-  /// Element window cache for compiled pure loops. The bytecode backend
-  /// proves at compile time that a loop body performs only register
-  /// arithmetic and point element accesses — no communication, no cold
-  /// callbacks, nothing that yields or changes the table — so the
-  /// segments it resolves stay put for the whole loop and it can touch
-  /// elements directly through per-symbol windows. (The tree walker
-  /// cannot: it discovers statement kinds dynamically.) A step hook may
-  /// read the table during the loop but must not change it. A failed try*
-  /// means the access needs the generic path; the caller then drops the
-  /// lease.
-  class ElemLease {
-   public:
-    explicit ElemLease(ProcTable& t);
-    bool tryRead(int sym, const Point& p, std::byte* out);
-    bool tryWrite(int sym, const Point& p, const std::byte* in);
-
-    /// Rank-1 access with the window-hit path inlined at the call site:
-    /// a hit is two compares, one multiply-add, and a fixed 8-byte copy
-    /// (all XDP element types are 8 bytes wide) — no out-of-line call.
-    bool tryRead1(int sym, Index x, std::byte* out) {
-      const Window& w = win_[static_cast<std::size_t>(sym)];
-      if (w.base != nullptr && w.rank == 1 && x >= w.lb[0] && x <= w.ub[0]) {
-        copy8(out, w.base + static_cast<std::size_t>(x - w.lb[0]) * w.sz,
-              w.sz);
-        return true;
-      }
-      return readSlow1(sym, x, out);
-    }
-    bool tryWrite1(int sym, Index x, const std::byte* in) {
-      const Window& w = win_[static_cast<std::size_t>(sym)];
-      if (w.base != nullptr && w.rank == 1 && x >= w.lb[0] && x <= w.ub[0]) {
-        copy8(w.base + static_cast<std::size_t>(x - w.lb[0]) * w.sz, in,
-              w.sz);
-        return true;
-      }
-      return writeSlow1(sym, x, in);
-    }
-
-   private:
-    static void copy8(std::byte* dst, const std::byte* src, std::size_t sz) {
-      if (sz == 8)
-        std::memcpy(dst, src, 8);  // compiles to one load/store pair
-      else
-        std::memcpy(dst, src, sz);
-    }
-    bool readSlow1(int sym, Index x, std::byte* out);
-    bool writeSlow1(int sym, Index x, const std::byte* in);
-    /// Per-symbol window onto the last-hit contiguous segment: bounds
-    /// and Fortran multipliers unpacked into flat arrays so the hot
-    /// access is pure local arithmetic (no Section calls, no lookups).
-    /// Strided segments are never cached — they resolve per access.
-    struct Window {
-      std::byte* base = nullptr;  ///< storage for the segment's first elem
-      std::size_t sz = 0;
-      int rank = 0;
-      std::array<Index, sec::kMaxRank> lb{}, ub{}, mult{};
-    };
-    std::byte* resolve(int sym, const Point& p, Window& w);
-
-    ProcTable* t_;
-    std::vector<Window> win_;  ///< by symbol
-  };
+  /// Storage of elements lo..hi (lo <= hi) of rank-1 symbol `sym` when
+  /// all of them lie in one accessible stride-1 segment and no receive
+  /// into `sym` is outstanding: element x sits at the result + (x - lo) *
+  /// elemSize. nullptr otherwise. Valid until the table changes; the
+  /// bytecode VM's loop kernels hold it across a pure loop, whose body
+  /// cannot change the table (a step hook may read the table meanwhile
+  /// but must not change it).
+  std::byte* window1(int sym, Index lo, Index hi);
 
   // --- transfer-engine hooks (used by Proc, not by node programs) ------
   /// Receive initiation: put every segment intersecting `s` in state

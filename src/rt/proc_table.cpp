@@ -492,83 +492,25 @@ void ProcTable::readElemsOf(const Entry& e, int sym, const Section& s,
   }
 }
 
-ProcTable::ElemLease::ElemLease(ProcTable& t)
-    : t_(&t), win_(t.entries_.size()) {}
-
-/// Address of the element at `p`, window-first. A window hit is pure
-/// local arithmetic; a miss re-resolves through the segment index and
-/// re-fills the window when the covering segment is contiguous. Returns
-/// nullptr when the point is not plainly accessible.
-std::byte* ProcTable::ElemLease::resolve(int sym, const Point& p, Window& w) {
-  if (w.base != nullptr) {
-    std::size_t pos = 0;
-    int d = 0;
-    for (; d < w.rank; ++d) {
-      const Index x = p[d];
-      if (x < w.lb[static_cast<std::size_t>(d)] ||
-          x > w.ub[static_cast<std::size_t>(d)])
-        break;
-      pos += static_cast<std::size_t>(
-                 (x - w.lb[static_cast<std::size_t>(d)]) *
-                 w.mult[static_cast<std::size_t>(d)]);
-    }
-    if (d == w.rank) return w.base + pos * w.sz;
-  }
-  Entry& e = t_->entry(sym);
+std::byte* ProcTable::window1(int sym, Index lo, Index hi) {
+  Entry& e = entry(sym);
   if (!e.pendingRecvs.empty()) return nullptr;
-  const int idx = t_->segmentAt(e, p);
-  if (idx < 0) return nullptr;
-  const SegmentDesc& seg = e.segs[static_cast<std::size_t>(idx)];
-  const std::size_t sz = e.pool.elemSz;
-  std::byte* addr = t_->elemAt(e, idx, p);
-  bool contiguous = true;
-  for (int d = 0; d < seg.bounds.rank(); ++d)
-    contiguous = contiguous && seg.bounds.dim(d).stride() == 1;
-  if (contiguous) {
-    w.base = e.pool.bytes.data() + seg.elemOffset * sz;
-    w.sz = sz;
-    w.rank = seg.bounds.rank();
-    Index mult = 1;
-    for (int d = 0; d < w.rank; ++d) {
-      const sec::Triplet& tr = seg.bounds.dim(d);
-      w.lb[static_cast<std::size_t>(d)] = tr.lb();
-      w.ub[static_cast<std::size_t>(d)] = tr.ub();
-      w.mult[static_cast<std::size_t>(d)] = mult;
-      mult *= tr.count();
-    }
+  auto holds = [&](int k) {
+    if (k < 0 || k >= static_cast<int>(e.segs.size())) return false;
+    const Section& b = e.segs[static_cast<std::size_t>(k)].bounds;
+    return b.rank() == 1 && b.dim(0).stride() == 1 && b.dim(0).lb() <= lo &&
+           hi <= b.dim(0).ub();
+  };
+  int k = e.segHint;
+  if (!holds(k)) {
+    std::array<Index, sec::kMaxRank> idx{};
+    idx[0] = lo;
+    k = segmentAt(e, Point(1, idx));
+    if (!holds(k)) return nullptr;
   }
-  return addr;
-}
-
-bool ProcTable::ElemLease::tryRead(int sym, const Point& p, std::byte* out) {
-  Window& w = win_[static_cast<std::size_t>(sym)];
-  const std::byte* addr = resolve(sym, p, w);
-  if (addr == nullptr) return false;
-  std::memcpy(out, addr, w.sz != 0 ? w.sz : t_->entry(sym).pool.elemSz);
-  return true;
-}
-
-bool ProcTable::ElemLease::tryWrite(int sym, const Point& p,
-                                    const std::byte* in) {
-  Window& w = win_[static_cast<std::size_t>(sym)];
-  std::byte* addr = resolve(sym, p, w);
-  if (addr == nullptr) return false;
-  std::memcpy(addr, in, w.sz != 0 ? w.sz : t_->entry(sym).pool.elemSz);
-  return true;
-}
-
-// Window-miss halves of the inline rank-1 accessors: fall back to the
-// generic resolve(), which also refills the window for the next hit.
-bool ProcTable::ElemLease::readSlow1(int sym, Index x, std::byte* out) {
-  std::array<Index, sec::kMaxRank> idx{};
-  idx[0] = x;
-  return tryRead(sym, Point(1, idx), out);
-}
-
-bool ProcTable::ElemLease::writeSlow1(int sym, Index x, const std::byte* in) {
-  std::array<Index, sec::kMaxRank> idx{};
-  idx[0] = x;
-  return tryWrite(sym, Point(1, idx), in);
+  const SegmentDesc& seg = e.segs[static_cast<std::size_t>(k)];
+  const auto pos = static_cast<std::size_t>(lo - seg.bounds.dim(0).lb());
+  return e.pool.bytes.data() + (seg.elemOffset + pos) * e.pool.elemSz;
 }
 
 void ProcTable::readElems(int sym, const Section& s, std::byte* out) const {

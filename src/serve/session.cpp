@@ -1,6 +1,5 @@
 #include "xdp/serve/session.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -47,7 +46,9 @@ using Clock = std::chrono::steady_clock;
 
 /// The containment boundary of one execution attempt (see the header
 /// comment). Shared by every processor fiber of the attempt: the step
-/// hook and the fabric send hook call into it.
+/// hook and the fabric send hook call into it. The fibers of one machine
+/// run on one thread, one at a time (DESIGN §5), so its fields are plain
+/// data.
 ///
 /// Breach protocol: the first processor to detect any breach records
 /// which quota fell, cancels every parked peer out of its
@@ -72,15 +73,15 @@ class SessionScope {
   void attach(interp::Interpreter* in) { interp_ = in; }
 
   void onStep(rt::Proc& proc) {
-    if (breached_.load(std::memory_order_acquire)) throwCancelled();
-    const std::uint64_t steps =
-        steps_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (breached_) throwCancelled();
+    const std::uint64_t steps = ++steps_;
     // Preemption pressure: unlike a breach, this is a graceful unwind —
     // the runtime checkpoints at the statement-boundary cut and the
     // session is spilled for later resume, not failed.
-    if (preemptAfter_ != 0 && steps > preemptAfter_ &&
-        !preemptRequested_.exchange(true, std::memory_order_acq_rel))
+    if (preemptAfter_ != 0 && steps > preemptAfter_ && !preemptRequested_) {
+      preemptRequested_ = true;
       interp_->runtime().requestPreempt();
+    }
     if (quotas_.maxSteps != 0 && steps > quotas_.maxSteps)
       breach("steps", "logical step budget of " +
                           std::to_string(quotas_.maxSteps) + " exhausted");
@@ -106,11 +107,9 @@ class SessionScope {
   /// Fabric send hook; runs before the send changes any fabric state, so
   /// a rejected send costs the session nothing.
   void onSend(int /*src*/, std::size_t bytes) {
-    if (breached_.load(std::memory_order_acquire)) throwCancelled();
-    const std::uint64_t msgs =
-        msgs_.fetch_add(1, std::memory_order_relaxed) + 1;
-    const std::uint64_t sent =
-        sentBytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    if (breached_) throwCancelled();
+    const std::uint64_t msgs = ++msgs_;
+    const std::uint64_t sent = sentBytes_ += bytes;
     if (quotas_.maxMessages != 0 && msgs > quotas_.maxMessages)
       breach("messages", "message budget of " +
                              std::to_string(quotas_.maxMessages) +
@@ -121,19 +120,15 @@ class SessionScope {
                                " bytes exhausted");
   }
 
-  bool breached() const { return breached_.load(std::memory_order_acquire); }
+  bool breached() const { return breached_; }
   /// The quota that fell ("" if none). Valid once the run has joined.
-  const char* resource() const {
-    const char* r = resource_.load(std::memory_order_acquire);
-    return r ? r : "";
-  }
+  const char* resource() const { return resource_ ? resource_ : ""; }
 
  private:
   [[noreturn]] void breach(const char* resource, std::string detail) {
-    bool expected = false;
-    if (breached_.compare_exchange_strong(expected, true,
-                                          std::memory_order_acq_rel)) {
-      resource_.store(resource, std::memory_order_release);
+    if (!breached_) {  // the first breach wins
+      breached_ = true;
+      resource_ = resource;
       if (FiberScheduler* sched = FiberScheduler::current()) {
         sched->cancelParked(std::make_exception_ptr(QuotaExceeded(
             resource, "session cancelled after quota breach")));
@@ -143,8 +138,7 @@ class SessionScope {
   }
 
   [[noreturn]] void throwCancelled() {
-    const char* r = resource_.load(std::memory_order_acquire);
-    throw QuotaExceeded(r ? r : "cancelled",
+    throw QuotaExceeded(resource_ ? resource_ : "cancelled",
                         "session cancelled after quota breach");
   }
 
@@ -153,12 +147,12 @@ class SessionScope {
   Clock::time_point deadline_{};
   interp::Interpreter* interp_ = nullptr;
 
-  std::atomic<bool> preemptRequested_{false};
-  std::atomic<bool> breached_{false};
-  std::atomic<const char*> resource_{nullptr};
-  std::atomic<std::uint64_t> steps_{0};
-  std::atomic<std::uint64_t> msgs_{0};
-  std::atomic<std::uint64_t> sentBytes_{0};
+  bool preemptRequested_ = false;
+  bool breached_ = false;
+  const char* resource_ = nullptr;
+  std::uint64_t steps_ = 0;
+  std::uint64_t msgs_ = 0;
+  std::uint64_t sentBytes_ = 0;
 };
 
 /// FNV-1a over every declared array's final contents, gathered into the

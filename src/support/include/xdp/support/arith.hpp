@@ -19,6 +19,7 @@
 // never executes. It calls the tryFold* forms, which decline instead.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -68,6 +69,18 @@ inline std::int64_t checkedDiv(std::int64_t a, std::int64_t b) {
 inline std::int64_t checkedMod(std::int64_t a, std::int64_t b) {
   if (divTraps(a, b)) raiseDivTrap(a, b, "modulo");
   return a % b;
+}
+
+/// The value an i64 element store writes: element stores are
+/// f64-mediated and round to nearest (llround). A non-finite value or one
+/// beyond int64 has no such value (llround's result is unspecified
+/// there), so it raises UsageError, by the range rule of index values.
+inline std::int64_t storeI64(double v) {
+  if (!(v >= -9223372036854775808.0 && v < 9223372036854775808.0))
+    throw UsageError(
+        "i64 element store out of range (non-finite or beyond int64): " +
+        std::to_string(v));
+  return static_cast<std::int64_t>(std::llround(v));
 }
 
 /// Checked non-wrapping product for the static cost model's byte

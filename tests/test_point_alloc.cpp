@@ -1,6 +1,7 @@
-// Heap allocations of a steady-state point message. This binary replaces
-// the global operator new with a counting one, so it stays out of the
-// sanitizer builds, which replace it themselves.
+// Heap allocations of a steady-state point message and of a loop-kernel
+// entry. This binary replaces the global operator new with a counting
+// one, so it stays out of the sanitizer builds, which replace it
+// themselves.
 //
 // The measure is differential: the same program runs for kShort and for
 // kLong round trips, and the extra round trips must allocate nothing
@@ -104,6 +105,27 @@ std::size_t vmRoundTrips(int rounds, bool direct) {
   return gAllocs - before;
 }
 
+/// Allocations of a compiled two-processor program that enters a
+/// one-iteration stencil loop `rounds` times per processor; `fused`
+/// receives how many of those entries ran as a loop kernel.
+std::size_t kernelEntries(int rounds, std::uint64_t& fused) {
+  const std::string text =
+      "procs 2\n"
+      "array A f64 [1:8] (BLOCK)\n"
+      "do t = 1, " +
+      std::to_string(rounds) +
+      "\n"
+      "  do i = 4 * mypid + 2, 4 * mypid + 2\n"
+      "    A[i] = 0.5 * A[i - 1] + A[i] * 0.25 + A[i + 1]\n"
+      "  enddo\n"
+      "enddo\n";
+  interp::Interpreter in(il::parseProgram(text));
+  const std::size_t before = gAllocs;
+  in.run();
+  fused = in.totalStats().fusedLoops;
+  return gAllocs - before;
+}
+
 /// Extra allocations of the long run over the short one, after a warm-up
 /// run that pays one-time initialization.
 template <class Run>
@@ -125,6 +147,17 @@ TEST(PointAlloc, UnexpectedPathAllocatesAtMostOnce) {
   if (!XDP_COUNTING_NEW) GTEST_SKIP() << "sanitizers replace operator new";
   EXPECT_LE(extraAllocs([](int n) { return procRoundTrips(n, false); }),
             kLong - kShort);
+}
+
+TEST(PointAlloc, LoopKernelEntryAllocatesNothing) {
+  if (!XDP_COUNTING_NEW) GTEST_SKIP() << "sanitizers replace operator new";
+  constexpr int kFew = 1000, kMany = kFew + 10000;
+  std::uint64_t fewFused = 0, manyFused = 0;
+  (void)kernelEntries(kFew, fewFused);
+  const std::size_t few = kernelEntries(kFew, fewFused);
+  const std::size_t many = kernelEntries(kMany, manyFused);
+  EXPECT_EQ(manyFused - fewFused, 2u * 10000u);  // every entry fused
+  EXPECT_EQ(static_cast<long>(many) - static_cast<long>(few), 0);
 }
 
 }  // namespace

@@ -47,10 +47,35 @@ constexpr const char* kServeHalo = "serve-halo";
 /// rule, every one compiled to a hot transfer op.
 constexpr const char* kServeRing = "serve-ring";
 
+/// Guarded loop kernels over CYCLIC(3) arrays: each processor owns
+/// several interleaved progressions of every loop, so a split kernel runs
+/// range by range and, under a checkpoint controller, walks the
+/// materialized order to the last iteration it leaves to the per-op copy.
+constexpr const char* kCyclicSplit = "cyclic-split";
+
 /// An example program by file name, or a serve text.
 il::Program loadProgram(const std::string& name) {
   if (name == kServeHalo) return il::parseProgram(testprog::haloText(2, 96, 60));
   if (name == kServeRing) return il::parseProgram(testprog::ringText(3, 2, 24));
+  if (name == kCyclicSplit)
+    return il::parseProgram(R"(procs 2
+array U f64 [1:48] (CYCLIC(3))
+array V f64 [1:48] (CYCLIC(3))
+do i = 1, 48
+  iown(U[i]) : {
+    U[i] = 0.03125 * i
+    V[i] = 1.5 - U[i]
+  }
+enddo
+do t = 1, 5
+  do i = 1, 48
+    iown(V[i]) : { V[i] = 0.5 * U[i] + 0.25 * V[i] - 0.125 * t }
+  enddo
+  do i = 2, 47, 2
+    iown(U[i]) : { U[i] = U[i] - 0.5 * V[i] }
+  enddo
+enddo
+)");
   return loadExample(name);
 }
 
@@ -364,8 +389,9 @@ TEST(Recovery, CheckpointingRunWithoutFaultsMatchesPlainRun) {
 /// transfers as hot VM ops. At interval 1 the captures follow
 /// each other back to back, so a capture that exported a machine still in
 /// motion would show up here as a mismatch. Pure split sites split under
-/// checkpointing too, so on the serve halo, whose only split site is
-/// pure, the split counters match the plain run's as well.
+/// checkpointing too, so on the serve halo and the CYCLIC(3) program,
+/// whose split sites are all pure, the split counters match the plain
+/// run's as well.
 class CaptureStress : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CaptureStress, CheckpointedRunsMatchPlainRun) {
@@ -373,13 +399,22 @@ TEST_P(CaptureStress, CheckpointedRunsMatchPlainRun) {
   const std::string name = GetParam();
   const il::Program prog = loadProgram(name);
   const RunResult base = baselineRun(prog, Backend::Bytecode);
-  if (name == kServeHalo) {
+  const bool splits = name == kServeHalo || name == kCyclicSplit;
+  if (splits) {
     ASSERT_GT(base.stats.rangeSplits, 0u);
+  }
+  if (name == kCyclicSplit) {
+    ASSERT_EQ(bc::compile(il::flat::flatten(prog)).kernels.size(), 3u);
+    ASSERT_EQ(base.stats.fusedLoops, 2u * 11u);
   }
   if (name == kServeHalo || name == kServeRing) {
     const bc::Module m = bc::compile(il::flat::flatten(prog));
     ASSERT_EQ(m.coldStmts, 1u);  // the fill kernel
     ASSERT_GT(m.xfers.size(), 0u);
+    // The inner element loop (the halo's split copy, the ring's plain
+    // loop) compiles to one loop kernel.
+    ASSERT_EQ(m.kernels.size(), 1u);
+    ASSERT_NE(bc::disassemble(m).find("LoopKernel"), std::string::npos);
   }
   for (std::uint64_t interval : {1, 7, 64, 1024}) {
     std::optional<double> intervalMakespan;
@@ -409,7 +444,7 @@ TEST_P(CaptureStress, CheckpointedRunsMatchPlainRun) {
       }
       if (!intervalMakespan) intervalMakespan = r.makespan;
       EXPECT_EQ(r.makespan, *intervalMakespan) << what;
-      if (name == kServeHalo) {
+      if (splits) {
         EXPECT_EQ(r.stats.rangeSplits, base.stats.rangeSplits) << what;
         EXPECT_EQ(r.stats.guardedItersSaved, base.stats.guardedItersSaved)
             << what;
@@ -422,7 +457,118 @@ INSTANTIATE_TEST_SUITE_P(Examples, CaptureStress,
                          ::testing::Values("vecadd.xdp", "jacobi.xdp",
                                            "cannon.xdp", "ownership.xdp",
                                            "taskfarm.xdp", kServeHalo,
-                                           kServeRing));
+                                           kServeRing, kCyclicSplit));
+
+/// apps::registerFillKernel's kernel with seed 42, for f64 arrays: every
+/// owned point of each argument gets apps::cellValueAt.
+void fill42(rt::Proc& p, const std::vector<std::pair<int, Section>>& args) {
+  for (const auto& [sym, s] : args)
+    for (const rt::SegmentDesc& seg : p.table().segments(sym))
+      Section::intersect(seg.bounds, s).forEach([&](const sec::Point& pt) {
+        const double v = apps::cellValueAt(42, sym, pt);
+        p.table().writeElems(sym, Section{sec::Triplet(pt[0])},
+                             reinterpret_cast<const std::byte*>(&v));
+      });
+}
+
+/// A checkpointed VM run whose processor 0 requests preemption at its
+/// `preemptAt`-th step-hook call, resumed in the same runtime to the end:
+/// the encoded preempt snapshot, the finished run and the kernel entries
+/// before the park (resuming replaces the counters with the image's,
+/// which do not include them). With `perOp` every LoopKernel op is a jump
+/// to its per-op copy; `preemptAt` 0 never preempts.
+struct PreemptedRun {
+  std::vector<std::byte> image;
+  RunResult r;
+  std::uint64_t fused = 0;
+};
+
+PreemptedRun preemptedRun(const il::Program& prog, bool perOp,
+                          std::uint64_t preemptAt) {
+  bc::Module m = bc::compile(il::flat::flatten(prog));
+  if (perOp)
+    for (std::size_t pc = 0; pc < m.code.size(); ++pc)
+      if (m.code[pc].op == bc::Op::LoopKernel)
+        m.code[pc] = {bc::Op::Jmp, 0, 0, 0, 0,
+                      static_cast<std::int32_t>(pc + 1)};
+  rt::Runtime* rtp = nullptr;
+  std::uint64_t calls = 0;
+  InterpOptions io;
+  io.stepHook = [&](rt::Proc& p) {
+    if (p.mypid() == 0 && ++calls == preemptAt) rtp->requestPreempt();
+  };
+  Interpreter in(prog, {}, io);
+  rt::Runtime& rt = in.runtime();
+  rtp = &rt;
+  rt.enableCheckpointing({});
+  std::vector<InterpStats> stats(static_cast<std::size_t>(prog.nprocs));
+  const std::map<std::string, KernelFn> kernels{{"fill", fill42}};
+  auto run = [&] {
+    rt.run([&](rt::Proc& p) {
+      bc::execute(m, p, stats[static_cast<std::size_t>(p.mypid())], io,
+                  kernels, rt.ckptController());
+    });
+  };
+  PreemptedRun out;
+  run();
+  for (const InterpStats& st : stats) out.fused += st.fusedLoops;
+  if (rt.preempted()) {
+    ckpt::Snapshot snap = rt.takePreemptSnapshot();
+    out.image = ckpt::encodeSnapshot(snap);
+    rt.restoreFrom(std::move(snap));
+    run();
+  }
+  EXPECT_FALSE(rt.preempted());
+  out.r.digest = digestState(rt);
+  for (const InterpStats& st : stats) out.r.stats += st;
+  out.r.net = rt.fabric().totalStats();
+  out.r.makespan = rt.fabric().makespan();
+  return out;
+}
+
+TEST(CaptureStress, LoopKernelsLeaveThePerOpCopysImages) {
+  // Preempted at a step inside (or after) a split kernel, the machine
+  // parks at the first boundary after the loop, and its snapshot (tables,
+  // registers, counters) encodes to the bytes its per-op copy's does:
+  // the kernel leaves its last iteration to that copy. Every step of the
+  // CYCLIC(3) program, whose kernels run several ranges; every 97th of
+  // the serve halo's.
+  for (const auto& [name, stride] :
+       {std::pair<const char*, std::uint64_t>{kCyclicSplit, 1},
+        {kServeHalo, 97}}) {
+    const il::Program prog = loadProgram(name);
+    const RunResult base = baselineRun(prog, Backend::Bytecode);
+    ASSERT_GT(base.stats.fusedLoops, 0u) << name;
+    const PreemptedRun whole = preemptedRun(prog, false, 0);
+    EXPECT_TRUE(whole.image.empty()) << name;
+    EXPECT_EQ(whole.fused, base.stats.fusedLoops) << name;
+    expectLogicalEq(base, whole.r, name);
+    std::uint64_t steps = 0, fusedBeforePark = 0;
+    {
+      InterpOptions io;
+      io.stepHook = [&](rt::Proc& p) { steps += p.mypid() == 0 ? 1 : 0; };
+      Interpreter in(prog, {}, io);
+      apps::registerFillKernel(in, 42);
+      in.run();
+    }
+    for (std::uint64_t k = 1; k <= steps; k += stride) {
+      const std::string what =
+          std::string(name) + " preempted at step " + std::to_string(k);
+      const PreemptedRun v = preemptedRun(prog, false, k);
+      const PreemptedRun p = preemptedRun(prog, true, k);
+      ASSERT_FALSE(v.image.empty()) << what;
+      EXPECT_TRUE(v.image == p.image) << what;
+      fusedBeforePark += v.fused > 0 ? 1 : 0;
+      EXPECT_EQ(p.fused, 0u) << what;
+      expectLogicalEq(base, v.r, what);
+      expectLogicalEq(base, p.r, what);
+      EXPECT_EQ(v.r.makespan, base.makespan) << what;
+      EXPECT_EQ(p.r.makespan, base.makespan) << what;
+      if (HasFailure()) return;
+    }
+    EXPECT_GT(fusedBeforePark, 0u) << name;
+  }
+}
 
 double secondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

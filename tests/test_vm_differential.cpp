@@ -12,8 +12,10 @@
 //     split counts on the example programs).
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "xdp/apps/programs.hpp"
@@ -23,6 +25,8 @@
 #include "xdp/interp/interpreter.hpp"
 #include "xdp/opt/passes.hpp"
 #include "xdp/serve/session.hpp"
+#include "xdp/support/rng.hpp"
+#include "analysis_programs.hpp"
 
 namespace xdp::interp {
 namespace {
@@ -328,9 +332,9 @@ y = x + 1
   }
 }
 
-TEST(VmDifferential, ResidencyHookKeepsTheElementLease) {
+TEST(VmDifferential, ResidencyHookKeepsTheLoopKernel) {
   // A step hook that reads the table on every step (serve's quota hook
-  // samples residentBytes) leaves pure loops their element lease; the run
+  // samples residentBytes) leaves pure loops their loop kernel; the run
   // must match the hookless one exactly.
   const il::Program prog = il::parseProgram(R"(procs 2
 array A f64 [1:64] (BLOCK)
@@ -366,6 +370,7 @@ enddo
     net = in.runtime().fabric().totalStats();
     stats = in.totalStats();
     makespan = in.runtime().fabric().makespan();
+    EXPECT_GT(stats.fusedLoops, 0u);
     if (hook) {
       EXPECT_GT(resident, 0u);
     }
@@ -451,6 +456,433 @@ TEST(VmDifferential, DisassemblerShowsCompiledProgram) {
   EXPECT_NE(dis.find("ForEnter"), std::string::npos);
   EXPECT_NE(dis.find("hot="), std::string::npos);
   EXPECT_EQ(m.fp.nprocs, prog.nprocs);
+}
+
+}  // namespace
+}  // namespace xdp::interp
+
+namespace xdp::interp {
+namespace {
+
+// --- loop kernels (DESIGN.md §9.2) ----------------------------------------
+
+/// One run of a program with error text (file:line prefixes dropped, they
+/// name the engine's source), step-hook calls and every counter.
+struct KernelRun {
+  RunResult r;
+  std::string error;
+  std::uint64_t hookCalls = 0;
+  std::uint64_t fused = 0;
+};
+
+/// `what` without the "file.cpp:123: " prefixes of XDP_CHECK and
+/// XDP_USAGE_FAIL, which name the engine's source file.
+std::string withoutSourceRefs(std::string what) {
+  for (const char* ext : {".cpp:", ".hpp:"}) {
+    for (std::size_t at; (at = what.find(ext)) != std::string::npos;) {
+      const std::size_t space = what.rfind(' ', at);
+      const std::size_t begin = space == std::string::npos ? 0 : space + 1;
+      std::size_t end = at + 5;
+      while (end < what.size() &&
+             std::isdigit(static_cast<unsigned char>(what[end])))
+        ++end;
+      if (what.compare(end, 2, ": ") == 0) end += 2;
+      what.erase(begin, end - begin);
+    }
+  }
+  return what;
+}
+
+/// The fill kernel of apps::registerFillKernel: every owned point of each
+/// argument gets apps::cellValueAt.
+void fillOwned(rt::Proc& p, const std::vector<std::pair<int, Section>>& args) {
+  for (const auto& [sym, s] : args)
+    for (const rt::SegmentDesc& seg : p.table().segments(sym))
+      Section::intersect(seg.bounds, s).forEach([&](const sec::Point& pt) {
+        const double v = apps::cellValueAt(7, sym, pt);
+        std::array<Triplet, sec::kMaxRank> dims{};
+        for (int d = 0; d < pt.rank(); ++d)
+          dims[static_cast<std::size_t>(d)] = Triplet(pt[d]);
+        p.table().writeElems(sym, Section(pt.rank(), dims),
+                             reinterpret_cast<const std::byte*>(&v));
+      });
+}
+
+/// How a program runs: the reference walker, the VM, or the VM with every
+/// LoopKernel op turned into a jump to its per-op copy.
+enum class Engine { Walker, Vm, VmPerOp };
+
+KernelRun runKernelProgram(const il::Program& prog, Engine engine, bool debug,
+                           bool hook, std::uint64_t throwAt = 0) {
+  rt::RuntimeOptions opts;
+  opts.debugChecks = debug;
+  InterpOptions io;
+  io.backend = engine == Engine::Walker ? Backend::TreeWalk : Backend::Bytecode;
+  KernelRun k;
+  if (hook)
+    io.stepHook = [&k, throwAt](rt::Proc& p) {
+      if (++k.hookCalls == throwAt) throw UsageError("hook stop");
+      (void)p.table().residentBytes();
+    };
+  Interpreter in(prog, opts, io);
+  in.registerKernel("fill", fillOwned);
+  std::vector<InterpStats> perOp(static_cast<std::size_t>(prog.nprocs));
+  try {
+    if (engine != Engine::VmPerOp) {
+      in.run();
+    } else {
+      bc::Module m = bc::compile(il::flat::flatten(prog));
+      for (std::size_t pc = 0; pc < m.code.size(); ++pc)
+        if (m.code[pc].op == bc::Op::LoopKernel)
+          m.code[pc] = {bc::Op::Jmp, 0, 0, 0, 0,
+                        static_cast<std::int32_t>(pc + 1)};
+      const std::map<std::string, KernelFn> kernels{{"fill", fillOwned}};
+      in.runtime().run([&](rt::Proc& p) {
+        bc::execute(m, p, perOp[static_cast<std::size_t>(p.mypid())], io,
+                    kernels);
+      });
+    }
+  } catch (const std::exception& e) {
+    k.error = withoutSourceRefs(e.what());
+  }
+  k.r.digest = digestState(in.runtime());
+  k.r.stats = in.totalStats();
+  for (const InterpStats& st : perOp) k.r.stats += st;
+  const auto net = in.runtime().fabric().totalStats();
+  k.r.messagesSent = net.messagesSent;
+  k.r.bytesSent = net.bytesSent;
+  k.r.ownershipTransfers = net.ownershipTransfers;
+  k.r.makespan = in.runtime().fabric().makespan();
+  k.fused = k.r.stats.fusedLoops;
+  return k;
+}
+
+/// Results, logical counters, NetStats and makespan agree.
+void expectSameRun(const KernelRun& t, const KernelRun& v,
+                   const std::string& what) {
+  EXPECT_EQ(t.error, v.error) << what;
+  EXPECT_EQ(t.r.digest, v.r.digest) << what;
+  EXPECT_EQ(t.r.stats.stmtsExecuted, v.r.stats.stmtsExecuted) << what;
+  EXPECT_EQ(t.r.stats.loopIterations, v.r.stats.loopIterations) << what;
+  EXPECT_EQ(t.r.stats.rulesEvaluated, v.r.stats.rulesEvaluated) << what;
+  EXPECT_EQ(t.r.stats.rulesTrue, v.r.stats.rulesTrue) << what;
+  EXPECT_EQ(t.r.stats.elemAssigns, v.r.stats.elemAssigns) << what;
+  EXPECT_EQ(t.r.stats.kernelCalls, v.r.stats.kernelCalls) << what;
+  EXPECT_EQ(t.r.messagesSent, v.r.messagesSent) << what;
+  EXPECT_EQ(t.r.bytesSent, v.r.bytesSent) << what;
+  EXPECT_EQ(t.r.ownershipTransfers, v.r.ownershipTransfers) << what;
+  EXPECT_EQ(t.r.makespan, v.r.makespan) << what;
+}
+
+/// The kernel against its own per-op copy: all of the above, plus the
+/// hook calls and the split counters.
+void expectSameAsPerOp(const KernelRun& p, const KernelRun& v,
+                       const std::string& what) {
+  expectSameRun(p, v, what);
+  EXPECT_EQ(p.hookCalls, v.hookCalls) << what;
+  EXPECT_EQ(p.r.stats.rangeSplits, v.r.stats.rangeSplits) << what;
+  EXPECT_EQ(p.r.stats.guardedItersSaved, v.r.stats.guardedItersSaved)
+      << what;
+  EXPECT_EQ(p.fused, 0u) << what;
+}
+
+/// A random program around one pure loop, split (`iown`-guarded) or plain,
+/// whose body is one to four rank-1 element assignments: affine subscripts
+/// a*i + b, values over element reads, literals, invariant real, int, bool
+/// and undefined scalars and the loop scalar, with real divisions that may
+/// divide by zero, int divisions that can trap, and a pending receive.
+std::string randomKernelProgram(Rng& rng) {
+  const int procs = static_cast<int>(rng.range(1, 3));
+  const Index nb = rng.range(6, 12);  // elements per processor
+  const Index n = nb * procs;
+  auto pick = [&](std::initializer_list<const char*> xs) {
+    return std::string(*(xs.begin() + rng.below(xs.size())));
+  };
+  auto dist = [&] {
+    return rng.below(5) != 0 ? std::string("BLOCK")
+                             : pick({"CYCLIC", "CYCLIC(2)", "CYCLIC(3)"});
+  };
+  const std::string N = std::to_string(n), NB = std::to_string(nb);
+  std::string t = "procs " + std::to_string(procs) + "\n";
+  t += "array A f64 [1:" + N + "] (" + dist() + ")\n";
+  t += "array B i64 [1:" + N + "] (" + dist() + ")\n";
+  t += "array C f64 [1:" + N + "] (" + dist() + ")\n";
+  t += "array H f64 [0:" + std::to_string(procs - 1) + "] (BLOCK)\n\n";
+  t += "fill(A[1:" + N + "], C[1:" + N + "])\n";
+  t += "do i = 1, " + N +
+       "\n  iown(B[i]) : {\n    w = i\n    B[i] = 3 * w - 7\n  }\nenddo\n";
+  t += "x = " + pick({"0.5", "-1.25", "3.0", "0.0"}) + "\n";
+  t += "k = " + pick({"2", "-3", "0", "1"}) + "\n";
+  t += "z = (k > 1)\n";
+  const bool pending = procs > 1 && rng.below(6) == 0;
+  if (pending) t += "(mypid > 0) : { H[mypid] <- A[1] }\n";
+
+  const char* arrays[] = {"A", "B", "C"};
+  auto sub = [&] {
+    const Index a = rng.below(6) == 0 ? rng.range(2, 3) : 1;
+    const Index b = rng.below(2) == 0 ? 0 : rng.range(-2, 2);
+    std::string s = a == 1 ? "i" : std::to_string(a) + " * i";
+    if (b > 0) s += " + " + std::to_string(b);
+    if (b < 0) s += " - " + std::to_string(-b);
+    if (rng.below(8) == 0) s += " + k - k";
+    return s;
+  };
+  auto read = [&] {
+    if (pending && rng.below(4) == 0) return std::string("H[mypid]");
+    return std::string(arrays[rng.below(3)]) + "[" + sub() + "]";
+  };
+  std::function<std::string(int)> value = [&](int depth) -> std::string {
+    if (depth == 0 || rng.below(3) == 0) {
+      switch (rng.below(9)) {
+        case 0: return pick({"0.25", "2", "-1.5", "7"});
+        case 1: return pick({"x", "k", "z"});
+        case 2: return rng.below(12) == 0 ? "u" : "x";
+        case 3: return "i";
+        default: return read();
+      }
+    }
+    switch (rng.below(6)) {
+      case 0: return "-(" + value(depth - 1) + ")";
+      case 1: return "(" + value(depth - 1) + ") / (" + value(depth - 1) + ")";
+      case 2: return "(" + value(depth - 1) + ") * (" + value(depth - 1) + ")";
+      case 3: return "(" + value(depth - 1) + ") - (" + value(depth - 1) + ")";
+      default: return "(" + value(depth - 1) + ") + (" + value(depth - 1) + ")";
+    }
+  };
+  auto sum = [&] {  // the sum-of-scaled-loads form
+    std::string s;
+    const int terms = static_cast<int>(rng.range(1, 4));
+    for (int k = 0; k < terms; ++k) {
+      if (k) s += rng.below(4) == 0 ? " - " : " + ";
+      const std::string c = pick({"0.25", "0.5", "x", "k", "2"});
+      const std::string r = rng.below(8) == 0 ? "i" : read();
+      s += rng.below(5) == 0 ? r
+                             : (rng.below(2) ? c + " * " + r : r + " * " + c);
+    }
+    return s;
+  };
+
+  const bool split = rng.below(2) == 0;
+  const Index step = rng.range(1, 3);
+  std::string lo, hi;
+  if (rng.below(3) == 0) {  // every element: some processor reads unowned
+    lo = std::to_string(rng.range(1, 3));
+    hi = std::to_string(rng.range(n - 2, n));
+  } else {  // inside this processor's block of a BLOCK array, as a halo
+    lo = NB + " * mypid + " + std::to_string(rng.range(3, 4));
+    hi = NB + " * mypid + " + std::to_string(nb - rng.range(2, 3));
+  }
+  const int assigns = static_cast<int>(rng.range(1, 4));
+  std::string body, guard;
+  for (int a = 0; a < assigns; ++a) {
+    const std::string target =
+        std::string(arrays[rng.below(3)]) + "[" + sub() + "]";
+    if (a == 0) guard = rng.below(4) != 0 ? target : read();
+    const std::string v =
+        rng.below(2) ? sum() : value(static_cast<int>(rng.range(1, 3)));
+    body += "    " + target + " = " + v + "\n";
+  }
+  t += "do i = " + lo + ", " + hi +
+       (step > 1 ? ", " + std::to_string(step) : std::string()) + "\n";
+  if (split)
+    t += "  iown(" + guard + ") : {\n" + body + "  }\n";
+  else
+    t += body;
+  t += "enddo\n";
+  if (pending) {
+    t += "(mypid == 0) : { A[1] -> }\n";
+    t += "(mypid > 0) : { await(H[mypid]) }\n";
+  }
+  return t;
+}
+
+TEST(VmDifferential, LoopKernelCorpusMatchesOracle) {
+  constexpr int kPrograms = 700;
+  Rng rng(20260);
+  int fused = 0, compiled = 0;
+  for (int c = 0; c < kPrograms; ++c) {
+    const std::string text = randomKernelProgram(rng);
+    il::Program prog;
+    try {
+      prog = il::parseProgram(text);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "unparsable corpus program: " << e.what() << "\n"
+                    << text;
+      continue;
+    }
+    const bc::Module m = bc::compile(il::flat::flatten(prog));
+    compiled += m.kernels.empty() ? 0 : 1;
+    const bool debug = rng.below(2) == 0, hook = rng.below(3) != 0;
+    const KernelRun v = runKernelProgram(prog, Engine::Vm, debug, hook);
+    const KernelRun p = runKernelProgram(prog, Engine::VmPerOp, debug, hook);
+    const std::string what = "program " + std::to_string(c) + " (debug " +
+                             std::to_string(debug) + ", hook " +
+                             std::to_string(hook) + "):\n" + text;
+    expectSameAsPerOp(p, v, what);
+    // The walker never splits, so it calls the hook for guards the split
+    // skips, and it credits no counters ahead: compare whole runs only.
+    const KernelRun t = runKernelProgram(prog, Engine::Walker, debug, hook);
+    if (t.error.empty() || v.error.empty()) expectSameRun(t, v, what);
+    fused += v.fused > 0 ? 1 : 0;
+    if (HasFailure()) break;
+  }
+  EXPECT_GE(compiled, 300);
+  EXPECT_GE(fused, 100);
+}
+
+TEST(VmDifferential, LoopKernelHookThrowsAtEveryStep) {
+  // A halo-shaped split loop and a plain loop over it: for every step k
+  // the hook throws at, the kernel leaves the counters and the table
+  // exactly as its per-op copy does.
+  const il::Program prog = il::parseProgram(R"(procs 2
+array U f64 [1:16] (BLOCK)
+array V f64 [1:16] (BLOCK)
+fill(U[1:16], V[1:16])
+do i = 8 * mypid + 2, 8 * mypid + 7
+  iown(U[i]) : { U[i] = 0.25 * U[i - 1] + 0.5 * U[i] + 0.25 * U[i + 1] }
+enddo
+do i = 8 * mypid + 1, 8 * mypid + 8
+  V[i] = V[i] * 0.5 + U[i]
+  U[i] = V[i] - i
+enddo
+)");
+  const KernelRun full = runKernelProgram(prog, Engine::Vm, true, true);
+  ASSERT_TRUE(full.error.empty()) << full.error;
+  ASSERT_EQ(full.fused, 4u);
+  for (std::uint64_t k = 1; k <= full.hookCalls; ++k) {
+    const KernelRun p = runKernelProgram(prog, Engine::VmPerOp, true, true, k);
+    const KernelRun v = runKernelProgram(prog, Engine::Vm, true, true, k);
+    EXPECT_NE(v.error.find("hook stop"), std::string::npos) << v.error;
+    expectSameAsPerOp(p, v, "throw at step " + std::to_string(k));
+  }
+}
+
+TEST(VmDifferential, LoopKernelWithMoreTermsThanAccesses) {
+  // A bare loop-scalar term takes no access, so a body of short sums can
+  // carry more terms (here 17 and 18) than a kernel has accesses (16):
+  // they run in the sum form, or on the tape when every operator is an
+  // int one, and match the per-op copy and the walker.
+  const std::string head = R"(procs 2
+array A f64 [1:16] (BLOCK)
+array C f64 [1:16] (BLOCK)
+array B i64 [1:16] (BLOCK)
+do i = 1, 16
+  iown(A[i]) : {
+    A[i] = 0.5 * i
+    C[i] = 0.25 * i
+    B[i] = i
+  }
+enddo
+)";
+  const std::string loop = "do i = 8 * mypid + 2, 8 * mypid + 7\n";
+  const char* bodies[] = {
+      // 9 + 8 terms over two loads, in the sum form.
+      "  A[i] = C[i] + i + i + i + i + i + i + i + i\n"
+      "  C[i] = A[i] + i + i + i + i + i + i + i\n",
+      // 9 + 8 int terms: the tape runs them.
+      "  A[i] = i + i + i + i + i + i + i + i + i\n"
+      "  B[i] = i + i + i + i + i + i + i + i\n",
+      // 5 + 5 + 4 + 4 terms over four assignments.
+      "  A[i] = C[i - 1] + i + i + i + i\n"
+      "  C[i] = A[i] + i + i + i + i\n"
+      "  B[i] = B[i] + i + i + i\n"
+      "  A[i] = C[i + 1] + i + A[i] - i\n",
+  };
+  for (const char* body : bodies) {
+    for (const bool split : {false, true}) {
+      const std::string text =
+          head + loop +
+          (split ? "  iown(A[i]) : {\n" + std::string(body) + "  }\n"
+                 : std::string(body)) +
+          "enddo\n";
+      const il::Program prog = il::parseProgram(text);
+      const bc::Module m = bc::compile(il::flat::flatten(prog));
+      std::size_t terms = 0;
+      for (const bc::KernelSite& ks : m.kernels)
+        terms = std::max(terms, ks.terms.size());
+      EXPECT_GE(terms, 17u) << text;
+      for (const bool hook : {false, true}) {
+        const std::string what = text + "hook " + std::to_string(hook);
+        const KernelRun v = runKernelProgram(prog, Engine::Vm, true, hook);
+        const KernelRun p =
+            runKernelProgram(prog, Engine::VmPerOp, true, hook);
+        const KernelRun t =
+            runKernelProgram(prog, Engine::Walker, true, hook);
+        EXPECT_TRUE(v.error.empty()) << what << v.error;
+        EXPECT_EQ(v.fused, 4u) << what;  // the fill and the loop, per pid
+        expectSameAsPerOp(p, v, what);
+        expectSameRun(t, v, what);
+      }
+    }
+  }
+}
+
+TEST(VmDifferential, InnerLoopsCompileToTheLoopKernel) {
+  // serve's six program shapes (perfbench's halo and ring corpus on four
+  // processors), jacobi.xdp and BM_StencilExec's program: every inner
+  // element loop is one LoopKernel op ahead of its per-op copy.
+  auto kernels = [](const il::Program& prog) {
+    const bc::Module m = bc::compile(il::flat::flatten(prog));
+    const std::string dis = bc::disassemble(m);
+    std::size_t ops = 0;
+    for (std::size_t at = dis.find("LoopKernel"); at != std::string::npos;
+         at = dis.find("LoopKernel", at + 1))
+      ++ops;
+    EXPECT_EQ(ops, m.kernels.size());
+    return m.kernels.size();
+  };
+  for (const auto& [block, sweeps] :
+       {std::pair{256, 20}, {96, 60}, {1024, 8}, {48, 120}})
+    EXPECT_EQ(kernels(il::parseProgram(testprog::haloText(4, block, sweeps))),
+              1u);
+  for (const auto& [block, steps] : {std::pair{32, 80}, {128, 24}})
+    EXPECT_EQ(kernels(il::parseProgram(testprog::ringText(4, block, steps))),
+              1u);
+  EXPECT_EQ(kernels(loadExample("jacobi.xdp")), 1u);
+  // BM_StencilExec: an initializing loop and the sweep's inner loop.
+  const il::Program stencil = il::parseProgram(R"(procs 4
+array A f64 [1:256] (BLOCK)
+do i = 1, 256
+  iown(A[i]) : { A[i] = 0.1 * i }
+enddo
+do t = 1, 8
+  do i = 1, 256
+    iown(A[i]) : { A[i] = A[i] + 1.0 }
+  enddo
+enddo
+)");
+  EXPECT_EQ(kernels(stencil), 2u);
+}
+
+TEST(VmDifferential, I64StoreOutOfRangeRaisesOnBothEngines) {
+  // A real beyond int64 or not finite has no i64 value: both engines
+  // raise one UsageError at the same step instead of storing whatever
+  // llround returns, in the kernel and on the per-op path alike.
+  const std::string head = "procs 1\narray A i64 [1:4] (BLOCK)\n";
+  const char* cases[] = {
+      "A[1] = 1.0e300\n",
+      "A[2] = 0.0 / 0.0\n",
+      "A[3] = 9223372036854775807\n",
+      "do i = 1, 4\n  A[i] = 1.0e18 * (i * 4)\nenddo\n",
+  };
+  for (const char* body : cases) {
+    const il::Program prog = il::parseProgram(head + body);
+    const KernelRun t = runKernelProgram(prog, Engine::Walker, false, true);
+    const KernelRun v = runKernelProgram(prog, Engine::Vm, false, true);
+    const KernelRun p = runKernelProgram(prog, Engine::VmPerOp, false, true);
+    EXPECT_NE(t.error.find("i64 element store out of range"),
+              std::string::npos)
+        << body << t.error;
+    expectSameRun(t, v, body);
+    expectSameAsPerOp(p, v, body);
+    EXPECT_EQ(t.hookCalls, v.hookCalls) << body;
+  }
+  // In range stays f64-mediated: 2^63 - 1024 is representable.
+  const KernelRun ok = runKernelProgram(
+      il::parseProgram(head + "A[1] = -9223372036854775807 - 1\n"
+                              "A[2] = 9223372036854774784\n"),
+      Engine::Vm, false, false);
+  EXPECT_TRUE(ok.error.empty()) << ok.error;
 }
 
 }  // namespace
