@@ -1,11 +1,9 @@
-// Bytecode VM benchmarks: compilation throughput of the flat-IL pipeline
-// (flatten + bc::compile, in statements/s), and execution throughput of
-// the VM against the reference tree walker on IL programs the VM can
-// compile hot.
+// Bytecode VM benchmarks: compilation throughput of bc::compile on the IL
+// tree (in statements/s), and execution throughput of the VM against the
+// reference tree walker on IL programs the VM can compile hot.
 //
 // Counters (deterministic ones are gated by PERF_TRAJECTORY.json):
-//   stmts_per_s       flat statement rows compiled per second (rate)
-//   flat_nodes        flat::FlatProgram::nodeCount() (deterministic)
+//   stmts_per_s       IL statements compiled per second (rate)
 //   hot / cold        bc::Module statement split (deterministic)
 //   logical_ops       stmts + loop iters + rule evals + elem assigns,
 //                     summed over processors; must be identical for both
@@ -22,7 +20,6 @@
 
 #include <string>
 
-#include "xdp/il/flat.hpp"
 #include "xdp/il/parser.hpp"
 #include "xdp/il/program.hpp"
 #include "xdp/interp/bytecode.hpp"
@@ -69,24 +66,27 @@ il::Program buildSynthetic(int n) {
   return prog;
 }
 
-void BM_FlattenCompile(benchmark::State& state) {
+/// Statements in the tree under `s`, `s` included.
+std::size_t countStmts(const il::StmtPtr& s) {
+  if (s == nullptr) return 0;
+  std::size_t n = 1 + countStmts(s->body);
+  for (const auto& c : s->stmts) n += countStmts(c);
+  return n;
+}
+
+void BM_Compile(benchmark::State& state) {
   il::Program prog = buildSynthetic(static_cast<int>(state.range(0)));
-  std::size_t flatStmts = 0, nodes = 0;
+  const std::size_t stmts = countStmts(prog.body);
   std::uint32_t hot = 0, cold = 0;
   for (auto _ : state) {
-    il::flat::FlatProgram fp = il::flat::flatten(prog);
-    interp::bc::Module m = interp::bc::compile(fp);
+    interp::bc::Module m = interp::bc::compile(prog);
     benchmark::DoNotOptimize(m.code.data());
-    flatStmts = fp.stmts.size();
-    nodes = fp.nodeCount();
     hot = m.hotStmts;
     cold = m.coldStmts;
   }
   state.counters["stmts_per_s"] = benchmark::Counter(
-      static_cast<double>(flatStmts) *
-          static_cast<double>(state.iterations()),
+      static_cast<double>(stmts) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
-  state.counters["flat_nodes"] = static_cast<double>(nodes);
   state.counters["hot"] = static_cast<double>(hot);
   state.counters["cold"] = static_cast<double>(cold);
 }
@@ -243,7 +243,7 @@ BENCHMARK_CAPTURE(BM_PointRoundTrip, direct, true)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PointRoundTrip, rendezvous, false)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FlattenCompile)->Arg(64)->Arg(1024);
+BENCHMARK(BM_Compile)->Arg(64)->Arg(1024);
 // Process CPU time, as these rows have always been measured (the SPMD
 // runtime now runs on the calling thread, so it equals that thread's).
 BENCHMARK(BM_StencilExec)

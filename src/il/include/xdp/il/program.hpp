@@ -44,12 +44,18 @@ struct Program {
 /// and every statement that binds a scalar (assignment, loop variable)
 /// reachable from `prog.body` maps to the id of its name; names get ids
 /// in the order of a fixed pre-order walk (shared subtrees once). The
-/// interpreter and the verifier keep their scalars in slots by these ids.
+/// interpreter, the bytecode VM (as register numbers) and the verifier
+/// keep their scalars in slots by these ids.
 class ScalarIds {
  public:
   explicit ScalarIds(const Program& prog);
 
-  int count() const { return count_; }
+  int count() const { return static_cast<int>(names_.size()); }
+
+  /// The name with id `id`.
+  const std::string& name(int id) const {
+    return names_[static_cast<std::size_t>(id)];
+  }
 
   /// The id of a scalar reference, or -1 if `e` is not one of the
   /// program's ScalarRef nodes.
@@ -66,7 +72,7 @@ class ScalarIds {
   }
 
  private:
-  int count_ = 0;
+  std::vector<std::string> names_;
   std::unordered_map<const Expr*, int> refs_;
   std::unordered_map<const Stmt*, int> binds_;
 };

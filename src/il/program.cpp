@@ -28,8 +28,8 @@ int Program::addArray(ArrayDecl d) {
 ScalarIds::ScalarIds(const Program& prog) {
   std::unordered_map<std::string, int> byName;
   auto intern = [&](const std::string& n) {
-    auto [it, fresh] = byName.emplace(n, count_);
-    if (fresh) ++count_;
+    auto [it, fresh] = byName.emplace(n, count());
+    if (fresh) names_.push_back(n);
     return it->second;
   };
   std::unordered_set<const void*> seen;  // the program may share subtrees
@@ -72,9 +72,9 @@ ScalarIds::ScalarIds(const Program& prog) {
     walkStmt(s->body);
     walkExpr(s->rule);
     walkSec(s->sec2);
+    walkExpr(s->bindHint);
     for (const auto& e : s->dest.pids) walkExpr(e);
     walkSec(s->dest.section);
-    walkExpr(s->bindHint);
     for (const auto& [sym, se] : s->args) walkSec(se);
   };
 

@@ -74,7 +74,7 @@ using StepHook = std::function<void(rt::Proc&)>;
 /// counters (only the VM range-splits, and guardCacheHits differ).
 enum class Backend {
   TreeWalk,  ///< reference tree walker: naive schedule, no checkpointing
-  Bytecode,  ///< flat-IL register VM (xdp/interp/bytecode.hpp)
+  Bytecode,  ///< register VM compiled from the IL (xdp/interp/bytecode.hpp)
 };
 
 /// Interpreter-level execution switches (distinct from RuntimeOptions,
@@ -83,8 +83,8 @@ struct InterpOptions {
   /// Per-statement hook (see StepHook); empty = no per-step overhead
   /// beyond one branch.
   StepHook stepHook;
-  /// Execution engine (see Backend). The program is flattened and
-  /// compiled lazily on the first run() when Bytecode is selected.
+  /// Execution engine (see Backend). The program is compiled lazily on
+  /// the first run() when Bytecode is selected.
   Backend backend = Backend::Bytecode;
 };
 
@@ -123,7 +123,7 @@ class Interpreter {
   // instead of hashing names per access.
   int scalarIdOfExpr(const il::Expr* e) const;
   int scalarIdOfStmt(const il::Stmt* s) const;
-  int numScalars() const { return scalarIds_.count(); }
+  int numScalars() const { return scalarIds_->count(); }
 
   il::Program prog_;
   rt::Runtime rt_;
@@ -132,7 +132,8 @@ class Interpreter {
   std::vector<InterpStats> stats_;
   std::unique_ptr<bc::Module> module_;  ///< lazily compiled (Bytecode)
 
-  il::ScalarIds scalarIds_;
+  /// Shared with the compiled module: its scalar registers are these ids.
+  std::shared_ptr<const il::ScalarIds> scalarIds_;
 };
 
 }  // namespace xdp::interp

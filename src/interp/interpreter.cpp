@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "xdp/il/flat.hpp"
 #include "xdp/interp/bytecode.hpp"
 #include "xdp/support/arith.hpp"
 #include "xdp/support/check.hpp"
@@ -224,8 +223,8 @@ class Exec {
       case ExprKind::ScalarRef: {
         const auto id =
             static_cast<std::size_t>(in_.scalarIdOfExpr(e.get()));
-        XDP_CHECK(def_[id] != 0,
-                  "use of undefined universal scalar: " + e->name);
+        if (def_[id] == 0)
+          XDP_USAGE_FAIL("use of undefined universal scalar: " + e->name);
         return env_[id];
       }
       case ExprKind::MyPid:
@@ -462,7 +461,7 @@ class Exec {
 // --- scalar interning ------------------------------------------------------
 
 int Interpreter::scalarIdOfExpr(const il::Expr* e) const {
-  const int id = scalarIds_.ofRef(e);
+  const int id = scalarIds_->ofRef(e);
   XDP_CHECK(id >= 0,
             "scalar reference not interned (expression is not part of the "
             "interpreted program)");
@@ -470,7 +469,7 @@ int Interpreter::scalarIdOfExpr(const il::Expr* e) const {
 }
 
 int Interpreter::scalarIdOfStmt(const il::Stmt* s) const {
-  const int id = scalarIds_.ofBind(s);
+  const int id = scalarIds_->ofBind(s);
   XDP_CHECK(id >= 0,
             "scalar binding not interned (statement is not part of the "
             "interpreted program)");
@@ -483,7 +482,7 @@ Interpreter::Interpreter(il::Program prog, rt::RuntimeOptions opts,
       rt_(prog_.nprocs, opts),
       iopts_(iopts),
       stats_(static_cast<std::size_t>(prog_.nprocs)),
-      scalarIds_(prog_) {
+      scalarIds_(std::make_shared<const il::ScalarIds>(prog_)) {
   for (const auto& a : prog_.arrays)
     rt_.declareArray(a.name, a.type, a.global, a.dist, a.segShape);
 }
@@ -510,8 +509,7 @@ void Interpreter::run() {
     });
   } else {
     if (module_ == nullptr) {
-      module_ = std::make_unique<bc::Module>(
-          bc::compile(il::flat::flatten(prog_)));
+      module_ = std::make_unique<bc::Module>(bc::compile(prog_, scalarIds_));
     }
     rt_.run([&](rt::Proc& proc) {
       bc::execute(*module_, proc,

@@ -18,7 +18,6 @@
 #include "analysis_programs.hpp"
 #include "xdp/apps/programs.hpp"
 #include "xdp/ckpt/io.hpp"
-#include "xdp/il/flat.hpp"
 #include "xdp/il/parser.hpp"
 #include "xdp/interp/bytecode.hpp"
 #include "xdp/interp/interpreter.hpp"
@@ -404,11 +403,11 @@ TEST_P(CaptureStress, CheckpointedRunsMatchPlainRun) {
     ASSERT_GT(base.stats.rangeSplits, 0u);
   }
   if (name == kCyclicSplit) {
-    ASSERT_EQ(bc::compile(il::flat::flatten(prog)).kernels.size(), 3u);
+    ASSERT_EQ(bc::compile(prog).kernels.size(), 3u);
     ASSERT_EQ(base.stats.fusedLoops, 2u * 11u);
   }
   if (name == kServeHalo || name == kServeRing) {
-    const bc::Module m = bc::compile(il::flat::flatten(prog));
+    const bc::Module m = bc::compile(prog);
     ASSERT_EQ(m.coldStmts, 1u);  // the fill kernel
     ASSERT_GT(m.xfers.size(), 0u);
     // The inner element loop (the halo's split copy, the ring's plain
@@ -485,7 +484,7 @@ struct PreemptedRun {
 
 PreemptedRun preemptedRun(const il::Program& prog, bool perOp,
                           std::uint64_t preemptAt) {
-  bc::Module m = bc::compile(il::flat::flatten(prog));
+  bc::Module m = bc::compile(prog);
   if (perOp)
     for (std::size_t pc = 0; pc < m.code.size(); ++pc)
       if (m.code[pc].op == bc::Op::LoopKernel)
