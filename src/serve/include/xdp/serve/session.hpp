@@ -17,7 +17,8 @@
 //     statement loop and the fabric's send path. The first breach
 //     cancels the whole session: running processors throw QuotaExceeded
 //     at their next statement, parked processors are cancelled out of
-//     await/barrier by the machine's scheduler.
+//     await/barrier by the machine's scheduler. A session with no quota
+//     and no preemption bound installs neither hook.
 //
 // Transient fabric faults (drop/delay/reorder/stall) are absorbed at the
 // session boundary by bounded retry with exponential backoff; crash

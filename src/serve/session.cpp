@@ -72,6 +72,14 @@ class SessionScope {
   /// runtime. Must be called before run().
   void attach(interp::Interpreter* in) { interp_ = in; }
 
+  /// Some quota or preemption pressure is set. Otherwise neither hook can
+  /// ever act, and the session runs without them.
+  bool enforces() const {
+    return quotas_.maxSteps != 0 || quotas_.maxResidentBytes != 0 ||
+           quotas_.maxMessages != 0 || quotas_.maxSendBytes != 0 ||
+           quotas_.wallBudgetMs > 0 || preemptAfter_ != 0;
+  }
+
   void onStep(rt::Proc& proc) {
     if (breached_) throwCancelled();
     const std::uint64_t steps = ++steps_;
@@ -312,7 +320,8 @@ SessionReport runSession(const SessionRequest& req, const SessionOptions& opts,
 
     SessionScope scope(req.quotas, sessionStart, req.preemptAfterSteps);
     interp::InterpOptions iopts;
-    iopts.stepHook = [&scope](rt::Proc& p) { scope.onStep(p); };
+    if (scope.enforces())
+      iopts.stepHook = [&scope](rt::Proc& p) { scope.onStep(p); };
 
     const bool wantCkpt = req.checkpointIntervalSteps > 0 ||
                           req.preemptAfterSteps > 0 || !req.resumeFrom.empty();
@@ -323,8 +332,10 @@ SessionReport runSession(const SessionRequest& req, const SessionOptions& opts,
       interp::Interpreter interp(prog, ropts, iopts);
       scope.attach(&interp);
       rt::Runtime& rt = interp.runtime();
-      rt.fabric().setSendHook(
-          [&scope](int src, std::size_t bytes) { scope.onSend(src, bytes); });
+      if (scope.enforces())
+        rt.fabric().setSendHook([&scope](int src, std::size_t bytes) {
+          scope.onSend(src, bytes);
+        });
       apps::registerFillKernel(interp, req.fillSeed);
       apps::registerFftKernels(interp);
       if (wantCkpt) {
